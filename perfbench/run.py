@@ -8,17 +8,19 @@ A workload is a fixed list of CLI queries (``perfbench/workloads.json``).
 Each query runs as a fresh ``python -m dioperad ... --json`` process, the
 way users call the tool, against a document that ``inputs.generate`` writes
 from the seed; every answer is compared with the values pinned in
-``workloads.json``.  Each query gets its own empty ``CACHE_DIR`` inside the
-run's scratch directory, except on a warm workload, whose caches are filled
-during set-up.  Passes over the queries repeat until the next one would
-overrun ``--seconds`` (at least one pass runs).
+``workloads.json``.  Each query runs on its own empty ``CACHE_DIR`` inside
+the run's scratch directory; on a ``cold+warm`` workload it then runs again
+on the cache that first run wrote.  Passes over the queries repeat while the
+next query still fits in ``--seconds`` (the first pass always completes).
 
 With ``--trace 0`` the last line of output reports the end-to-end metrics:
-medians over passes of wall, cpu and per-field wall time, the peak RSS of
-any query process, and the median set-up time.  With ``--trace 1`` each
-untraced pass is followed by a traced one, in which every query runs under
-``traced_cli.py``; the per-layer metrics are medians over traced passes, and
-the spans are written to ``.bench_out/trace_<workload>_<seed>.json``.
+wall, cpu and per-field wall time, each the sum over queries of that query's
+median over its runs, the peak RSS of any query process, and the median
+set-up time.  With ``--trace 1`` each query run is followed by a traced
+one under ``traced_cli.py``; the per-layer metrics are summed in the same
+way over the traced runs, and the spans are written to
+``.bench_out/trace_<workload>_<seed>.json``.  Each query's run count and
+fastest, median and slowest wall time go to stderr.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ import inputs  # noqa: E402
 
 # A run must end within 180 s; leave room to clean up and report.
 DEADLINE_S = 170.0
-# Set-up repeats until it has taken --seconds, within these limits.
-SETUP_REPEATS = (2, 5)
 LAYERS = ("terms", "linalg", "ideals", "morphisms", "dialgebra", "cache")
+# Figures also reported for one phase alone, under these names.
+PHASE_FIGURES = {
+    "cold": {"cache.get_hits": "cold.cache.get_hits"},
+    "warm": {"trace.wall_s": "warm.wall_s", "linalg.rows_fed": "warm.linalg.rows_fed"},
+}
 
 
 class QueryResult:
@@ -148,6 +153,8 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.timed_out = False
+        self.setup_samples: list = []
+        self.home = None
         self.env = dict(os.environ)
         self.env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
@@ -175,44 +182,36 @@ class Run:
             print(f"FAIL {query['id']}: {why}", file=sys.stderr)
         return res
 
-    def set_up(self, spec: dict, workload: dict, seed: int, seconds: float):
-        """Generate the inputs, check the program starts on them, and fill
-        the caches of a warm workload.  Repeated, keeping the last; returns
-        it with the median set-up time."""
-        samples, kept = [], None
-        while True:
-            start = time.perf_counter()
-            home = self.fresh_dir(self.work)
-            text, names = inputs.generate(seed)
-            doc = home / "inputs.sexp"
-            doc.write_text(text, encoding="utf-8")
-            self.query(spec["smoke"], doc, names, self.fresh_dir(home))
-            caches = {}
-            if workload["cache"] == "warm":
-                for q in workload["queries"]:
-                    caches[q["id"]] = self.fresh_dir(home)
-                    self.query(q, doc, names, caches[q["id"]])
-            samples.append(time.perf_counter() - start)
-            if kept is not None:
-                shutil.rmtree(kept[0])
-            kept = (home, doc, names, caches)
-            least, most = SETUP_REPEATS
-            if (len(samples) == most or self.timed_out
-                    or (len(samples) >= least and sum(samples) >= seconds)):
-                return kept, statistics.median(samples)
+    def set_up(self, spec: dict, seed: int):
+        """Generate the inputs into a fresh directory, replacing the last
+        one, and check the program starts on them; record the time taken.
+        Returns ``(home, doc, names)``."""
+        start = time.perf_counter()
+        home = self.fresh_dir(self.work)
+        text, names = inputs.generate(seed)
+        doc = home / "inputs.sexp"
+        doc.write_text(text, encoding="utf-8")
+        self.query(spec["smoke"], doc, names, self.fresh_dir(home))
+        self.setup_samples.append(time.perf_counter() - start)
+        if self.home is not None:
+            shutil.rmtree(self.home)
+        self.home = home
+        return home, doc, names
 
-    def one_pass(self, queries, setup, traced: bool, label: str) -> list:
-        home, doc, names, caches = setup
-        results = []
-        for q in queries:
+    def unit(self, query: dict, setup, warm: bool, traced: bool, samples: dict) -> None:
+        """Run one query on an empty cache and, if ``warm``, once more on the
+        cache that run left; append each result to ``samples[label]``."""
+        home, doc, names = setup
+        cache_dir = self.fresh_dir(home)
+        phases = ("cold", "warm") if warm else ("cold",)
+        for phase in phases:
             if self.timed_out:
                 break
-            cache_dir = caches.get(q["id"]) or self.fresh_dir(home)
-            trace_id = f"{label}/{q['id']}" if traced else None
-            results.append((q, self.query(q, doc, names, cache_dir, trace_id)))
-            if q["id"] not in caches:
-                shutil.rmtree(cache_dir)
-        return results
+            label = f"{query['id']}/{phase}"
+            trace_id = f"{label}#{len(samples.get(label, ()))}" if traced else None
+            res = self.query(query, doc, names, cache_dir, trace_id)
+            samples.setdefault(label, []).append((query, res))
+        shutil.rmtree(cache_dir)
 
 
 def field_of(query: dict) -> str:
@@ -220,66 +219,85 @@ def field_of(query: dict) -> str:
     return args[args.index("--field") + 1]
 
 
-def end_to_end(passes: list, setup_s: float) -> dict:
-    def median_of(select):
-        return statistics.median(
-            sum(r.wall for q, r in p if select(q)) for p in passes
-        )
+def median_sum(samples: dict, attr: str, select=lambda query: True) -> float:
+    """Sum over the selected queries of the median of ``attr`` over that
+    query's runs."""
+    return sum(
+        statistics.median(getattr(r, attr) for _, r in runs)
+        for runs in samples.values() if select(runs[0][0])
+    )
 
+
+def end_to_end(samples: dict, setup_s: float) -> dict:
     return {
-        "wall_s": median_of(lambda q: True),
-        "wall_q_s": median_of(lambda q: field_of(q) == "q"),
-        "wall_p_s": median_of(lambda q: field_of(q) != "q"),
-        "cpu_s": statistics.median(sum(r.cpu for _, r in p) for p in passes),
-        "peak_rss_mb": max(r.rss_kb for p in passes for _, r in p) / 1024,
+        "wall_s": median_sum(samples, "wall"),
+        "wall_q_s": median_sum(samples, "wall", lambda q: field_of(q) == "q"),
+        "wall_p_s": median_sum(samples, "wall", lambda q: field_of(q) != "q"),
+        "cpu_s": median_sum(samples, "cpu"),
+        "peak_rss_mb": max(r.rss_kb for runs in samples.values() for _, r in runs) / 1024,
         "setup_s": setup_s,
     }
 
 
-def per_layer(traced: list, untraced: list) -> dict:
-    """Per-layer metrics of each traced pass, then the median of each."""
-    rows = []
-    for p in traced:
-        counts, seconds, self_s = {}, {}, dict.fromkeys(LAYERS, 0.0)
-        wall = startup = bytes_written = 0.0
-        max_columns = 0
-        for _, r in p:
-            wall += r.wall
-            bytes_written += r.bytes_written
-            if r.trace is None:
-                continue
-            startup += r.startup
-            for k, v in r.trace["counts"].items():
-                counts[k] = counts.get(k, 0) + v
-            max_columns = max(max_columns, r.trace["counts"].get("ideals.max_columns", 0))
-            for k, v in r.trace["seconds"].items():
-                seconds[k] = seconds.get(k, 0.0) + v
-            for layer in LAYERS:
-                self_s[layer] += r.trace["self_s"].get(layer, 0.0)
-        row = {f"{layer}.self_s": self_s[layer] for layer in LAYERS if layer != "cache"}
-        row.update(seconds)
-        row.update(counts)
-        row["ideals.max_columns"] = max_columns
-        row["cache.bytes_written"] = bytes_written
-        fed, gets = counts.get("linalg.rows_fed", 0), counts.get("cache.get_calls", 0)
-        row["linalg.keep_ratio"] = counts.get("linalg.rows_kept", 0) / fed if fed else 0.0
-        row["cache.hit_ratio"] = counts.get("cache.get_hits", 0) / gets if gets else 0.0
-        row["cli.startup_s"] = startup
-        row["cli.unattributed_s"] = wall - startup - sum(self_s.values())
-        row["trace.wall_s"] = wall
-        rows.append(row)
-    out = {k: statistics.median(row.get(k, 0) for row in rows) for k in rows[0]}
-    untraced_wall = statistics.median(sum(r.wall for _, r in p) for p in untraced)
-    out["trace.overhead_ratio"] = out["trace.wall_s"] / untraced_wall
+def layer_row(r: QueryResult) -> dict:
+    """Per-layer figures of one traced query run."""
+    row = {f"{layer}.self_s": 0.0 for layer in LAYERS if layer != "cache"}
+    row["cache.bytes_written"] = r.bytes_written
+    row["trace.wall_s"] = r.wall
+    if r.trace is None:
+        row["cli.unattributed_s"] = r.wall
+        return row
+    self_s = r.trace["self_s"]
+    row.update({f"{layer}.self_s": self_s.get(layer, 0.0)
+                for layer in LAYERS if layer != "cache"})
+    row.update(r.trace["seconds"])
+    row.update(r.trace["counts"])
+    row["cli.startup_s"] = r.startup
+    row["cli.unattributed_s"] = (
+        r.wall - r.startup - sum(self_s.get(layer, 0.0) for layer in LAYERS)
+    )
+    return row
+
+
+def per_layer(traced: dict, untraced: dict) -> dict:
+    """Per-layer metrics: for each query the median of each figure over its
+    traced runs, summed over queries (``ideals.max_columns``: the largest).
+    ``PHASE_FIGURES`` repeat a few figures for one phase only."""
+    out: dict = {}
+    for label, runs in traced.items():
+        rows = [layer_row(r) for _, r in runs]
+        keys = {k for row in rows for k in row}
+        med = {k: statistics.median(row.get(k, 0) for row in rows) for k in keys}
+        phase = label.rsplit("/", 1)[1]
+        for k, v in med.items():
+            if k == "ideals.max_columns":
+                out[k] = max(out.get(k, 0), v)
+            else:
+                out[k] = out.get(k, 0) + v
+        for k, name in PHASE_FIGURES[phase].items():
+            out[name] = out.get(name, 0) + med.get(k, 0)
+    fed, gets = out.get("linalg.rows_fed", 0), out.get("cache.get_calls", 0)
+    out["linalg.keep_ratio"] = out.get("linalg.rows_kept", 0) / fed if fed else 0.0
+    out["cache.hit_ratio"] = out.get("cache.get_hits", 0) / gets if gets else 0.0
+    out["trace.overhead_ratio"] = (
+        out["trace.wall_s"] / median_sum(untraced, "wall")
+    )
     return out
 
 
-def write_spans(traced: list, workload: str, seed: int) -> None:
-    spans = [
-        {"query": r.trace["query"], "spans": r.trace["spans"]}
-        for p in traced for _, r in p if r.trace is not None
-    ]
-    missing = sorted({m for p in traced for _, r in p if r.trace for m in r.trace["missing"]})
+def report_spread(samples: dict) -> None:
+    """Print each query's run count and its fastest, median and slowest
+    wall time to stderr."""
+    for label, runs in sorted(samples.items()):
+        walls = sorted(r.wall for _, r in runs)
+        print(f"{label}: {len(walls)} runs, wall {walls[0]:.3f} / "
+              f"{statistics.median(walls):.3f} / {walls[-1]:.3f} s", file=sys.stderr)
+
+
+def write_spans(traced: dict, workload: str, seed: int) -> None:
+    results = [r for runs in traced.values() for _, r in runs if r.trace is not None]
+    spans = [{"query": r.trace["query"], "spans": r.trace["spans"]} for r in results]
+    missing = sorted({m for r in results for m in r.trace["missing"]})
     for name in missing:
         print(f"warning: tracer found no {name}", file=sys.stderr)
     out = ROOT / ".bench_out"
@@ -313,19 +331,31 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(dir=scratch))
     try:
         run = Run(work, opts.seed)
-        setup, setup_s = run.set_up(spec, workload, opts.seed, opts.seconds)
+        setup = run.set_up(spec, opts.seed)
         queries = list(workload["queries"])
         random.Random(opts.seed).shuffle(queries)
-        untraced, traced = [], []
+        warm = workload["cache"] == "cold+warm"
+        untraced, traced, took = {}, {}, {}
         start = time.monotonic()
+        stop = min(start + opts.seconds, run.deadline)
+        passes = 0
         while not run.timed_out:
-            untraced.append(run.one_pass(queries, setup, False, f"u{len(untraced)}"))
-            if opts.trace:
-                traced.append(run.one_pass(queries, setup, True, f"t{len(traced)}"))
-            now = time.monotonic()
-            per_pass = (now - start) / len(untraced)
-            if now + per_pass > min(start + opts.seconds, run.deadline):
-                break
+            for q in queries:
+                if run.timed_out or (passes and time.monotonic() + took[q["id"]] > stop):
+                    break
+                began = time.monotonic()
+                run.unit(q, setup, warm, False, untraced)
+                if opts.trace:
+                    run.unit(q, setup, warm, True, traced)
+                took[q["id"]] = time.monotonic() - began
+                # Set up again between queries, so that the set-up samples
+                # spread over the run as the query samples do.
+                setup = run.set_up(spec, opts.seed)
+            else:
+                passes += 1
+                continue
+            break
+        report_spread(untraced)
         isolated = not run.stray.exists()
         if not isolated:
             print("FAIL: a query wrote outside its CACHE_DIR", file=sys.stderr)
@@ -334,7 +364,7 @@ def main(argv=None) -> int:
             metrics = per_layer(traced, untraced)
             write_spans(traced, opts.workload, opts.seed)
         elif untraced:
-            metrics = end_to_end(untraced, setup_s)
+            metrics = end_to_end(untraced, statistics.median(run.setup_samples))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
