@@ -22,6 +22,7 @@ from .terms import (
     Polynomial,
     Signature,
     apply_permutation,
+    check_degree,
     check_in_signature,
     enumerate_monomials,
     format_polynomial,
@@ -186,6 +187,7 @@ def ideal_component(
     polynomials (already over the working field).  ``digest`` keys the memo
     and the optional disk cache; equal digests must mean equal inputs.
     """
+    check_degree(n, max_degree)
     key = (digest, field.name, n)
     hit = _MEMO.get(key)
     if hit is not None:

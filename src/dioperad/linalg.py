@@ -160,18 +160,14 @@ def kernel_basis(field, ncols, rows) -> list[dict]:
     """Basis of the right null space, one vector per free column, ascending."""
     space = row_reduce(field, ncols, rows)
     pivots = set(space.pivots)
-    piv_rows = dict(zip(space.pivots, space.rows))
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: field.one}
-        for p in space.pivots:
-            coeff = piv_rows[p].get(free)
-            if coeff:
-                vec[p] = field.neg(coeff)
-        out.append(vec)
-    return out
+    out = {free: {free: field.one} for free in range(ncols) if free not in pivots}
+    # Rows are fully reduced, so every entry off a row's own pivot sits in a
+    # free column; ascending pivots keep each vector's keys in order.
+    for p, row in zip(space.pivots, space.rows):
+        for c, v in row.items():
+            if c != p:
+                out[c][p] = field.neg(v)
+    return list(out.values())
 
 
 def left_kernel_basis(field, rows, ncols) -> list[dict]:

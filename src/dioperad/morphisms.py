@@ -36,8 +36,8 @@ from .terms import (
     DEFAULT_DEGREE_CAP,
     Monomial,
     Polynomial,
-    Signature,
     apply_permutation,
+    check_degree,
     compose,
     double_signature,
     enumerate_monomials,
@@ -125,28 +125,27 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-_ROWS_MEMO: dict = {}
 _KERNEL_MEMO: dict = {}
 
 
-def _reduced_image_rows(mor, d, field, max_degree, cache):
-    """Image of each degree-d source basis monomial, reduced modulo the
-    target variety's ideal."""
-    key = (mor.digest, field.name, d)
-    hit = _ROWS_MEMO.get(key)
-    if hit is not None:
-        return hit
+def _kernel_on_columns(mor, d, columns, field, max_degree, cache) -> Subspace:
+    """Kernel of the morphism restricted to the span of the given degree-d
+    source basis columns (ascending), as a canonical subspace of the whole
+    source space.  Each image is reduced modulo the target variety's ideal
+    before the left kernel is taken."""
+    basis = enumerate_monomials(mor.source_signature, d, max_degree)
     target_comp = consequences_at_degree(
         mor.target, d, field, max_degree, cache
     )
     rows = []
-    for m in enumerate_monomials(mor.source_signature, d, max_degree):
-        img = evaluate_morphism(mor, m, field)
+    for i in columns:
+        img = evaluate_morphism(mor, basis[i], field)
         vec = poly_to_vector(img, target_comp.index)
         rows.append(target_comp.ideal.reduce(vec))
-    out = (tuple(rows), target_comp)
-    _ROWS_MEMO[key] = out
-    return out
+    ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
+    return row_reduce(
+        field, len(basis), ({columns[j]: v for j, v in u.items()} for u in ker)
+    )
 
 
 def morphism_kernel_at_degree(
@@ -157,13 +156,15 @@ def morphism_kernel_at_degree(
     cache=None,
 ):
     """Subspace of source combinations that die in the target quotient."""
+    check_degree(d, max_degree)
     key = (mor.digest, field.name, d)
     hit = _KERNEL_MEMO.get(key)
     if hit is not None:
         return hit
-    rows, target_comp = _reduced_image_rows(mor, d, field, max_degree, cache)
-    ker = left_kernel_basis(field, list(rows), target_comp.ambient_dimension)
-    space = row_reduce(field, len(rows), ker)
+    ncols = len(enumerate_monomials(mor.source_signature, d, max_degree))
+    space = _kernel_on_columns(
+        mor, d, range(ncols), field, max_degree, cache
+    )
     _KERNEL_MEMO[key] = space
     return space
 
@@ -192,6 +193,25 @@ class SpecialIdentitiesReport(NamedTuple):
     basis: tuple
 
 
+def _special_space(mor, source, d, field, max_degree, cache):
+    """The source component at degree d and ker(φ) ∩ span(normal), where
+    the normal monomials are the non-pivot columns of the source ideal I.
+
+    Once ``_check_source_vanishes`` has passed, I ⊆ ker(φ), because ker(φ)
+    is an operad ideal.  Every kernel vector is then an element of I plus
+    its reduction modulo I, and that reduction lies in ker(φ) on the normal
+    columns.  So this space is exactly ker(φ) reduced modulo I, and
+    ker(φ) = I ⊕ this space."""
+    if source.signature != mor.source_signature:
+        raise ValueError("presentation and morphism disagree on the signature")
+    _check_source_vanishes(mor, source, field, max_degree, cache)
+    source_comp = consequences_at_degree(source, d, field, max_degree, cache)
+    pivots = set(source_comp.ideal.pivots)
+    normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
+    special = _kernel_on_columns(mor, d, normal, field, max_degree, cache)
+    return source_comp, special
+
+
 def special_identities(
     mor: OperadMorphism,
     source: VarietyPresentation,
@@ -201,14 +221,17 @@ def special_identities(
     cache=None,
 ) -> SpecialIdentitiesReport:
     """Kernel identities of the morphism that are not consequences of the
-    source presentation.  Every source identity must die in the target."""
-    if source.signature != mor.source_signature:
-        raise ValueError("presentation and morphism disagree on the signature")
-    _check_source_vanishes(mor, source, field, max_degree, cache)
-    kernel = morphism_kernel_at_degree(mor, d, field, max_degree, cache)
-    source_comp = consequences_at_degree(source, d, field, max_degree, cache)
-    reduced = [source_comp.ideal.reduce(r) for r in kernel.rows]
-    special = row_reduce(field, kernel.ncols, reduced)
+    source presentation.  Every source identity must die in the target.
+
+    The special basis is the kernel of the morphism on the source quotient's
+    normal monomials (the non-pivot columns of the source ideal), which is
+    ker(φ) reduced modulo the source ideal; the kernel dimension is then the
+    ideal dimension plus the special dimension.  Both are exact only because
+    the vanishing check runs first and so puts the source ideal inside
+    ker(φ)."""
+    source_comp, special = _special_space(
+        mor, source, d, field, max_degree, cache
+    )
     basis = tuple(
         vector_to_poly(r, source_comp.basis, field, d) for r in special.rows
     )
@@ -217,7 +240,7 @@ def special_identities(
         degree=d,
         field=field.name,
         ambient_dimension=source_comp.ambient_dimension,
-        kernel_dimension=kernel.dim,
+        kernel_dimension=source_comp.ideal.dim + special.dim,
         ideal_dimension=source_comp.ideal.dim,
         special_dimension=special.dim,
         basis=basis,
@@ -262,10 +285,11 @@ def di_special_identities(
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
     as emphasized placements of the plain special identities."""
-    base = special_identities(mor, source, d, field, max_degree, cache)
-    source_comp = consequences_at_degree(source, d, field, max_degree, cache)
+    source_comp, base_special = _special_space(
+        mor, source, d, field, max_degree, cache
+    )
     block = source_comp.ambient_dimension
-    base_kernel = morphism_kernel_at_degree(mor, d, field, max_degree, cache)
+    base_kernel = extend(source_comp.ideal, base_special.rows)
     kernel_rows = []
     for k in range(d):
         off = k * block
@@ -282,8 +306,7 @@ def di_special_identities(
     )
 
     lifted = []
-    for p in base.basis:
-        vec = poly_to_vector(p, source_comp.index)
+    for vec in base_special.rows:
         for k in range(d):
             lifted.append({k * block + c: v for c, v in vec.items()})
     matches = extend(block_ideal, lifted) == extend(

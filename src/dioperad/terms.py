@@ -399,14 +399,21 @@ def _fill(skel, labels):
 _BASIS_CACHE: dict = {}
 
 
-def enumerate_monomials(
-    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
-):
-    """All multilinear monomials of degree n, in canonical order."""
+def check_degree(n: int, max_degree: int = DEFAULT_DEGREE_CAP) -> None:
+    """Reject a degree below 1 or above the cap.  Memoised lookups call this
+    before the lookup, so a result computed under a higher cap is never
+    handed out under a lower one."""
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     if n > max_degree:
         raise DegreeCapError(f"degree {n} exceeds the enumeration cap {max_degree}")
+
+
+def enumerate_monomials(
+    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
+):
+    """All multilinear monomials of degree n, in canonical order."""
+    check_degree(n, max_degree)
     key = (sig, n)
     hit = _BASIS_CACHE.get(key)
     if hit is not None:
@@ -425,6 +432,7 @@ def monomial_index(
     sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
 ) -> dict:
     """Map raw tree nodes of the degree-n basis to their column positions."""
+    check_degree(n, max_degree)
     key = ("index", sig, n)
     hit = _BASIS_CACHE.get(key)
     if hit is None:

@@ -159,6 +159,29 @@ def test_verify_di_report(capsys):
     assert report["dims"] == {"ambient": 48, "ideal": 30, "quotient": 18}
 
 
+def test_verify_di_exits_1_without_a_zero_identity(capsys, monkeypatch):
+    from dioperad import dialgebra
+    from dioperad.ideals import VarietyPresentation
+
+    full = dialgebra.bso_presentation
+
+    def drop_first_zero_identity(variety):
+        p = full(variety)
+        return VarietyPresentation(
+            p.name, p.signature, p.generators[1:], p.generator_names[1:]
+        )
+
+    monkeypatch.setattr(dialgebra, "bso_presentation", drop_first_zero_identity)
+    args = ["verify-di", "--variety", "builtin:assoc", "--degree", "4"]
+    code, report = run_json(capsys, *args)
+    assert code == 1
+    assert report["verdict"] is False
+    assert report["dims"]["quotient"] != report["expected_quotient"]
+    code, report = run_json(capsys, *args, "--field", "q")
+    assert code == 1
+    assert report["verdict"] is False
+
+
 def test_special_reports_empty_kernel_quotient(capsys):
     code, report = run_json(
         capsys,

@@ -6,17 +6,18 @@ import itertools
 
 import pytest
 
+from dioperad import catalog, dialgebra
 from dioperad.dialgebra import (
     DiPolynomial,
     EmphasizedMonomial,
     bso_presentation,
+    collapses_into,
     di_ideal_at_degree,
     emphasis_kernel_rows,
     lift_vector,
     perm_basis,
     perm_compose,
     superscript,
-    superscript_poly,
     unsuperscript,
     vector_to_dipolynomial,
     verify_dialgebra_equivalence,
@@ -38,6 +39,7 @@ from dioperad.terms import (
     double_signature,
     enumerate_monomials,
     monomial_index,
+    substitute_at,
 )
 
 BRK = Signature([("b", 2)])
@@ -306,3 +308,86 @@ def test_zeta_preimage_matches_kernel_plus_lifts():
                 rows.append(lift_vector(p, k, dindex))
         via_lifts = row_reduce(QQ, len(dindex), rows)
         assert via_kernel == via_lifts
+
+
+def _verdict_via_preimage(variety, n, field):
+    """The equivalence verdict the long way: build the whole collapse
+    preimage and compare.  Looks ``bso_presentation`` up at call time so a
+    patched presentation is seen here too."""
+    divar = dialgebra.bso_presentation(variety)
+    di = consequences_at_degree(divar, n, field)
+    block = di_ideal_at_degree(variety, n, field)
+    return di.ideal == zeta_preimage(divar.signature, n, block, field)
+
+
+FIELDS = [QQ, PrimeField(1000003)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+@pytest.mark.parametrize("name", ["free-binary", "lie", "assoc", "jts"])
+def test_equivalence_verdict_matches_preimage_oracle(name, field):
+    variety = catalog.presentation(name)
+    for n in (3, 4):
+        rep = verify_dialgebra_equivalence(variety, n, field)
+        assert rep.equal is _verdict_via_preimage(variety, n, field) is True
+
+
+def _drop_first_zero_identity(variety):
+    full = bso_presentation(variety)
+    return VarietyPresentation(
+        full.name, full.signature, full.generators[1:], full.generator_names[1:]
+    )
+
+
+def _misplace_first_zero_identity(variety):
+    """Replace the first zero identity by one that equates the two inner
+    superscripts at the slot the outer superscript points to.  Its two
+    terms collapse onto different emphasized leaves."""
+    full = bso_presentation(variety)
+    (f, _), = variety.signature.operations
+    outer = Monomial((f"{f}^1", 1, 2))
+    wrong = substitute_at(outer, 1, Monomial((f"{f}^1", 1, 2))) - substitute_at(
+        outer, 1, Monomial((f"{f}^2", 1, 2))
+    )
+    return VarietyPresentation(
+        full.name,
+        full.signature,
+        (wrong,) + full.generators[1:],
+        full.generator_names,
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+def test_equivalence_fails_on_the_dimension(monkeypatch, field):
+    monkeypatch.setattr(dialgebra, "bso_presentation", _drop_first_zero_identity)
+    rep = verify_dialgebra_equivalence(ASSOC, 4, field)
+    assert rep.ideal_dimension < 864
+    assert rep.equal is _verdict_via_preimage(ASSOC, 4, field) is False
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+def test_equivalence_fails_on_containment(monkeypatch, field):
+    monkeypatch.setattr(
+        dialgebra, "bso_presentation", _misplace_first_zero_identity
+    )
+    for n, preimage_dim in ((3, 30), (4, 864)):
+        rep = verify_dialgebra_equivalence(ASSOC, n, field)
+        # the dimension matches the preimage, so only containment can fail
+        assert rep.ideal_dimension == preimage_dim
+        assert rep.equal is _verdict_via_preimage(ASSOC, n, field) is False
+
+
+def test_collapses_into_rejects_a_row_outside_the_preimage():
+    dsig = double_signature(ASSOC.signature)
+    block = di_ideal_at_degree(ASSOC, 3)
+    preimage = zeta_preimage(dsig, 3, block, QQ)
+    assert collapses_into(dsig, 3, preimage.rows, block, QQ)
+    outside = next(
+        {c: QQ.one}
+        for c in range(preimage.ncols)
+        if not preimage.contains({c: QQ.one})
+    )
+    assert not collapses_into(dsig, 3, [outside], block, QQ)
+    assert not collapses_into(dsig, 3, list(preimage.rows) + [outside], block, QQ)
+    with pytest.raises(ValueError, match="columns"):
+        collapses_into(dsig, 3, [], di_ideal_at_degree(ASSOC, 2), QQ)

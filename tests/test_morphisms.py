@@ -6,9 +6,16 @@ import itertools
 
 import pytest
 
+from dioperad import catalog
 from dioperad.dialgebra import DiPolynomial, unsuperscript
 from dioperad.fields import QQ, PrimeField
-from dioperad.ideals import VarietyPresentation, consequences_at_degree
+from dioperad.ideals import (
+    VarietyPresentation,
+    consequences_at_degree,
+    ideal_component,
+    vector_to_poly,
+)
+from dioperad.linalg import row_reduce
 from dioperad.morphisms import (
     CharacteristicGuardError,
     OperadMorphism,
@@ -20,12 +27,14 @@ from dioperad.morphisms import (
     verify_bso_theorem,
 )
 from dioperad.terms import (
+    DegreeCapError,
     Monomial,
     Polynomial,
     Signature,
     compose,
     enumerate_monomials,
     linearize,
+    monomial_index,
     substitute_at,
 )
 
@@ -328,3 +337,90 @@ def test_jordan_quotient_dimensions():
     assert consequences_at_degree(JORDAN, 2).quotient_dimension == 1
     assert consequences_at_degree(JORDAN, 3).quotient_dimension == 3
     assert consequences_at_degree(JORDAN, 4).quotient_dimension == 11
+
+
+def test_degree_cap_holds_after_kernel_memo_hit():
+    assert morphism_kernel_at_degree(LIE_TO_ASSOC, 4, QQ, 8).dim == 114
+    with pytest.raises(DegreeCapError):
+        morphism_kernel_at_degree(LIE_TO_ASSOC, 4, QQ, 3)
+
+
+def test_degree_cap_holds_after_index_memo_hit():
+    assert len(monomial_index(BRK, 4, 8)) == 120
+    with pytest.raises(DegreeCapError):
+        monomial_index(BRK, 4, 3)
+
+
+def test_degree_cap_holds_after_component_memo_hit():
+    gens = tuple(LIE.generators)
+    assert ideal_component(BRK, gens, LIE.digest, 4, QQ, 8).dim == 114
+    with pytest.raises(DegreeCapError):
+        ideal_component(BRK, gens, LIE.digest, 4, QQ, 3)
+
+
+def _special_via_full_kernel(mor, source, d, field):
+    """Kernel dimension, special dimension and special basis the long way:
+    the whole kernel over every monomial, reduced modulo the source ideal."""
+    kernel = morphism_kernel_at_degree(mor, d, field)
+    comp = consequences_at_degree(source, d, field)
+    special = row_reduce(
+        field, kernel.ncols, [comp.ideal.reduce(r) for r in kernel.rows]
+    )
+    basis = tuple(vector_to_poly(r, comp.basis, field, d) for r in special.rows)
+    return kernel.dim, special.dim, basis
+
+
+# A wrong image for the free source: the commutator in assoc instead of the
+# product in com-assoc.  Free has no identities, so the vanishing check
+# passes and the special space is large.
+FREE_TO_ASSOC_COMMUTATOR = OperadMorphism(
+    "free-to-assoc-commutator",
+    BIN,
+    ASSOC,
+    {"mul": poly({("mul", 1, 2): 1, ("mul", 2, 1): -1})},
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "lie-to-assoc",
+        "jordan-to-assoc",
+        "jts-to-assoc",
+        "jts-to-jordan",
+        "free-to-com-assoc",
+        "free-to-assoc-commutator",
+    ],
+)
+def test_quotient_special_identities_match_full_kernel(name, field):
+    if name == "free-to-assoc-commutator":
+        mor, source = FREE_TO_ASSOC_COMMUTATOR, FREE
+    else:
+        entry = catalog.morphism(name)
+        mor, source = entry.morphism, entry.source
+    nonempty = 0
+    for d in (2, 3, 4):
+        rep = special_identities(mor, source, d, field)
+        kernel_dim, special_dim, basis = _special_via_full_kernel(
+            mor, source, d, field
+        )
+        assert rep.kernel_dimension == kernel_dim
+        assert rep.special_dimension == special_dim
+        assert rep.basis == basis
+        nonempty += special_dim
+    if name.startswith("free-to-"):
+        assert nonempty > 0
+
+
+def test_quotient_path_refuses_an_image_that_breaks_the_source():
+    anticommutator = OperadMorphism(
+        "lie-to-assoc-anticommutator",
+        BRK,
+        ASSOC,
+        {"b": poly({("mul", 1, 2): 1, ("mul", 2, 1): 1})},
+    )
+    with pytest.raises(ValueError, match="antisymmetry"):
+        special_identities(anticommutator, LIE, 3)
+    with pytest.raises(ValueError, match="antisymmetry"):
+        di_special_identities(anticommutator, LIE, 3)
