@@ -14,6 +14,7 @@ from .dialgebra import (
     DiPolynomial,
     bso_presentation,
     di_ideal_at_degree,
+    is_collapse_preimage,
     superscript,
     superscript_poly,
     unsuperscript,
@@ -79,6 +80,7 @@ __all__ = [
     "evaluate_morphism",
     "format_polynomial",
     "identity_implies",
+    "is_collapse_preimage",
     "linearize",
     "morphism_kernel_at_degree",
     "parse_field",

@@ -17,11 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fields import QQ
-from .ideals import (
-    VarietyPresentation,
-    consequences_at_degree,
-    poly_to_vector,
-)
+from .ideals import VarietyPresentation, consequences_at_degree
 from .linalg import Subspace, left_kernel_basis, row_reduce
 from .terms import (
     DEFAULT_DEGREE_CAP,
@@ -31,42 +27,10 @@ from .terms import (
     Signature,
     double_signature,
     enumerate_monomials,
+    format_node,
     monomial_index,
     substitute_at,
 )
-
-
-def perm_basis(field, n: int, k: int):
-    """The weight vector with a single unit in slot k of n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"slot {k} out of range 1..{n}")
-    return tuple(field.one if i == k - 1 else field.zero for i in range(n))
-
-
-def perm_compose(field, f, gs):
-    """Composition of weight vectors: on unit vectors the k-th inner index
-    survives, shifted past the earlier blocks; all other factors contribute
-    their total weight."""
-    f = tuple(f)
-    gs = [tuple(g) for g in gs]
-    if len(gs) != len(f):
-        raise ValueError(f"composition needs {len(f)} arguments, got {len(gs)}")
-    sums = [sum(g, field.zero) if g else field.zero for g in gs]
-    offsets = [0]
-    for g in gs:
-        offsets.append(offsets[-1] + len(g))
-    out = [field.zero] * offsets[-1]
-    for k, fk in enumerate(f):
-        if not fk:
-            continue
-        rest = fk
-        for i, s in enumerate(sums):
-            if i != k:
-                rest = field.mul(rest, s)
-        for j, gj in enumerate(gs[k]):
-            if gj:
-                out[offsets[k] + j] = field.add(out[offsets[k] + j], field.mul(rest, gj))
-    return tuple(out)
 
 
 class EmphasizedMonomial(NamedTuple):
@@ -93,16 +57,24 @@ def _strip(node):
     return (base,) + tuple(_strip(c) for c in node[1:])
 
 
-def unsuperscript(m: Monomial) -> EmphasizedMonomial:
-    """Drop all superscripts; the emphasized leaf is the one reached by
-    descending along the root superscripts."""
-    node = m.node
+def _collapse_node(node):
+    """The plain tree and the emphasized leaf of a raw doubled tree node."""
+    top = node
     while not isinstance(node, int):
         _, k = _split_name(node[0])
         if not 1 <= k <= len(node) - 1:
-            raise ValueError(f"superscript {k} out of range in {m}")
+            raise ValueError(
+                f"superscript {k} out of range in {format_node(top)}"
+            )
         node = node[k]
-    return EmphasizedMonomial(Monomial(_strip(m.node)), node)
+    return _strip(top), node
+
+
+def unsuperscript(m: Monomial) -> EmphasizedMonomial:
+    """Drop all superscripts; the emphasized leaf is the one reached by
+    descending along the root superscripts."""
+    plain, leaf = _collapse_node(m.node)
+    return EmphasizedMonomial(Monomial(plain), leaf)
 
 
 def _leaf_set(node, out):
@@ -259,27 +231,6 @@ def bso_presentation(variety: VarietyPresentation) -> VarietyPresentation:
     )
 
 
-def emphasis_kernel_rows(dsig, n: int, field, max_degree=DEFAULT_DEGREE_CAP):
-    """Differences between each doubled monomial and the lift of its
-    emphasized image: a basis of the kernel of the collapse map."""
-    basis = enumerate_monomials(dsig, n, max_degree)
-    index = monomial_index(dsig, n, max_degree)
-    rows = []
-    for i, m in enumerate(basis):
-        plain, leaf = unsuperscript(m)
-        canon = superscript(plain, leaf)
-        j = index[canon.node]
-        if j != i:
-            rows.append({i: field.one, j: field.neg(field.one)})
-    return rows
-
-
-def lift_vector(p: Polynomial, k: int, dindex: dict) -> dict:
-    """Coordinates of the emphasis-k lift of a plain polynomial inside the
-    doubled basis of the same degree."""
-    return poly_to_vector(superscript_poly(p, k), dindex)
-
-
 def vector_to_dipolynomial(vec: dict, basis, field, n: int) -> DiPolynomial:
     """Decode a coordinate vector over n stacked copies of the plain basis."""
     block = len(basis)
@@ -313,20 +264,21 @@ def di_ideal_at_degree(
 
 
 def _collapse_columns(
-    dsig: DoubledSignature, n: int, space: Subspace, max_degree: int
+    dsig: DoubledSignature, n: int, space: Subspace, copies: int, max_degree: int
 ):
-    """Column of the collapse image, inside the block subspace's space, of
-    each degree-n doubled basis monomial, in basis order."""
+    """Column of the collapse image, inside n stacked copies of the plain
+    basis, of each degree-n doubled basis monomial, in basis order.  The
+    subspace must live in the given number of copies of the plain space."""
     base_index = monomial_index(dsig.base, n, max_degree)
     block = len(base_index)
-    if space.ncols != n * block:
+    if space.ncols != copies * block:
         raise ValueError(
-            f"block subspace has {space.ncols} columns, expected {n * block}"
+            f"subspace has {space.ncols} columns, expected {copies * block}"
         )
     cols = []
     for m in enumerate_monomials(dsig, n, max_degree):
-        plain, leaf = unsuperscript(m)
-        cols.append((leaf - 1) * block + base_index[plain.node])
+        plain, leaf = _collapse_node(m.node)
+        cols.append((leaf - 1) * block + base_index[plain])
     return cols
 
 
@@ -340,7 +292,7 @@ def zeta_preimage(
     """Doubled elements whose collapse image lies in the given block
     subspace, computed as the kernel of collapse followed by reduction
     modulo the subspace."""
-    cols = _collapse_columns(dsig, n, space, max_degree)
+    cols = _collapse_columns(dsig, n, space, n, max_degree)
     rows = [space.reduce({col: field.one}) for col in cols]
     ker = left_kernel_basis(field, rows, space.ncols)
     return row_reduce(field, len(cols), ker)
@@ -350,13 +302,13 @@ def collapses_into(
     dsig: DoubledSignature,
     n: int,
     rows,
-    space: Subspace,
+    base: Subspace,
     field,
     max_degree: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
-    """Whether the collapse image of every given degree-n doubled vector
-    lies in the given block subspace."""
-    cols = _collapse_columns(dsig, n, space, max_degree)
+    """Whether every emphasis component of the collapse image of every
+    given degree-n doubled vector lies in the plain subspace."""
+    cols = _collapse_columns(dsig, n, base, 1, max_degree)
     for row in rows:
         image: dict = {}
         for c, v in row.items():
@@ -366,9 +318,38 @@ def collapses_into(
                 image[col] = total
             else:
                 image.pop(col, None)
-        if not space.contains(image):
+        parts: list[dict] = [dict() for _ in range(n)]
+        for col, v in image.items():
+            k, j = divmod(col, base.ncols)
+            parts[k][j] = v
+        if not all(base.contains(part) for part in parts):
             return False
     return True
+
+
+def collapse_preimage_dimension(n: int, ncols: int, base: Subspace) -> int:
+    """Dimension of the collapse preimage of n copies of the plain subspace
+    inside the ncols doubled columns.  Collapse is onto, so its kernel has
+    dimension ncols - n * base.ncols."""
+    return ncols - n * (base.ncols - base.dim)
+
+
+def is_collapse_preimage(
+    dsig: DoubledSignature,
+    n: int,
+    space: Subspace,
+    base: Subspace,
+    field,
+    max_degree: int = DEFAULT_DEGREE_CAP,
+) -> bool:
+    """Whether the degree-n doubled subspace is the full collapse preimage
+    of n copies of the plain subspace.  The preimage is never built: the
+    two are equal exactly when the subspace has the preimage's dimension
+    and each of its rows collapses into the plain subspace in every
+    emphasis component."""
+    return space.dim == collapse_preimage_dimension(
+        n, space.ncols, base
+    ) and collapses_into(dsig, n, space.rows, base, field, max_degree)
 
 
 class DialgebraEquivalenceReport(NamedTuple):
@@ -390,22 +371,11 @@ def verify_dialgebra_equivalence(
     cache=None,
 ) -> DialgebraEquivalenceReport:
     """Check that the dialgebra presentation's degree-n consequences equal
-    the full preimage, under the collapse map, of the block sum of the plain
-    consequences.
-
-    The preimage is never built.  The collapse map is onto, so the preimage
-    has dimension (doubled columns - n * block) + dim(block sum).  The two
-    spaces are equal exactly when the consequences have that dimension and
-    every one of their basis rows collapses into the block sum."""
+    the full preimage, under the collapse map, of n copies of the plain
+    consequences (``is_collapse_preimage``: dimension plus containment)."""
     base = consequences_at_degree(variety, n, field, max_degree, cache)
     divar = bso_presentation(variety)
     di = consequences_at_degree(divar, n, field, max_degree, cache)
-
-    block_ideal = di_ideal_at_degree(variety, n, field, max_degree, cache)
-    preimage_dim = (
-        di.ambient_dimension - n * base.ambient_dimension + block_ideal.dim
-    )
-
     return DialgebraEquivalenceReport(
         variety=variety.name,
         degree=n,
@@ -414,8 +384,7 @@ def verify_dialgebra_equivalence(
         ideal_dimension=di.ideal.dim,
         quotient_dimension=di.quotient_dimension,
         expected_quotient_dimension=n * base.quotient_dimension,
-        equal=di.ideal.dim == preimage_dim
-        and collapses_into(
-            divar.signature, n, di.ideal.rows, block_ideal, field, max_degree
+        equal=is_collapse_preimage(
+            divar.signature, n, di.ideal, base.ideal, field, max_degree
         ),
     )

@@ -11,7 +11,6 @@ computed layer by layer: one-step substitutions of a single operation into
 from __future__ import annotations
 
 import hashlib
-import itertools
 from fractions import Fraction
 
 from .fields import QQ
@@ -21,12 +20,12 @@ from .terms import (
     Monomial,
     Polynomial,
     Signature,
-    apply_permutation,
     check_degree,
     check_in_signature,
     enumerate_monomials,
     format_polynomial,
     monomial_index,
+    relabel_node,
     substitute_at,
 )
 
@@ -146,9 +145,7 @@ def _perm_column_maps(sig: Signature, basis, index, degree: int):
     maps = []
     for perm in perms:
         mapping = {i + 1: v for i, v in enumerate(perm)}
-        maps.append(
-            tuple(index[m.relabel(mapping).node] for m in basis)
-        )
+        maps.append(tuple(index[relabel_node(m.node, mapping)] for m in basis))
     return maps
 
 
@@ -289,9 +286,3 @@ def identity_implies(
     """Whether p vanishes in every algebra of the variety."""
     comp = consequences_at_degree(variety, p.degree, field, max_degree, cache)
     return comp.contains(p)
-
-
-def symmetric_orbit(p: Polynomial):
-    """All relabelings of a multilinear polynomial (testing helper)."""
-    for perm in itertools.permutations(range(1, p.degree + 1)):
-        yield apply_permutation(perm, p)

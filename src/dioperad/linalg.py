@@ -114,11 +114,6 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def __le__(self, other):
-        if self.ncols != other.ncols or self.field != other.field:
-            raise ValueError("subspaces of different spaces")
-        return all(other.contains(r) for r in self.rows)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ncols={self.ncols})"
 
@@ -141,11 +136,6 @@ def extend(space: Subspace, extra_rows) -> Subspace:
     for row in extra_rows:
         r.insert(row)
     return Subspace(space.field, space.ncols, r)
-
-
-def rank(field, rows) -> int:
-    r = _Reducer(field)
-    return sum(1 for row in rows if r.insert(row))
 
 
 def transpose(rows, ncols) -> list[dict]:

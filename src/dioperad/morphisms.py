@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from .dialgebra import (
     bso_presentation,
+    collapse_preimage_dimension,
     di_ideal_at_degree,
-    emphasis_kernel_rows,
-    lift_vector,
+    is_collapse_preimage,
     superscript_poly,
     vector_to_dipolynomial,
     zero_identities,
@@ -37,12 +37,10 @@ from .terms import (
     Monomial,
     Polynomial,
     apply_permutation,
-    check_degree,
     compose,
     double_signature,
     enumerate_monomials,
     format_polynomial,
-    monomial_index,
 )
 
 
@@ -125,9 +123,6 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-_KERNEL_MEMO: dict = {}
-
-
 def _kernel_on_columns(mor, d, columns, field, max_degree, cache) -> Subspace:
     """Kernel of the morphism restricted to the span of the given degree-d
     source basis columns (ascending), as a canonical subspace of the whole
@@ -156,17 +151,8 @@ def morphism_kernel_at_degree(
     cache=None,
 ):
     """Subspace of source combinations that die in the target quotient."""
-    check_degree(d, max_degree)
-    key = (mor.digest, field.name, d)
-    hit = _KERNEL_MEMO.get(key)
-    if hit is not None:
-        return hit
     ncols = len(enumerate_monomials(mor.source_signature, d, max_degree))
-    space = _kernel_on_columns(
-        mor, d, range(ncols), field, max_degree, cache
-    )
-    _KERNEL_MEMO[key] = space
-    return space
+    return _kernel_on_columns(mor, d, range(ncols), field, max_degree, cache)
 
 
 def _check_source_vanishes(mor, source, field, max_degree, cache):
@@ -245,21 +231,6 @@ def special_identities(
         special_dimension=special.dim,
         basis=basis,
     )
-
-
-def _stacked_kernel(mor, dsig, d, field, max_degree, cache):
-    """Kernel of the doubled morphism in doubled coordinates: the collapse
-    kernel together with every emphasized lift of the plain kernel."""
-    dindex = monomial_index(dsig, d, max_degree)
-    rows = emphasis_kernel_rows(dsig, d, field, max_degree)
-    base_kernel = morphism_kernel_at_degree(mor, d, field, max_degree, cache)
-    src_basis = enumerate_monomials(mor.source_signature, d, max_degree)
-    for r in base_kernel.rows:
-        p = vector_to_poly(r, src_basis, field, d)
-        for k in range(1, d + 1):
-            rows.append(lift_vector(p, k, dindex))
-    ncols = len(enumerate_monomials(dsig, d, max_degree))
-    return row_reduce(field, ncols, rows)
 
 
 class DiSpecialIdentitiesReport(NamedTuple):
@@ -351,7 +322,14 @@ def verify_bso_theorem(
 ) -> BsoKernelReport:
     """Check degree by degree that the kernel of the doubled morphism is
     generated, as an operad ideal, by the zero identities together with the
-    emphasized lifts of the plain kernel."""
+    emphasized lifts of the plain kernel.
+
+    The doubled kernel in degree m is taken as the collapse preimage of m
+    copies of the plain kernel K_m; it is not computed from the doubled
+    morphism.  Its dimension is reported from
+    ``collapse_preimage_dimension`` and the comparison is
+    ``is_collapse_preimage`` of the generated ideal over K_m; the preimage
+    is never built."""
     p = field.characteristic
     if p and d >= p:
         raise CharacteristicGuardError(
@@ -360,28 +338,32 @@ def verify_bso_theorem(
         )
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
+    kernels = {}
     for m in range(2, d + 1):
-        base_kernel = morphism_kernel_at_degree(mor, m, field, max_degree, cache)
+        kernels[m] = morphism_kernel_at_degree(mor, m, field, max_degree, cache)
         src_basis = enumerate_monomials(mor.source_signature, m, max_degree)
-        for r in base_kernel.rows:
+        for r in kernels[m].rows:
             q = vector_to_poly(r, src_basis, field, m)
             for k in range(1, m + 1):
                 gens.append(superscript_poly(q, k))
     digest = f"bso-kernel:{mor.digest}"
 
     comparisons = []
-    for m in range(2, d + 1):
-        stacked = _stacked_kernel(mor, dsig, m, field, max_degree, cache)
+    for m, base_kernel in kernels.items():
         consequence = ideal_component(
             dsig, tuple(gens), digest, m, field, max_degree, cache
         )
         comparisons.append(
             DegreeComparison(
                 degree=m,
-                ambient_dimension=stacked.ncols,
-                kernel_dimension=stacked.dim,
+                ambient_dimension=consequence.ncols,
+                kernel_dimension=collapse_preimage_dimension(
+                    m, consequence.ncols, base_kernel
+                ),
                 consequence_dimension=consequence.dim,
-                equal=stacked == consequence,
+                equal=is_collapse_preimage(
+                    dsig, m, consequence, base_kernel, field, max_degree
+                ),
             )
         )
     return BsoKernelReport(

@@ -90,19 +90,6 @@ class DoubledSignature(Signature):
         super().__init__(ops)
         self.base = base
 
-    def split(self, name: str) -> tuple[str, int]:
-        """Return (base operation, emphasized slot) for a doubled name."""
-        base_name, _, k = name.rpartition("^")
-        if base_name not in self.base:
-            raise ValueError(f"{name!r} is not a doubled operation")
-        return base_name, int(k)
-
-    def doubled_name(self, base_name: str, k: int) -> str:
-        arity = self.base.arity(base_name)
-        if not 1 <= k <= arity:
-            raise ValueError(f"slot {k} out of range for {base_name!r}")
-        return f"{base_name}^{k}"
-
     def __repr__(self):
         return f"DoubledSignature({self.base!r})"
 
@@ -149,7 +136,7 @@ class Monomial:
 
     def relabel(self, mapping) -> "Monomial":
         """Replace each leaf label v by mapping[v]."""
-        return Monomial(_relabel(self.node, mapping))
+        return Monomial(relabel_node(self.node, mapping))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.node == other.node
@@ -164,10 +151,11 @@ class Monomial:
         return f"Monomial({format_node(self.node)})"
 
 
-def _relabel(node, mapping):
+def relabel_node(node, mapping):
+    """Replace each leaf label v of a raw tree node by mapping[v]."""
     if isinstance(node, int):
         return mapping[node]
-    return (node[0],) + tuple(_relabel(c, mapping) for c in node[1:])
+    return (node[0],) + tuple(relabel_node(c, mapping) for c in node[1:])
 
 
 def check_in_signature(m: Monomial, sig: Signature) -> None:

@@ -6,6 +6,11 @@ them in the terminal summary keeps them visible under output capture.
 
 from __future__ import annotations
 
+import pytest
+
+from dioperad import ideals, morphisms
+from dioperad.linalg import Subspace
+
 _verdicts: list = []
 
 
@@ -18,3 +23,22 @@ def pytest_terminal_summary(terminalreporter) -> None:
         terminalreporter.section("acceptance criteria")
         for line in _verdicts:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def drop_last_kernel_row(monkeypatch):
+    """Call with a degree to make ``morphism_kernel_at_degree`` lose the
+    last basis row of that degree, on a fresh ideal memo."""
+    full = morphisms.morphism_kernel_at_degree
+
+    def drop(degree):
+        def patched(mor, d, *args, **kwargs):
+            kernel = full(mor, d, *args, **kwargs)
+            if d != degree:
+                return kernel
+            return Subspace(kernel.field, kernel.ncols, kernel.rows[:-1])
+
+        monkeypatch.setattr(morphisms, "morphism_kernel_at_degree", patched)
+        monkeypatch.setattr(ideals, "_MEMO", {})
+
+    return drop

@@ -258,13 +258,40 @@ def test_verify_bso_comparisons(capsys):
     ]
 
 
-def test_reports_byte_identical_and_cache_transparent(capsys, tmp_path):
-    argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
-    first = run(capsys, *argv)
-    warm = run(capsys, *argv)
-    uncached = run(capsys, *argv, "--no-cache")
-    assert first == warm == uncached
-    assert first[0] == 0
+def test_reports_byte_identical_and_cache_transparent(capsys, monkeypatch):
+    from dioperad import ideals
+
+    for argv in (
+        ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"],
+        ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
+        ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
+    ):
+        runs = []
+        for extra in ([], [], ["--no-cache"]):
+            # an empty in-process memo makes the warm run read back what
+            # the cold run wrote to the disk cache
+            monkeypatch.setattr(ideals, "_MEMO", {})
+            runs.append(run(capsys, *argv, *extra))
+        first, warm, uncached = runs
+        assert first == warm == uncached
+        assert first[0] == 0
+
+
+def test_verify_bso_exits_1_without_a_kernel_row(capsys, drop_last_kernel_row):
+    drop_last_kernel_row(4)
+    code, report = run_json(
+        capsys,
+        "verify-bso",
+        "--morphism",
+        "builtin:lie-to-assoc",
+        "--degree",
+        "4",
+    )
+    assert code == 1
+    assert report["verdict"] is False
+    assert report["comparisons"][-1]["kernel"] == 932
+    assert report["comparisons"][-1]["consequences"] == 936
+    assert report["comparisons"][-1]["equal"] is False
 
 
 def test_timings_only_on_request(capsys):

@@ -13,11 +13,9 @@ from dioperad.dialgebra import (
     bso_presentation,
     collapses_into,
     di_ideal_at_degree,
-    emphasis_kernel_rows,
-    lift_vector,
-    perm_basis,
-    perm_compose,
+    is_collapse_preimage,
     superscript,
+    superscript_poly,
     unsuperscript,
     vector_to_dipolynomial,
     verify_dialgebra_equivalence,
@@ -28,9 +26,12 @@ from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
     consequences_at_degree,
+    ideal_component,
+    poly_to_vector,
     vector_to_poly,
 )
-from dioperad.linalg import row_reduce
+from dioperad.linalg import Subspace, row_reduce
+from dioperad.morphisms import morphism_kernel_at_degree, verify_bso_theorem
 from dioperad.terms import (
     Monomial,
     Polynomial,
@@ -78,42 +79,6 @@ ASSOC = VarietyPresentation(
 FREE = VarietyPresentation("free-binary", BIN, [], [])
 
 
-def test_perm_compose_on_unit_vectors():
-    # e_2 of 3 composed with blocks of sizes 2,3,1: index 1 of block 2
-    f = perm_basis(QQ, 3, 2)
-    gs = [perm_basis(QQ, 2, 2), perm_basis(QQ, 3, 1), perm_basis(QQ, 1, 1)]
-    out = perm_compose(QQ, f, gs)
-    assert out == perm_basis(QQ, 6, 3)
-
-
-def test_perm_compose_weights_absorb_passive_blocks():
-    # passive factors contribute their total weight
-    f = (QQ.coerce(1), QQ.coerce(0))
-    g1 = (QQ.coerce(1), QQ.coerce(1))
-    g2 = (QQ.coerce(3),)
-    out = perm_compose(QQ, f, [g1, g2])
-    assert out == (QQ.coerce(3), QQ.coerce(3), QQ.coerce(0))
-
-
-def test_perm_compose_is_associative_on_random_vectors():
-    import random
-
-    rng = random.Random(5)
-
-    def rand(n):
-        return tuple(QQ.coerce(rng.randint(-2, 2)) for _ in range(n))
-
-    f = rand(2)
-    gs = [rand(2), rand(1)]
-    hs = [rand(1), rand(2), rand(2)]
-    # (f o gs) o hs == f o (gs o hs grouped)
-    left = perm_compose(QQ, perm_compose(QQ, f, gs), hs)
-    g1h = perm_compose(QQ, gs[0], hs[:2])
-    g2h = perm_compose(QQ, gs[1], hs[2:])
-    right = perm_compose(QQ, f, [g1h, g2h])
-    assert left == right
-
-
 def test_unsuperscript_examples():
     m = Monomial(("mul^2", ("mul^1", 1, 2), 3))
     plain, leaf = unsuperscript(m)
@@ -123,6 +88,10 @@ def test_unsuperscript_examples():
     assert unsuperscript(m) == EmphasizedMonomial(
         Monomial(("mul", ("mul", 1, 2), 3)), 2
     )
+    # the message names the whole monomial, not the offending subtree
+    message = r"^superscript 3 out of range in \(mul\^1 \(mul\^3 1 2\) 3\)$"
+    with pytest.raises(ValueError, match=message):
+        unsuperscript(Monomial(("mul^1", ("mul^3", 1, 2), 3)))
 
 
 def test_superscript_examples():
@@ -184,6 +153,26 @@ def test_zero_identities_collapse_to_nothing():
     for sig in (BIN, TERN, MIXED):
         for p in zero_identities(sig)[1]:
             assert DiPolynomial.from_doubled(p).is_zero
+
+
+def emphasis_kernel_rows(dsig, n: int, field):
+    """Differences between each doubled monomial and the lift of its
+    emphasized image: a basis of the kernel of the collapse map."""
+    basis = enumerate_monomials(dsig, n)
+    index = monomial_index(dsig, n)
+    rows = []
+    for i, m in enumerate(basis):
+        plain, leaf = unsuperscript(m)
+        j = index[superscript(plain, leaf).node]
+        if j != i:
+            rows.append({i: field.one, j: field.neg(field.one)})
+    return rows
+
+
+def lift_vector(p: Polynomial, k: int, dindex: dict) -> dict:
+    """Coordinates of the emphasis-k lift of a plain polynomial inside the
+    doubled basis of the same degree."""
+    return poly_to_vector(superscript_poly(p, k), dindex)
 
 
 def test_emphasis_kernel_dimension():
@@ -379,15 +368,97 @@ def test_equivalence_fails_on_containment(monkeypatch, field):
 
 def test_collapses_into_rejects_a_row_outside_the_preimage():
     dsig = double_signature(ASSOC.signature)
-    block = di_ideal_at_degree(ASSOC, 3)
-    preimage = zeta_preimage(dsig, 3, block, QQ)
-    assert collapses_into(dsig, 3, preimage.rows, block, QQ)
+    base = consequences_at_degree(ASSOC, 3).ideal
+    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3), QQ)
+    assert collapses_into(dsig, 3, preimage.rows, base, QQ)
     outside = next(
         {c: QQ.one}
         for c in range(preimage.ncols)
         if not preimage.contains({c: QQ.one})
     )
-    assert not collapses_into(dsig, 3, [outside], block, QQ)
-    assert not collapses_into(dsig, 3, list(preimage.rows) + [outside], block, QQ)
+    assert not collapses_into(dsig, 3, [outside], base, QQ)
+    assert not collapses_into(dsig, 3, list(preimage.rows) + [outside], base, QQ)
     with pytest.raises(ValueError, match="columns"):
-        collapses_into(dsig, 3, [], di_ideal_at_degree(ASSOC, 2), QQ)
+        collapses_into(dsig, 3, [], consequences_at_degree(ASSOC, 2).ideal, QQ)
+    with pytest.raises(ValueError, match="columns"):
+        collapses_into(dsig, 3, [], di_ideal_at_degree(ASSOC, 3), QQ)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+def test_is_collapse_preimage_fails_on_each_condition(field):
+    dsig = double_signature(ASSOC.signature)
+    base = consequences_at_degree(ASSOC, 3, field).ideal
+    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3, field), field)
+    assert is_collapse_preimage(dsig, 3, preimage, base, field)
+
+    outside = next(
+        {c: field.one}
+        for c in range(preimage.ncols)
+        if not preimage.contains({c: field.one})
+    )
+    swapped = row_reduce(field, preimage.ncols, preimage.rows[:-1] + (outside,))
+    # right dimension, so only containment can fail
+    assert swapped.dim == preimage.dim
+    assert not collapses_into(dsig, 3, swapped.rows, base, field)
+    assert not is_collapse_preimage(dsig, 3, swapped, base, field)
+
+    # every row collapses into the base, so only the dimension can fail
+    short = Subspace(field, preimage.ncols, preimage.rows[:-1])
+    assert collapses_into(dsig, 3, short.rows, base, field)
+    assert not is_collapse_preimage(dsig, 3, short, base, field)
+
+
+def _stacked_kernel(mor, m, field):
+    """The doubled kernel built the long way: collapse-kernel rows plus
+    every emphasized lift of the plain kernel, row-reduced."""
+    dsig = double_signature(mor.source_signature)
+    dindex = monomial_index(dsig, m)
+    rows = emphasis_kernel_rows(dsig, m, field)
+    kernel = morphism_kernel_at_degree(mor, m, field)
+    src_basis = enumerate_monomials(mor.source_signature, m)
+    for r in kernel.rows:
+        p = vector_to_poly(r, src_basis, field, m)
+        for k in range(1, m + 1):
+            rows.append(lift_vector(p, k, dindex))
+    return row_reduce(field, len(dindex), rows), kernel
+
+
+def _bso_consequence(mor, m, field):
+    """The degree-m ideal that ``verify_bso_theorem`` compares, rebuilt from
+    its generators: the zero identities and the lifts of the plain kernels
+    up to degree m."""
+    dsig = double_signature(mor.source_signature)
+    gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
+    for j in range(2, m + 1):
+        basis = enumerate_monomials(mor.source_signature, j)
+        for r in morphism_kernel_at_degree(mor, j, field).rows:
+            q = vector_to_poly(r, basis, field, j)
+            gens.extend(superscript_poly(q, k) for k in range(1, j + 1))
+    digest = f"bso-oracle:{mor.digest}"
+    return ideal_component(dsig, tuple(gens), digest, m, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_verify_bso_matches_stacked_kernel_oracle(name, field):
+    mor = catalog.morphism(name).morphism
+    dsig = double_signature(mor.source_signature)
+    rep = verify_bso_theorem(mor, 4, field)
+    assert [c.degree for c in rep.comparisons] == [2, 3, 4]
+    for c in rep.comparisons:
+        stacked, kernel = _stacked_kernel(mor, c.degree, field)
+        block = Subspace(
+            field,
+            c.degree * kernel.ncols,
+            [
+                {k * kernel.ncols + col: v for col, v in r.items()}
+                for k in range(c.degree)
+                for r in kernel.rows
+            ],
+        )
+        assert stacked == zeta_preimage(dsig, c.degree, block, field)
+        consequence = _bso_consequence(mor, c.degree, field)
+        assert c.ambient_dimension == stacked.ncols
+        assert c.kernel_dimension == stacked.dim
+        assert c.consequence_dimension == consequence.dim
+        assert c.equal is (stacked == consequence)

@@ -13,18 +13,25 @@ from dioperad.ideals import (
     identity_implies,
     poly_to_vector,
     quotient_dimension,
-    symmetric_orbit,
 )
 from dioperad.linalg import row_reduce
 from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
+    apply_permutation,
     compose,
     enumerate_monomials,
     monomial_index,
     substitute_at,
 )
+
+
+def symmetric_orbit(p: Polynomial):
+    """All relabelings of a multilinear polynomial."""
+    for perm in itertools.permutations(range(1, p.degree + 1)):
+        yield apply_permutation(perm, p)
+
 
 BIN = Signature([("mul", 2)])
 BRK = Signature([("b", 2)])

@@ -313,6 +313,19 @@ def test_verify_bso_theorem_prime_field_agreement():
     ]
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+def test_verify_bso_theorem_fails_without_a_kernel_row(
+    drop_last_kernel_row, field
+):
+    drop_last_kernel_row(4)
+    rep = verify_bso_theorem(LIE_TO_ASSOC, 4, field)
+    assert not rep.verdict
+    assert [c.equal for c in rep.comparisons] == [True, True, False]
+    last = rep.comparisons[-1]
+    # the dropped row is still a consequence of the lower-degree lifts
+    assert (last.kernel_dimension, last.consequence_dimension) == (932, 936)
+
+
 def test_characteristic_guard():
     with pytest.raises(CharacteristicGuardError):
         verify_bso_theorem(LIE_TO_ASSOC, 3, PrimeField(3))

@@ -221,10 +221,6 @@ def test_doubled_signature_names_and_split():
     d = double_signature(BIN)
     assert d.names == ("mul^1", "mul^2")
     assert d.arity("mul^1") == 2
-    assert d.split("mul^2") == ("mul", 2)
-    assert d.doubled_name("mul", 1) == "mul^1"
-    with pytest.raises(ValueError):
-        d.doubled_name("mul", 3)
     with pytest.raises(ValueError):
         double_signature(d)
 
