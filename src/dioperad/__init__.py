@@ -20,7 +20,6 @@ from .dialgebra import (
     unsuperscript,
     verify_dialgebra_equivalence,
     zero_identities,
-    zeta_preimage,
 )
 from .fields import QQ, PrimeField, parse_field
 from .ideals import (
@@ -35,7 +34,6 @@ from .morphisms import (
     di_morphism,
     di_special_identities,
     evaluate_morphism,
-    morphism_kernel_at_degree,
     special_identities,
     verify_bso_theorem,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "identity_implies",
     "is_collapse_preimage",
     "linearize",
-    "morphism_kernel_at_degree",
     "parse_field",
     "quotient_dimension",
     "special_identities",
@@ -93,5 +90,4 @@ __all__ = [
     "verify_bso_theorem",
     "verify_dialgebra_equivalence",
     "zero_identities",
-    "zeta_preimage",
 ]

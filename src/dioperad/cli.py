@@ -326,7 +326,7 @@ def _cmd_special_di(args, field, cache):
 def _cmd_verify_bso(args, field, cache):
     entry = resolve_morphism(args.morphism)
     rep = verify_bso_theorem(
-        entry.morphism, args.degree, field, args.max_degree, cache
+        entry.morphism, entry.source, args.degree, field, args.max_degree, cache
     )
     last = rep.comparisons[-1]
     return {

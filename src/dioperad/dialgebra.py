@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .fields import QQ
 from .ideals import VarietyPresentation, consequences_at_degree
-from .linalg import Subspace, left_kernel_basis, row_reduce
+from .linalg import Subspace
 from .terms import (
     DEFAULT_DEGREE_CAP,
     DoubledSignature,
@@ -150,13 +150,6 @@ class DiPolynomial:
             [Polynomial(f, b, degree=p.degree) for b in buckets],
         )
 
-    def to_doubled(self) -> Polynomial:
-        out = Polynomial(self.field, {}, degree=self.degree)
-        for k, comp in enumerate(self.components, 1):
-            if not comp.is_zero:
-                out = out + superscript_poly(comp, k)
-        return out
-
     def vector(self, index: dict, block: int) -> dict:
         out = {}
         for k, comp in enumerate(self.components, 1):
@@ -243,6 +236,14 @@ def vector_to_dipolynomial(vec: dict, basis, field, n: int) -> DiPolynomial:
     )
 
 
+def stack_copies(rows, n: int, block: int) -> list:
+    """Each plain vector placed in each of n stacked copies of a space with
+    the given number of columns, copy by copy."""
+    return [
+        {k * block + c: v for c, v in r.items()} for k in range(n) for r in rows
+    ]
+
+
 def di_ideal_at_degree(
     variety: VarietyPresentation,
     n: int,
@@ -255,47 +256,26 @@ def di_ideal_at_degree(
     emphasis position."""
     comp = consequences_at_degree(variety, n, field, max_degree, cache)
     block = comp.ambient_dimension
-    rows = []
-    for k in range(n):
-        off = k * block
-        for r in comp.ideal.rows:
-            rows.append({off + c: v for c, v in r.items()})
-    return Subspace(field, n * block, rows)
+    return Subspace(field, n * block, stack_copies(comp.ideal.rows, n, block))
 
 
 def _collapse_columns(
-    dsig: DoubledSignature, n: int, space: Subspace, copies: int, max_degree: int
+    dsig: DoubledSignature, n: int, base: Subspace, max_degree: int
 ):
     """Column of the collapse image, inside n stacked copies of the plain
     basis, of each degree-n doubled basis monomial, in basis order.  The
-    subspace must live in the given number of copies of the plain space."""
+    subspace must live in the plain space."""
     base_index = monomial_index(dsig.base, n, max_degree)
     block = len(base_index)
-    if space.ncols != copies * block:
+    if base.ncols != block:
         raise ValueError(
-            f"subspace has {space.ncols} columns, expected {copies * block}"
+            f"subspace has {base.ncols} columns, expected {block}"
         )
     cols = []
     for m in enumerate_monomials(dsig, n, max_degree):
         plain, leaf = _collapse_node(m.node)
         cols.append((leaf - 1) * block + base_index[plain])
     return cols
-
-
-def zeta_preimage(
-    dsig: DoubledSignature,
-    n: int,
-    space: Subspace,
-    field,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-) -> Subspace:
-    """Doubled elements whose collapse image lies in the given block
-    subspace, computed as the kernel of collapse followed by reduction
-    modulo the subspace."""
-    cols = _collapse_columns(dsig, n, space, n, max_degree)
-    rows = [space.reduce({col: field.one}) for col in cols]
-    ker = left_kernel_basis(field, rows, space.ncols)
-    return row_reduce(field, len(cols), ker)
 
 
 def collapses_into(
@@ -308,7 +288,7 @@ def collapses_into(
 ) -> bool:
     """Whether every emphasis component of the collapse image of every
     given degree-n doubled vector lies in the plain subspace."""
-    cols = _collapse_columns(dsig, n, base, 1, max_degree)
+    cols = _collapse_columns(dsig, n, base, max_degree)
     for row in rows:
         image: dict = {}
         for c, v in row.items():

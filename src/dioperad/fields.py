@@ -106,7 +106,7 @@ class PrimeField:
         if isinstance(a, Fraction):
             den = a.denominator % self.p
             if den == 0:
-                raise ZeroDivisionError(
+                raise ValueError(
                     f"denominator of {a} vanishes modulo {self.p}"
                 )
             return a.numerator % self.p * pow(den, self.p - 2, self.p) % self.p

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import chain
 
 from .fields import QQ
 from .linalg import Subspace, _Reducer
@@ -163,12 +164,51 @@ def _encode_rows(field, rows) -> list:
     return [[[c, int(v)] for c, v in sorted(row.items())] for row in rows]
 
 
-def _decode_rows(field, data) -> list:
+def _decode_rows(field, stored, ncols):
+    """The rows of a stored component (None on a miss), or None unless they
+    form a fully reduced echelon basis over the field: integer columns in
+    range and strictly increasing in each row, nonzero values in normal
+    form, a one at each row's pivot, strictly increasing pivots, and no row
+    nonzero in another row's pivot column.  An entry that has lost rows
+    still passes."""
+    try:
+        data = stored["rows"]
+        if field == QQ:
+            rows = [{c: Fraction(int(n), int(d)) for c, n, d in e} for e in data]
+            entries = list(chain.from_iterable(data))
+        else:
+            rows = [dict(e) for e in data]
+        pivots = list(map(min, rows))
+    except (LookupError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    columns = list(chain.from_iterable(rows))
+    values = list(chain.from_iterable(map(dict.values, rows)))
     if field == QQ:
-        return [
-            {c: Fraction(int(n), int(d)) for c, n, d in row} for row in data
-        ]
-    return [{c: v for c, v in row} for row in data]
+        # A nonzero numerator stored as a string survives normalisation only
+        # in lowest terms over a positive denominator.
+        nums = [e[1] for e in entries]
+        normal = set(map(type, nums + [e[2] for e in entries])) <= {str} and [
+            v.numerator for v in values
+        ] == list(map(int, nums))
+    else:
+        normal = (
+            set(map(type, values)) <= {int}
+            and 0 < min(values, default=1)
+            and max(values, default=0) < field.p
+        )
+    pivot_set = set(pivots)
+    valid = (
+        normal
+        and all(values)
+        and len(columns) == sum(map(len, data))
+        and set(map(type, columns)) <= {int}
+        and all(map(list.__eq__, map(list, rows), map(sorted, rows)))
+        and 0 <= min(columns, default=0) <= max(columns, default=0) < ncols
+        and pivots == sorted(pivot_set)
+        and list(map(dict.__getitem__, rows, pivots)) == [field.one] * len(rows)
+        and sum(map(len, map(pivot_set.intersection, rows))) == len(rows)
+    )
+    return rows if valid else None
 
 
 def ideal_component(
@@ -194,9 +234,9 @@ def ideal_component(
     ncols = len(basis)
     ckey = f"{_CACHE_TAG}:{digest}:{field.name}:{n}"
     if cache is not None:
-        stored = cache.get(ckey)
-        if stored is not None:
-            space = Subspace(field, ncols, _decode_rows(field, stored["rows"]))
+        rows = _decode_rows(field, cache.get(ckey), ncols)
+        if rows is not None:
+            space = Subspace(field, ncols, rows)
             _MEMO[key] = space
             return space
 

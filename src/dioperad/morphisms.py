@@ -19,6 +19,7 @@ from .dialgebra import (
     collapse_preimage_dimension,
     di_ideal_at_degree,
     is_collapse_preimage,
+    stack_copies,
     superscript_poly,
     vector_to_dipolynomial,
     zero_identities,
@@ -37,9 +38,9 @@ from .terms import (
     Monomial,
     Polynomial,
     apply_permutation,
+    check_degree,
     compose,
     double_signature,
-    enumerate_monomials,
     format_polynomial,
 )
 
@@ -123,39 +124,11 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-def _kernel_on_columns(mor, d, columns, field, max_degree, cache) -> Subspace:
-    """Kernel of the morphism restricted to the span of the given degree-d
-    source basis columns (ascending), as a canonical subspace of the whole
-    source space.  Each image is reduced modulo the target variety's ideal
-    before the left kernel is taken."""
-    basis = enumerate_monomials(mor.source_signature, d, max_degree)
-    target_comp = consequences_at_degree(
-        mor.target, d, field, max_degree, cache
-    )
-    rows = []
-    for i in columns:
-        img = evaluate_morphism(mor, basis[i], field)
-        vec = poly_to_vector(img, target_comp.index)
-        rows.append(target_comp.ideal.reduce(vec))
-    ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
-    return row_reduce(
-        field, len(basis), ({columns[j]: v for j, v in u.items()} for u in ker)
-    )
-
-
-def morphism_kernel_at_degree(
-    mor: OperadMorphism,
-    d: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
-):
-    """Subspace of source combinations that die in the target quotient."""
-    ncols = len(enumerate_monomials(mor.source_signature, d, max_degree))
-    return _kernel_on_columns(mor, d, range(ncols), field, max_degree, cache)
-
-
 def _check_source_vanishes(mor, source, field, max_degree, cache):
+    """Refuse a source presentation that does not match the morphism's
+    signature or has an identity whose image is not zero in the target."""
+    if source.signature != mor.source_signature:
+        raise ValueError("presentation and morphism disagree on the signature")
     for gname, g in zip(source.generator_names, source.generators):
         target_comp = consequences_at_degree(
             mor.target, g.degree, field, max_degree, cache
@@ -179,23 +152,35 @@ class SpecialIdentitiesReport(NamedTuple):
     basis: tuple
 
 
-def _special_space(mor, source, d, field, max_degree, cache):
-    """The source component at degree d and ker(φ) ∩ span(normal), where
-    the normal monomials are the non-pivot columns of the source ideal I.
+def _morphism_kernel(mor, source, d, field, max_degree, cache):
+    """The source component at degree d, the special space S and the
+    kernel ker(φ) = I ⊕ S, where I is the source ideal.  The caller must
+    have run ``_check_source_vanishes``.
 
-    Once ``_check_source_vanishes`` has passed, I ⊆ ker(φ), because ker(φ)
-    is an operad ideal.  Every kernel vector is then an element of I plus
-    its reduction modulo I, and that reduction lies in ker(φ) on the normal
-    columns.  So this space is exactly ker(φ) reduced modulo I, and
-    ker(φ) = I ⊕ this space."""
-    if source.signature != mor.source_signature:
-        raise ValueError("presentation and morphism disagree on the signature")
-    _check_source_vanishes(mor, source, field, max_degree, cache)
+    S is the left kernel of the images of the normal monomials (the
+    non-pivot columns of I), each reduced modulo the target ideal.  Once the
+    vanishing check has passed, I ⊆ ker(φ), because ker(φ) is an operad
+    ideal.  Every kernel vector is then an element of I plus its reduction
+    modulo I, and that reduction lies in ker(φ) on the normal columns.  So
+    S is exactly ker(φ) reduced modulo I."""
     source_comp = consequences_at_degree(source, d, field, max_degree, cache)
+    target_comp = consequences_at_degree(
+        mor.target, d, field, max_degree, cache
+    )
     pivots = set(source_comp.ideal.pivots)
     normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
-    special = _kernel_on_columns(mor, d, normal, field, max_degree, cache)
-    return source_comp, special
+    rows = []
+    for i in normal:
+        img = evaluate_morphism(mor, source_comp.basis[i], field)
+        vec = poly_to_vector(img, target_comp.index)
+        rows.append(target_comp.ideal.reduce(vec))
+    ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
+    special = row_reduce(
+        field,
+        source_comp.ambient_dimension,
+        ({normal[j]: v for j, v in u.items()} for u in ker),
+    )
+    return source_comp, special, extend(source_comp.ideal, special.rows)
 
 
 def special_identities(
@@ -209,13 +194,10 @@ def special_identities(
     """Kernel identities of the morphism that are not consequences of the
     source presentation.  Every source identity must die in the target.
 
-    The special basis is the kernel of the morphism on the source quotient's
-    normal monomials (the non-pivot columns of the source ideal), which is
-    ker(φ) reduced modulo the source ideal; the kernel dimension is then the
-    ideal dimension plus the special dimension.  Both are exact only because
-    the vanishing check runs first and so puts the source ideal inside
-    ker(φ)."""
-    source_comp, special = _special_space(
+    The special basis is ker(φ) reduced modulo the source ideal, the kernel
+    on the source quotient's normal monomials (see ``_morphism_kernel``)."""
+    _check_source_vanishes(mor, source, field, max_degree, cache)
+    source_comp, special, kernel = _morphism_kernel(
         mor, source, d, field, max_degree, cache
     )
     basis = tuple(
@@ -226,7 +208,7 @@ def special_identities(
         degree=d,
         field=field.name,
         ambient_dimension=source_comp.ambient_dimension,
-        kernel_dimension=source_comp.ideal.dim + special.dim,
+        kernel_dimension=kernel.dim,
         ideal_dimension=source_comp.ideal.dim,
         special_dimension=special.dim,
         basis=basis,
@@ -256,17 +238,14 @@ def di_special_identities(
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
     as emphasized placements of the plain special identities."""
-    source_comp, base_special = _special_space(
+    _check_source_vanishes(mor, source, field, max_degree, cache)
+    source_comp, base_special, base_kernel = _morphism_kernel(
         mor, source, d, field, max_degree, cache
     )
     block = source_comp.ambient_dimension
-    base_kernel = extend(source_comp.ideal, base_special.rows)
-    kernel_rows = []
-    for k in range(d):
-        off = k * block
-        for r in base_kernel.rows:
-            kernel_rows.append({off + c: v for c, v in r.items()})
-    block_kernel = Subspace(field, d * block, kernel_rows)
+    block_kernel = Subspace(
+        field, d * block, stack_copies(base_kernel.rows, d, block)
+    )
     block_ideal = di_ideal_at_degree(source, d, field, max_degree, cache)
 
     reduced = [block_ideal.reduce(r) for r in block_kernel.rows]
@@ -276,10 +255,7 @@ def di_special_identities(
         for r in special.rows
     )
 
-    lifted = []
-    for vec in base_special.rows:
-        for k in range(d):
-            lifted.append({k * block + c: v for c, v in vec.items()})
+    lifted = stack_copies(base_special.rows, d, block)
     matches = extend(block_ideal, lifted) == extend(
         block_ideal, block_kernel.rows
     )
@@ -315,6 +291,7 @@ class BsoKernelReport(NamedTuple):
 
 def verify_bso_theorem(
     mor: OperadMorphism,
+    source: VarietyPresentation,
     d: int,
     field=QQ,
     max_degree: int = DEFAULT_DEGREE_CAP,
@@ -324,8 +301,10 @@ def verify_bso_theorem(
     generated, as an operad ideal, by the zero identities together with the
     emphasized lifts of the plain kernel.
 
-    The doubled kernel in degree m is taken as the collapse preimage of m
-    copies of the plain kernel K_m; it is not computed from the doubled
+    The plain kernel K_m = I_m ⊕ S_m comes from the source quotient, as in
+    ``special_identities``, so every source identity must die in the
+    target.  The doubled kernel in degree m is taken as the collapse
+    preimage of m copies of K_m; it is not computed from the doubled
     morphism.  Its dimension is reported from
     ``collapse_preimage_dimension`` and the comparison is
     ``is_collapse_preimage`` of the generated ideal over K_m; the preimage
@@ -336,14 +315,17 @@ def verify_bso_theorem(
             f"degree {d} requires characteristic 0 or larger than {d}, "
             f"got {p}"
         )
+    check_degree(d, max_degree)
+    _check_source_vanishes(mor, source, field, max_degree, cache)
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     kernels = {}
     for m in range(2, d + 1):
-        kernels[m] = morphism_kernel_at_degree(mor, m, field, max_degree, cache)
-        src_basis = enumerate_monomials(mor.source_signature, m, max_degree)
+        source_comp, _, kernels[m] = _morphism_kernel(
+            mor, source, m, field, max_degree, cache
+        )
         for r in kernels[m].rows:
-            q = vector_to_poly(r, src_basis, field, m)
+            q = vector_to_poly(r, source_comp.basis, field, m)
             for k in range(1, m + 1):
                 gens.append(superscript_poly(q, k))
     digest = f"bso-kernel:{mor.digest}"

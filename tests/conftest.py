@@ -27,18 +27,19 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 @pytest.fixture
 def drop_last_kernel_row(monkeypatch):
-    """Call with a degree to make ``morphism_kernel_at_degree`` lose the
-    last basis row of that degree, on a fresh ideal memo."""
-    full = morphisms.morphism_kernel_at_degree
+    """Call with a degree to make the kernel routine
+    ``morphisms._morphism_kernel`` lose the last basis row of the kernel at
+    that degree, on a fresh ideal memo."""
+    full = morphisms._morphism_kernel
 
     def drop(degree):
-        def patched(mor, d, *args, **kwargs):
-            kernel = full(mor, d, *args, **kwargs)
-            if d != degree:
-                return kernel
-            return Subspace(kernel.field, kernel.ncols, kernel.rows[:-1])
+        def patched(mor, source, d, *args, **kwargs):
+            comp, special, kernel = full(mor, source, d, *args, **kwargs)
+            if d == degree:
+                kernel = Subspace(kernel.field, kernel.ncols, kernel.rows[:-1])
+            return comp, special, kernel
 
-        monkeypatch.setattr(morphisms, "morphism_kernel_at_degree", patched)
+        monkeypatch.setattr(morphisms, "_morphism_kernel", patched)
         monkeypatch.setattr(ideals, "_MEMO", {})
 
     return drop

@@ -234,9 +234,9 @@ def test_criterion_6_main_theorem():
     slow = []
     for field in FIELDS:
         for name, d in MAIN_THEOREM_CASES:
-            mor = catalog.morphism(name).morphism
+            entry = catalog.morphism(name)
             start = time.monotonic()
-            rep = verify_bso_theorem(mor, d, field)
+            rep = verify_bso_theorem(entry.morphism, entry.source, d, field)
             elapsed = time.monotonic() - start
             ok &= rep.verdict
             if d == 4:
@@ -254,9 +254,12 @@ def test_criterion_6_main_theorem():
 @stretch
 @needs_stretch
 def test_criterion_6_stretch_jts_degree_five():
-    mor = catalog.morphism("jts-to-assoc").morphism
+    entry = catalog.morphism("jts-to-assoc")
     start = time.monotonic()
-    ok = all(verify_bso_theorem(mor, 5, field).verdict for field in FIELDS)
+    ok = all(
+        verify_bso_theorem(entry.morphism, entry.source, 5, field).verdict
+        for field in FIELDS
+    )
     elapsed = time.monotonic() - start
     announce(
         "6 (stretch)",
@@ -398,11 +401,10 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_characteristic_guard():
     ok = True
+    entry = catalog.morphism("lie-to-assoc")
     for p, d in ((3, 3), (5, 5), (5, 6)):
         try:
-            verify_bso_theorem(
-                catalog.morphism("lie-to-assoc").morphism, d, PrimeField(p)
-            )
+            verify_bso_theorem(entry.morphism, entry.source, d, PrimeField(p))
             ok = False
         except CharacteristicGuardError:
             pass
@@ -411,9 +413,9 @@ def test_criterion_9_characteristic_guard():
         for name, d in MAIN_THEOREM_CASES:
             if d >= p:
                 continue
-            mor = catalog.morphism(name).morphism
-            a = verify_bso_theorem(mor, d, field)
-            b = verify_bso_theorem(mor, d, QQ)
+            entry = catalog.morphism(name)
+            a = verify_bso_theorem(entry.morphism, entry.source, d, field)
+            b = verify_bso_theorem(entry.morphism, entry.source, d, QQ)
             ok &= a.verdict and b.verdict
             ok &= [
                 (c.kernel_dimension, c.consequence_dimension)

@@ -105,6 +105,61 @@ def test_degree_cap_exits_3(capsys):
     assert main(["basis", "--variety", "builtin:assoc", "--degree", "9"]) == 3
 
 
+def test_verify_bso_over_the_cap_exits_3_at_once(capsys):
+    code = main(["verify-di", "--variety", "builtin:lie", "--degree", "7"])
+    expected = capsys.readouterr().err
+    assert code == 3
+    code = main(["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "7"])
+    assert code == 3
+    assert capsys.readouterr().err == expected == (
+        "error: degree 7 exceeds the enumeration cap 6\n"
+    )
+
+
+def test_verify_bso_refuses_a_source_identity_that_does_not_vanish(
+    capsys, tmp_path
+):
+    source = tmp_path / "bad.sexp"
+    source.write_text(
+        "(morphism lie-to-assoc-anticommutator (source lie) (target assoc)"
+        " (image bracket (+ (mul 1 2) (mul 2 1))))\n",
+        encoding="utf-8",
+    )
+    messages = []
+    for command in ("special", "verify-bso"):
+        code = main([command, "--morphism", str(source), "--degree", "3"])
+        assert code == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1] == (
+        "error: identity 'antisymmetry' of 'lie' does not vanish under "
+        "'lie-to-assoc-anticommutator'\n"
+    )
+
+
+def test_denominator_vanishing_mod_p_exits_2(capsys, tmp_path):
+    source = tmp_path / "third.sexp"
+    source.write_text(
+        "(presentation third (signature (op mul 2))"
+        " (identity third (- (* 1/3 (mul 1 2)) (mul 2 1))))\n",
+        encoding="utf-8",
+    )
+    message = "error: denominator of 1/3 vanishes modulo 3\n"
+    code = main(["dim", "--variety", str(source), "--degree", "3", "--field", "p:3"])
+    assert (code, capsys.readouterr().err) == (2, message)
+    code = main(
+        [
+            "implies",
+            "--variety",
+            "builtin:assoc",
+            "--identity",
+            "(* 1/3 (- (mul (mul 1 2) 3) (mul 1 (mul 2 3))))",
+            "--field",
+            "p:3",
+        ]
+    )
+    assert (code, capsys.readouterr().err) == (2, message)
+
+
 def test_characteristic_guard_exits_2(capsys):
     code = main(
         [
@@ -292,6 +347,64 @@ def test_verify_bso_exits_1_without_a_kernel_row(capsys, drop_last_kernel_row):
     assert report["comparisons"][-1]["kernel"] == 932
     assert report["comparisons"][-1]["consequences"] == 936
     assert report["comparisons"][-1]["equal"] is False
+
+
+def _corrupt(rows, case):
+    first = rows[0]
+    if case == "zero denominator":
+        first[0][2] = "0"
+    elif case == "column out of range":
+        first[-1][0] = 12
+    elif case == "row scaled by 2":
+        rows[0] = [[c, str(2 * int(n)), d] for c, n, d in first]
+    elif case == "duplicated row":
+        rows.insert(1, first)
+    elif case == "non-integer numerator":
+        first[0][1] = "1.5"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "zero denominator",
+        "column out of range",
+        "row scaled by 2",
+        "duplicated row",
+        "non-integer numerator",
+    ],
+)
+def test_corrupt_cache_entry_is_recomputed(capsys, monkeypatch, tmp_path, case):
+    from dioperad import catalog, ideals
+    from dioperad.cache import DiskCache
+
+    argv = [
+        "implies",
+        "--variety",
+        "builtin:assoc",
+        "--identity",
+        "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))",
+        "--field",
+        "q",
+    ]
+    monkeypatch.setattr(ideals, "_MEMO", {})
+    first = run(capsys, *argv)
+    assert first[0] == 0
+
+    digest = catalog.presentation("assoc").digest
+    path = DiskCache(tmp_path / "cache")._path(
+        f"{ideals._CACHE_TAG}:{digest}:q:3"
+    )
+    with open(path, encoding="utf-8") as fh:
+        good = fh.read()
+    entry = json.loads(good)
+    _corrupt(entry["value"]["rows"], case)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh)
+
+    monkeypatch.setattr(ideals, "_MEMO", {})
+    assert run(capsys, *argv) == first
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == good
 
 
 def test_timings_only_on_request(capsys):

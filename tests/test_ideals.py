@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from dioperad import ideals
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
@@ -220,3 +221,55 @@ def test_presentation_digest_distinguishes_content():
     assert a == VarietyPresentation(
         "x", BIN, [poly({("mul", 1, 2): 1, ("mul", 2, 1): -1})]
     )
+
+
+def _corrupted(field, rows, case):
+    """A copy of encoded rows with one defect a stored entry could carry."""
+    rows = [[list(e) for e in row] for row in rows]
+    first, second = rows[0], rows[1]
+    if case == "column not an int":
+        first[-1][0] = float(first[-1][0])
+    elif case == "columns out of order":
+        first.reverse()
+    elif case == "repeated column":
+        first.append(list(first[-1]))
+    elif case == "negative column":
+        first.insert(0, [-1] + first[0][1:])
+    elif case == "zero value":
+        first[-1][1:] = ["0", "1"] if field == QQ else [0]
+    elif case == "value not normalised":
+        first[-1][1:] = (
+            [str(-2 * int(first[-1][1])), "-2"]
+            if field == QQ
+            else [first[-1][1] + field.p]
+        )
+    elif case == "pivots out of order":
+        rows[0], rows[1] = second, first
+    elif case == "not fully reduced":
+        first.insert(1, [second[0][0]] + first[-1][1:])
+    elif case == "empty row":
+        rows.append([])
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "column not an int",
+        "columns out of order",
+        "repeated column",
+        "negative column",
+        "zero value",
+        "value not normalised",
+        "pivots out of order",
+        "not fully reduced",
+        "empty row",
+    ],
+)
+def test_decode_rows_rejects_each_malformed_entry(field, case):
+    space = consequences_at_degree(ASSOC, 3, field).ideal
+    stored = ideals._encode_rows(field, space.rows)
+    assert ideals._decode_rows(field, {"rows": stored}, 12) == list(space.rows)
+    bad = {"rows": _corrupted(field, stored, case)}
+    assert ideals._decode_rows(field, bad, 12) is None

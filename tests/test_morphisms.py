@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from dioperad import catalog
+from dioperad import catalog, morphisms
 from dioperad.dialgebra import DiPolynomial, unsuperscript
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
@@ -22,11 +22,11 @@ from dioperad.morphisms import (
     di_morphism,
     di_special_identities,
     evaluate_morphism,
-    morphism_kernel_at_degree,
     special_identities,
     verify_bso_theorem,
 )
 from dioperad.terms import (
+    DEFAULT_DEGREE_CAP,
     DegreeCapError,
     Monomial,
     Polynomial,
@@ -37,6 +37,7 @@ from dioperad.terms import (
     monomial_index,
     substitute_at,
 )
+from oracles import morphism_kernel_at_degree
 
 BRK = Signature([("b", 2)])
 BIN = Signature([("mul", 2)])
@@ -218,6 +219,8 @@ def test_precondition_failure_names_the_identity():
 def test_signature_mismatch_rejected():
     with pytest.raises(ValueError, match="signature"):
         special_identities(LIE_TO_ASSOC, ASSOC, 3)
+    with pytest.raises(ValueError, match="signature"):
+        verify_bso_theorem(LIE_TO_ASSOC, ASSOC, 3)
 
 
 def test_morphism_validation():
@@ -297,7 +300,7 @@ def test_di_special_identities_place_commutativity_at_each_emphasis():
 
 
 def test_verify_bso_theorem_small_degrees():
-    rep = verify_bso_theorem(LIE_TO_ASSOC, 4)
+    rep = verify_bso_theorem(LIE_TO_ASSOC, LIE, 4)
     assert rep.verdict
     assert [c.degree for c in rep.comparisons] == [2, 3, 4]
     for c in rep.comparisons:
@@ -305,8 +308,8 @@ def test_verify_bso_theorem_small_degrees():
 
 
 def test_verify_bso_theorem_prime_field_agreement():
-    a = verify_bso_theorem(LIE_TO_ASSOC, 3, PrimeField(1000003))
-    b = verify_bso_theorem(LIE_TO_ASSOC, 3)
+    a = verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(1000003))
+    b = verify_bso_theorem(LIE_TO_ASSOC, LIE, 3)
     assert a.verdict and b.verdict
     assert [(c.kernel_dimension, c.consequence_dimension) for c in a.comparisons] == [
         (c.kernel_dimension, c.consequence_dimension) for c in b.comparisons
@@ -318,7 +321,7 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
     drop_last_kernel_row, field
 ):
     drop_last_kernel_row(4)
-    rep = verify_bso_theorem(LIE_TO_ASSOC, 4, field)
+    rep = verify_bso_theorem(LIE_TO_ASSOC, LIE, 4, field)
     assert not rep.verdict
     assert [c.equal for c in rep.comparisons] == [True, True, False]
     last = rep.comparisons[-1]
@@ -328,11 +331,11 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
 
 def test_characteristic_guard():
     with pytest.raises(CharacteristicGuardError):
-        verify_bso_theorem(LIE_TO_ASSOC, 3, PrimeField(3))
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(3))
     with pytest.raises(CharacteristicGuardError):
-        verify_bso_theorem(LIE_TO_ASSOC, 5, PrimeField(5))
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 5, PrimeField(5))
     # characteristic above the degree is fine
-    assert verify_bso_theorem(LIE_TO_ASSOC, 3, PrimeField(5)).verdict
+    assert verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(5)).verdict
 
 
 def test_jordan_presentation_has_expected_linearized_identity():
@@ -352,10 +355,14 @@ def test_jordan_quotient_dimensions():
     assert consequences_at_degree(JORDAN, 4).quotient_dimension == 11
 
 
-def test_degree_cap_holds_after_kernel_memo_hit():
-    assert morphism_kernel_at_degree(LIE_TO_ASSOC, 4, QQ, 8).dim == 114
+def test_verify_bso_checks_the_degree_cap_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the degree cap check")
+
+    monkeypatch.setattr(morphisms, "_morphism_kernel", refuse)
+    monkeypatch.setattr(morphisms, "consequences_at_degree", refuse)
     with pytest.raises(DegreeCapError):
-        morphism_kernel_at_degree(LIE_TO_ASSOC, 4, QQ, 3)
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 7, QQ, 6)
 
 
 def test_degree_cap_holds_after_index_memo_hit():
@@ -437,3 +444,17 @@ def test_quotient_path_refuses_an_image_that_breaks_the_source():
         special_identities(anticommutator, LIE, 3)
     with pytest.raises(ValueError, match="antisymmetry"):
         di_special_identities(anticommutator, LIE, 3)
+    with pytest.raises(ValueError, match="antisymmetry"):
+        verify_bso_theorem(anticommutator, LIE, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_kernel_on_the_source_quotient_matches_full_column_oracle(name, field):
+    entry = catalog.morphism(name)
+    for d in (2, 3, 4):
+        _, _, kernel = morphisms._morphism_kernel(
+            entry.morphism, entry.source, d, field, DEFAULT_DEGREE_CAP, None
+        )
+        assert kernel == morphism_kernel_at_degree(entry.morphism, d, field)
+

@@ -9,7 +9,7 @@ import pytest
 from dioperad import catalog
 from dioperad.dialgebra import bso_presentation
 from dioperad.ideals import consequences_at_degree
-from dioperad.morphisms import morphism_kernel_at_degree, special_identities
+from dioperad.morphisms import special_identities
 from dioperad.sexpr import (
     ParseError,
     format_morphism,
@@ -229,8 +229,9 @@ def test_catalog_jts_to_jordan_precondition_holds():
 def test_catalog_free_to_com_assoc_kernel():
     entry = catalog.morphism("free-to-com-assoc")
     # at degree 2 the kernel is mul(1,2) - mul(2,1)
-    ker = morphism_kernel_at_degree(entry.morphism, 2)
-    assert ker.dim == 1
+    rep = special_identities(entry.morphism, entry.source, 2)
+    assert rep.kernel_dimension == 1
+    assert rep.basis == (expr("(- (mul 1 2) (mul 2 1))"),)
     assert consequences_at_degree(entry.source, 2).ideal.dim == 0
 
 
