@@ -25,10 +25,9 @@ from .terms import (
     Monomial,
     Polynomial,
     Signature,
+    basis_layout,
     double_signature,
-    enumerate_monomials,
     format_node,
-    monomial_index,
     substitute_at,
 )
 
@@ -264,17 +263,27 @@ def _collapse_columns(
 ):
     """Column of the collapse image, inside n stacked copies of the plain
     basis, of each degree-n doubled basis monomial, in basis order.  The
-    subspace must live in the plain space."""
-    base_index = monomial_index(dsig.base, n, max_degree)
-    block = len(base_index)
+    subspace must live in the plain space.
+
+    Collapse keeps the leaf word, so each doubled skeleton is stripped once:
+    filled with the word 1..n, it gives the plain skeleton's offset and the
+    position of the emphasized leaf; a word w then lands in emphasis
+    component w[position] at that offset plus the rank of w."""
+    plain = basis_layout(dsig.base, n, max_degree)
+    block = plain.ncols
     if base.ncols != block:
         raise ValueError(
             f"subspace has {base.ncols} columns, expected {block}"
         )
+    doubled = basis_layout(dsig, n, max_degree)
+    words = doubled.words
     cols = []
-    for m in enumerate_monomials(dsig, n, max_degree):
-        plain, leaf = _collapse_node(m.node)
-        cols.append((leaf - 1) * block + base_index[plain])
+    for col in range(0, doubled.ncols, len(words)):
+        tree, leaf = _collapse_node(doubled.node(col))
+        offset = plain[tree]
+        cols.extend(
+            (w[leaf - 1] - 1) * block + offset + r for r, w in enumerate(words)
+        )
     return cols
 
 

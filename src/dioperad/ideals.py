@@ -18,16 +18,14 @@ from .fields import QQ
 from .linalg import Subspace, _Reducer
 from .terms import (
     DEFAULT_DEGREE_CAP,
-    Monomial,
     Polynomial,
-    Signature,
+    basis_layout,
     check_degree,
     check_in_signature,
     enumerate_monomials,
     format_polynomial,
     monomial_index,
-    relabel_node,
-    substitute_at,
+    substitution_column_maps,
 )
 
 
@@ -103,24 +101,34 @@ def vector_to_poly(vec: dict, basis, field, degree=None) -> Polynomial:
 
 
 class DegreeComponent:
-    """One multilinear degree of a variety: ambient basis, ideal, quotient."""
+    """One multilinear degree of a variety: ambient basis, ideal, quotient.
 
-    __slots__ = ("degree", "basis", "index", "ideal", "field")
+    The basis monomials and their index are built on first use only."""
 
-    def __init__(self, degree, basis, index, ideal):
+    __slots__ = ("signature", "degree", "max_degree", "ideal", "field")
+
+    def __init__(self, signature, degree, ideal, max_degree=DEFAULT_DEGREE_CAP):
+        self.signature = signature
         self.degree = degree
-        self.basis = basis
-        self.index = index
+        self.max_degree = max_degree
         self.ideal = ideal
         self.field = ideal.field
 
     @property
+    def basis(self):
+        return enumerate_monomials(self.signature, self.degree, self.max_degree)
+
+    @property
+    def index(self) -> dict:
+        return monomial_index(self.signature, self.degree, self.max_degree)
+
+    @property
     def ambient_dimension(self) -> int:
-        return len(self.basis)
+        return self.ideal.ncols
 
     @property
     def quotient_dimension(self) -> int:
-        return len(self.basis) - self.ideal.dim
+        return self.ideal.ncols - self.ideal.dim
 
     def contains(self, p: Polynomial) -> bool:
         p = p.convert(self.field)
@@ -136,17 +144,22 @@ class DegreeComponent:
         return vector_to_poly(vec, self.basis, self.field, self.degree)
 
 
-def _perm_column_maps(sig: Signature, basis, index, degree: int):
-    """Column permutations for a generating set of leaf relabelings."""
-    if degree < 2:
+def _perm_column_maps(layout):
+    """Column permutations for a generating set of leaf relabelings: each
+    relabels the leaf words once, and every skeleton keeps its offset."""
+    n = layout.degree
+    if n < 2:
         return []
-    perms = [(2, 1) + tuple(range(3, degree + 1))]
-    if degree > 2:
-        perms.append(tuple(range(2, degree + 1)) + (1,))
+    perms = [(2, 1) + tuple(range(3, n + 1))]
+    if n > 2:
+        perms.append(tuple(range(2, n + 1)) + (1,))
+    rank, words = layout.rank, layout.words
     maps = []
     for perm in perms:
-        mapping = {i + 1: v for i, v in enumerate(perm)}
-        maps.append(tuple(index[relabel_node(m.node, mapping)] for m in basis))
+        ranks = [rank[tuple(perm[v - 1] for v in w)] for w in words]
+        maps.append(
+            [s + r for s in range(0, layout.ncols, len(words)) for r in ranks]
+        )
     return maps
 
 
@@ -230,17 +243,19 @@ def ideal_component(
     if hit is not None:
         return hit
 
-    basis = enumerate_monomials(signature, n, max_degree)
-    ncols = len(basis)
+    layout = basis_layout(signature, n, max_degree)
+    ncols = layout.ncols
     ckey = f"{_CACHE_TAG}:{digest}:{field.name}:{n}"
     if cache is not None:
-        rows = _decode_rows(field, cache.get(ckey), ncols)
-        if rows is not None:
+        stored = cache.get(ckey)
+        rows = _decode_rows(field, stored, ncols)
+        # an entry that has lost whole rows is still well-formed; its
+        # stored dimension gives it away
+        if rows is not None and stored.get("dim") == len(rows):
             space = Subspace(field, ncols, rows)
             _MEMO[key] = space
             return space
 
-    index = monomial_index(signature, n, max_degree)
     reducer = _Reducer(field)
     queue: list[dict] = []
 
@@ -250,7 +265,7 @@ def ideal_component(
 
     for g in generators:
         if g.degree == n:
-            feed(poly_to_vector(g, index))
+            feed(poly_to_vector(g, layout))
 
     for op, arity in signature.operations:
         m = n - arity + 1
@@ -261,16 +276,15 @@ def ideal_component(
         )
         if not lower.dim:
             continue
-        lower_basis = enumerate_monomials(signature, m, max_degree)
-        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
+        # every w o_i op, then every op o_i w, for each lower row
+        colmaps = substitution_column_maps(
+            basis_layout(signature, m, max_degree), layout, op
+        )
         for row in lower.rows:
-            p = vector_to_poly(row, lower_basis, field, m)
-            for i in range(1, m + 1):
-                feed(poly_to_vector(substitute_at(p, i, corolla), index))
-            for i in range(1, arity + 1):
-                feed(poly_to_vector(substitute_at(corolla, i, p), index))
+            for colmap in colmaps:
+                feed({colmap[c]: v for c, v in row.items()})
 
-    colmaps = _perm_column_maps(signature, basis, index, n)
+    colmaps = _perm_column_maps(layout)
     while queue:
         vec = queue.pop()
         for colmap in colmaps:
@@ -279,7 +293,9 @@ def ideal_component(
     space = Subspace(field, ncols, reducer)
     _MEMO[key] = space
     if cache is not None:
-        cache.put(ckey, {"rows": _encode_rows(field, space.rows)})
+        cache.put(
+            ckey, {"rows": _encode_rows(field, space.rows), "dim": space.dim}
+        )
     return space
 
 
@@ -292,10 +308,7 @@ def consequences_at_degree(
 ) -> DegreeComponent:
     """The degree-n multilinear component of the variety's defining ideal,
     inside the free-operad basis of that degree."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    basis = enumerate_monomials(variety.signature, n, max_degree)
-    index = monomial_index(variety.signature, n, max_degree)
+    check_degree(n, max_degree)
     ideal = ideal_component(
         variety.signature,
         tuple(g.convert(field) for g in variety.generators),
@@ -305,7 +318,7 @@ def consequences_at_degree(
         max_degree,
         cache,
     )
-    return DegreeComponent(n, basis, index, ideal)
+    return DegreeComponent(variety.signature, n, ideal, max_degree)
 
 
 def quotient_dimension(

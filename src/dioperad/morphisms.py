@@ -124,12 +124,15 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-def _check_source_vanishes(mor, source, field, max_degree, cache):
+def _check_source_vanishes(mor, source, d, field, max_degree, cache):
     """Refuse a source presentation that does not match the morphism's
-    signature or has an identity whose image is not zero in the target."""
+    signature or has an identity of degree at most d whose image is not zero
+    in the target.  Identities above d generate nothing up to degree d."""
     if source.signature != mor.source_signature:
         raise ValueError("presentation and morphism disagree on the signature")
     for gname, g in zip(source.generator_names, source.generators):
+        if g.degree > d:
+            continue
         target_comp = consequences_at_degree(
             mor.target, g.degree, field, max_degree, cache
         )
@@ -169,11 +172,11 @@ def _morphism_kernel(mor, source, d, field, max_degree, cache):
     )
     pivots = set(source_comp.ideal.pivots)
     normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
+    basis, index = source_comp.basis, target_comp.index
     rows = []
     for i in normal:
-        img = evaluate_morphism(mor, source_comp.basis[i], field)
-        vec = poly_to_vector(img, target_comp.index)
-        rows.append(target_comp.ideal.reduce(vec))
+        img = evaluate_morphism(mor, basis[i], field)
+        rows.append(target_comp.ideal.reduce(poly_to_vector(img, index)))
     ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
     special = row_reduce(
         field,
@@ -196,7 +199,7 @@ def special_identities(
 
     The special basis is ker(φ) reduced modulo the source ideal, the kernel
     on the source quotient's normal monomials (see ``_morphism_kernel``)."""
-    _check_source_vanishes(mor, source, field, max_degree, cache)
+    _check_source_vanishes(mor, source, d, field, max_degree, cache)
     source_comp, special, kernel = _morphism_kernel(
         mor, source, d, field, max_degree, cache
     )
@@ -238,7 +241,7 @@ def di_special_identities(
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
     as emphasized placements of the plain special identities."""
-    _check_source_vanishes(mor, source, field, max_degree, cache)
+    _check_source_vanishes(mor, source, d, field, max_degree, cache)
     source_comp, base_special, base_kernel = _morphism_kernel(
         mor, source, d, field, max_degree, cache
     )
@@ -308,7 +311,9 @@ def verify_bso_theorem(
     morphism.  Its dimension is reported from
     ``collapse_preimage_dimension`` and the comparison is
     ``is_collapse_preimage`` of the generated ideal over K_m; the preimage
-    is never built."""
+    is never built.  The comparisons start at degree 2, so d must too."""
+    if d < 2:
+        raise ValueError(f"degree must be at least 2, got {d}")
     p = field.characteristic
     if p and d >= p:
         raise CharacteristicGuardError(
@@ -316,7 +321,7 @@ def verify_bso_theorem(
             f"got {p}"
         )
     check_degree(d, max_degree)
-    _check_source_vanishes(mor, source, field, max_degree, cache)
+    _check_source_vanishes(mor, source, d, field, max_degree, cache)
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     kernels = {}

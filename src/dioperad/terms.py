@@ -178,20 +178,6 @@ def check_in_signature(m: Monomial, sig: Signature) -> None:
     walk(m.node)
 
 
-def _skeleton_key(node, sig):
-    if isinstance(node, int):
-        return (1,)
-    return (0, sig.index(node[0])) + tuple(
-        _skeleton_key(c, sig) for c in node[1:]
-    )
-
-
-def sort_key(m: Monomial, sig: Signature):
-    """Canonical order: skeleton (operations by signature position, internal
-    nodes before leaves), ties broken by the leaf word."""
-    return (_skeleton_key(m.node, sig), m.leaf_word)
-
-
 def _plain_key(node):
     """Signature-free analogue of the canonical order, for stable printing."""
     if isinstance(node, int):
@@ -341,47 +327,89 @@ def as_polynomial(x, field=None) -> Polynomial:
     raise TypeError(f"expected a monomial or polynomial, got {x!r}")
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of positive ints of the given length summing to total."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-_SKELETON_CACHE: dict = {}
 _LEAF = None  # placeholder in skeletons
 
 
 def _skeletons(sig: Signature, n: int):
-    key = (sig, n)
-    hit = _SKELETON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n == 1:
-        out = (_LEAF,)
-    else:
-        found = []
-        for name, arity in sig.operations:
-            if arity > n:
-                continue
-            for comp in _compositions(n, arity):
-                for children in itertools.product(
-                    *(_skeletons(sig, c) for c in comp)
-                ):
-                    found.append((name,) + children)
-        out = tuple(found)
-    _SKELETON_CACHE[key] = out
-    return out
+    """The skeletons with n leaves, generated in canonical order.
+
+    Canonical order compares skeletons in preorder, an internal node before
+    a leaf and operations in signature order.  Preorder codes are prefix
+    free, so children compare lexicographically, first child first, and a
+    first child ranges over skeletons of every size at once: ``trees(t)``
+    lists, in order and with their leaf counts, all skeletons with at most
+    t leaves."""
+    upto: dict = {}
+
+    def trees(total):
+        if total not in upto:
+            found = [
+                ((name,) + kids, size)
+                for name, arity in sig.operations
+                for kids, size in forests(arity, total)
+            ]
+            found.append((_LEAF, 1))
+            upto[total] = found
+        return upto[total]
+
+    def forests(k, total):
+        # k-tuples of skeletons with at most total leaves in all, in order
+        if k == 0:
+            yield (), 0
+        elif total >= k:
+            for first, size in trees(total - k + 1):
+                for rest, more in forests(k - 1, total - size):
+                    yield (first,) + rest, size + more
+
+    return tuple(skel for skel, size in trees(n) if size == n)
 
 
 def _fill(skel, labels):
     if skel is _LEAF:
         return next(labels)
     return (skel[0],) + tuple(_fill(c, labels) for c in skel[1:])
+
+
+class BasisLayout:
+    """The degree-n multilinear basis as skeletons times leaf words.
+
+    Skeletons are in canonical order and the n! leaf words in lexicographic
+    order; the monomial filling skeleton s with word w sits in column
+    ``position(s) * n! + rank(w)``.  This is the canonical order of
+    monomials, so columns are found by arithmetic, without building trees.
+    """
+
+    __slots__ = ("degree", "skeletons", "position", "words", "rank")
+
+    def __init__(self, sig: Signature, n: int):
+        self.degree = n
+        self.skeletons = _skeletons(sig, n)
+        self.position = {s: i for i, s in enumerate(self.skeletons)}
+        self.words = tuple(itertools.permutations(range(1, n + 1)))
+        self.rank = {w: r for r, w in enumerate(self.words)}
+
+    @property
+    def ncols(self) -> int:
+        return len(self.skeletons) * len(self.words)
+
+    def node(self, col: int):
+        """The raw tree node in a column."""
+        s, r = divmod(col, len(self.words))
+        return _fill(self.skeletons[s], iter(self.words[r]))
+
+    def __getitem__(self, node) -> int:
+        """The column of a raw tree node; KeyError outside the basis."""
+        word: list = []
+        skeleton = _split_node(node, word)
+        return self.position[skeleton] * len(self.words) + self.rank[tuple(word)]
+
+
+def _split_node(node, word):
+    """The skeleton of a raw tree node; its leaf labels go onto word."""
+    if isinstance(node, int):
+        word.append(node)
+        return _LEAF
+    return (node[0],) + tuple(_split_node(c, word) for c in node[1:])
 
 
 _BASIS_CACHE: dict = {}
@@ -397,39 +425,104 @@ def check_degree(n: int, max_degree: int = DEFAULT_DEGREE_CAP) -> None:
         raise DegreeCapError(f"degree {n} exceeds the enumeration cap {max_degree}")
 
 
+def _memo(kind, sig, n, max_degree, build):
+    check_degree(n, max_degree)
+    key = (kind, sig, n)
+    hit = _BASIS_CACHE.get(key)
+    if hit is None:
+        hit = _BASIS_CACHE[key] = build()
+    return hit
+
+
+def basis_layout(
+    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
+) -> BasisLayout:
+    """The skeleton-by-word layout of the degree-n multilinear basis."""
+    return _memo("layout", sig, n, max_degree, lambda: BasisLayout(sig, n))
+
+
 def enumerate_monomials(
     sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
 ):
     """All multilinear monomials of degree n, in canonical order."""
-    check_degree(n, max_degree)
-    key = (sig, n)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    monomials = []
-    for skel in _skeletons(sig, n):
-        for word in itertools.permutations(range(1, n + 1)):
-            monomials.append(Monomial(_fill(skel, iter(word))))
-    monomials.sort(key=lambda m: sort_key(m, sig))
-    out = tuple(monomials)
-    _BASIS_CACHE[key] = out
-    return out
+    layout = basis_layout(sig, n, max_degree)
+    return _memo(
+        "basis",
+        sig,
+        n,
+        max_degree,
+        lambda: tuple(Monomial(layout.node(c)) for c in range(layout.ncols)),
+    )
 
 
 def monomial_index(
     sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
 ) -> dict:
     """Map raw tree nodes of the degree-n basis to their column positions."""
-    check_degree(n, max_degree)
-    key = ("index", sig, n)
-    hit = _BASIS_CACHE.get(key)
-    if hit is None:
-        hit = {
+    return _memo(
+        "index",
+        sig,
+        n,
+        max_degree,
+        lambda: {
             m.node: i
             for i, m in enumerate(enumerate_monomials(sig, n, max_degree))
-        }
-        _BASIS_CACHE[key] = hit
-    return hit
+        },
+    )
+
+
+def _insert_block(word, i, size):
+    """The leaf word of w o_i u for a u of the given degree: label i becomes
+    the block i..i+size-1 and every later label moves up by size - 1."""
+    out = []
+    for j in word:
+        if j < i:
+            out.append(j)
+        elif j == i:
+            out.extend(range(i, i + size))
+        else:
+            out.append(j + size - 1)
+    return tuple(out)
+
+
+def substitution_column_maps(lower: BasisLayout, upper: BasisLayout, op: str):
+    """Column maps of the one-step substitutions of the corolla of op, the
+    column form of ``substitute_at``.
+
+    For each slot i of a lower monomial w comes the map w -> w o_i op, then
+    for each slot i of op the map w -> op o_i w; each is a list giving the
+    upper column of every lower column.  Every entry is a skeleton-graft
+    offset plus a word rank.
+    """
+    m, n = lower.degree, upper.degree
+    arity = n - m + 1
+    corolla = (op,) + (_LEAF,) * arity
+    labels = range(1, max(m, arity) + 1)
+    rank, width = upper.rank, len(upper.words)
+
+    def offset(skel, slot, sub):
+        # the skeleton with its leaf at preorder position slot replaced by sub
+        repl = {j: sub if j == slot else _LEAF for j in labels}
+        return upper.position[_graft(_fill(skel, iter(labels)), repl)] * width
+
+    maps = []
+    grafted = [
+        [offset(s, p, corolla) for p in range(1, m + 1)] for s in lower.skeletons
+    ]
+    for i in range(1, m + 1):
+        moved = [
+            (w.index(i), rank[_insert_block(w, i, arity)]) for w in lower.words
+        ]
+        maps.append([row[p] + r for row in grafted for p, r in moved])
+    for i in range(1, arity + 1):
+        before, after = tuple(range(1, i)), tuple(range(i + m, n + 1))
+        ranks = [
+            rank[before + tuple(j + i - 1 for j in w) + after]
+            for w in lower.words
+        ]
+        offsets = [offset(corolla, i, s) for s in lower.skeletons]
+        maps.append([o + r for o in offsets for r in ranks])
+    return maps
 
 
 def apply_permutation(perm, p):

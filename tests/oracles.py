@@ -6,18 +6,121 @@ the package's shortcuts against it.
 
 from __future__ import annotations
 
+import itertools
+
 from dioperad.dialgebra import DiPolynomial, superscript_poly, unsuperscript
 from dioperad.fields import QQ
 from dioperad.ideals import consequences_at_degree, poly_to_vector
-from dioperad.linalg import Subspace, left_kernel_basis, row_reduce
+from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
 from dioperad.morphisms import OperadMorphism, evaluate_morphism
 from dioperad.terms import (
     DEFAULT_DEGREE_CAP,
     DoubledSignature,
+    Monomial,
     Polynomial,
+    Signature,
     enumerate_monomials,
     monomial_index,
+    relabel_node,
+    substitute_at,
 )
+
+
+def _skeleton_key(node, sig):
+    if isinstance(node, int):
+        return (1,)
+    return (0, sig.index(node[0])) + tuple(
+        _skeleton_key(c, sig) for c in node[1:]
+    )
+
+
+def sort_key(m: Monomial, sig: Signature):
+    """Canonical order: skeleton (operations by signature position, internal
+    nodes before leaves), ties broken by the leaf word."""
+    return (_skeleton_key(m.node, sig), m.leaf_word)
+
+
+def _compositions(total: int, parts: int):
+    """Ordered tuples of positive ints of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _shapes(sig: Signature, n: int):
+    """Every tree with n leaves labelled 0, in no particular order."""
+    if n == 1:
+        return [0]
+    return [
+        (name,) + kids
+        for name, arity in sig.operations
+        if arity <= n
+        for comp in _compositions(n, arity)
+        for kids in itertools.product(*(_shapes(sig, c) for c in comp))
+    ]
+
+
+def sorted_monomials(sig: Signature, n: int):
+    """The degree-n multilinear monomials: every shape filled with every
+    leaf word, sorted by ``sort_key``."""
+
+    def fill(node, labels):
+        if node == 0:
+            return next(labels)
+        return (node[0],) + tuple(fill(c, labels) for c in node[1:])
+
+    monomials = [
+        Monomial(fill(shape, iter(word)))
+        for shape in _shapes(sig, n)
+        for word in itertools.permutations(range(1, n + 1))
+    ]
+    return sorted(monomials, key=lambda m: sort_key(m, sig))
+
+
+def tree_ideal_component(sig: Signature, generators, n: int, field):
+    """The degree-n ideal component built on trees: every lower row turned
+    back into a polynomial, substituted into and around each corolla with
+    ``substitute_at`` and closed under a transposition and an n-cycle with
+    ``relabel_node``, in the package's feeding order."""
+    basis = enumerate_monomials(sig, n)
+    index = monomial_index(sig, n)
+    reducer = _Reducer(field)
+    queue = []
+
+    def feed(vec):
+        if reducer.insert(vec):
+            queue.append(vec)
+
+    for g in generators:
+        if g.degree == n:
+            feed(poly_to_vector(g, index))
+    for op, arity in sig.operations:
+        m = n - arity + 1
+        if m < 2 or m >= n:
+            continue
+        lower_basis = enumerate_monomials(sig, m)
+        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
+        for row in tree_ideal_component(sig, generators, m, field).rows:
+            p = Polynomial(field, {lower_basis[c]: v for c, v in row.items()}, m)
+            for i in range(1, m + 1):
+                feed(poly_to_vector(substitute_at(p, i, corolla), index))
+            for i in range(1, arity + 1):
+                feed(poly_to_vector(substitute_at(corolla, i, p), index))
+    perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
+    if n > 2:
+        perms.append(tuple(range(2, n + 1)) + (1,))
+    colmaps = [
+        [index[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
+        for perm in perms
+    ]
+    while queue:
+        vec = queue.pop()
+        for colmap in colmaps:
+            feed({colmap[c]: v for c, v in vec.items()})
+    return Subspace(field, len(basis), reducer)
 
 
 def morphism_kernel_at_degree(

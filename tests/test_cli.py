@@ -116,6 +116,24 @@ def test_verify_bso_over_the_cap_exits_3_at_once(capsys):
     )
 
 
+def test_verify_bso_below_degree_2_exits_2(capsys):
+    for degree in ("1", "0"):
+        argv = ["verify-bso", "--morphism", "builtin:lie-to-assoc"]
+        assert main([*argv, "--degree", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degree must be at least 2, got {degree}\n"
+
+
+@pytest.mark.parametrize("command", ["special", "special-di", "verify-bso"])
+def test_identities_above_the_degree_need_no_cap(capsys, command):
+    # the degree-4 Jordan identity generates nothing in degree 3
+    argv = [command, "--morphism", "builtin:jordan-to-assoc", "--degree", "3"]
+    capped = run(capsys, *argv, "--max-degree", "3", "--json")
+    assert capped == run(capsys, *argv, "--json")
+    assert capped[0] == 0
+
+
 def test_verify_bso_refuses_a_source_identity_that_does_not_vanish(
     capsys, tmp_path
 ):
@@ -361,6 +379,8 @@ def _corrupt(rows, case):
         rows.insert(1, first)
     elif case == "non-integer numerator":
         first[0][1] = "1.5"
+    elif case == "dropped row":
+        del rows[-1]
 
 
 @pytest.mark.parametrize(
@@ -371,6 +391,7 @@ def _corrupt(rows, case):
         "row scaled by 2",
         "duplicated row",
         "non-integer numerator",
+        "dropped row",
     ],
 )
 def test_corrupt_cache_entry_is_recomputed(capsys, monkeypatch, tmp_path, case):

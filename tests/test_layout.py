@@ -1,0 +1,159 @@
+"""The skeleton-by-word basis layout against the tree constructions it
+replaced: enumeration order, relabelling, substitution, collapse, and the
+ideal components built on columns."""
+
+from __future__ import annotations
+
+import pytest
+
+from dioperad import catalog, ideals, terms
+from dioperad.cli import main, resolve_variety
+from dioperad.dialgebra import _collapse_columns, unsuperscript
+from dioperad.fields import QQ, PrimeField
+from dioperad.ideals import _perm_column_maps, ideal_component, poly_to_vector
+from dioperad.linalg import Subspace
+from dioperad.terms import (
+    DoubledSignature,
+    Monomial,
+    Polynomial,
+    Signature,
+    basis_layout,
+    double_signature,
+    enumerate_monomials,
+    monomial_index,
+    relabel_node,
+    substitute_at,
+    substitution_column_maps,
+)
+
+from oracles import sorted_monomials, tree_ideal_component
+
+FIELDS = [QQ, PrimeField(1000003)]
+# the built-in signatures: mul:2, bracket:2 and the ternary t:3 of jts
+PLAIN = sorted(
+    {catalog.presentation(name).signature for name in catalog.presentation_names()},
+    key=repr,
+)
+SIGNATURES = PLAIN + [double_signature(sig) for sig in PLAIN]
+# mixed arities interleave skeletons of different shapes in canonical order
+MIXED = Signature([("mul", 2), ("t", 3)])
+
+
+def _cases(doubled=False):
+    pairs = [(sig, n) for sig in SIGNATURES for n in range(1, 6)]
+    pairs += [(sig, n) for sig in (MIXED, double_signature(MIXED)) for n in (3, 4)]
+    pairs.append((Signature([("mul", 2)]), 6))
+    if doubled:
+        pairs = [(sig, n) for sig, n in pairs if isinstance(sig, DoubledSignature)]
+    return [pytest.param(sig, n, id=f"{sig!r}-d{n}") for sig, n in pairs]
+
+
+@pytest.mark.parametrize("sig, n", _cases())
+def test_enumeration_matches_the_sorted_oracle(sig, n):
+    basis = enumerate_monomials(sig, n)
+    assert list(basis) == sorted_monomials(sig, n)
+    assert basis_layout(sig, n).ncols == len(basis)
+
+
+@pytest.mark.parametrize("sig, n", _cases())
+def test_layout_columns_are_basis_positions(sig, n):
+    layout = basis_layout(sig, n)
+    basis = enumerate_monomials(sig, n)
+    assert [layout[m.node] for m in basis] == list(range(len(basis)))
+    assert [layout.node(c) for c in range(layout.ncols)] == [m.node for m in basis]
+    with pytest.raises(KeyError):
+        layout[(sig.operations[0][0],) + (1,) * sig.operations[0][1]]
+
+
+@pytest.mark.parametrize("sig, n", _cases())
+def test_relabel_maps_match_relabel_node(sig, n):
+    basis = enumerate_monomials(sig, n)
+    index = monomial_index(sig, n)
+    maps = _perm_column_maps(basis_layout(sig, n))
+    perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
+    if n > 2:
+        perms.append(tuple(range(2, n + 1)) + (1,))
+    assert maps == [
+        [index[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
+        for perm in perms
+    ]
+
+
+@pytest.mark.parametrize("sig, n", _cases())
+def test_substitution_maps_match_substitute_at(sig, n):
+    upper_index = monomial_index(sig, n)
+    for op, arity in sig.operations:
+        m = n - arity + 1
+        if m < 1:
+            continue
+        lower = enumerate_monomials(sig, m)
+        maps = substitution_column_maps(
+            basis_layout(sig, m), basis_layout(sig, n), op
+        )
+        assert len(maps) == m + arity
+        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
+        for i in range(1, m + 1):
+            assert maps[i - 1] == [
+                _column(substitute_at(w, i, corolla), upper_index) for w in lower
+            ]
+        for i in range(1, arity + 1):
+            assert maps[m + i - 1] == [
+                _column(substitute_at(corolla, i, w), upper_index) for w in lower
+            ]
+
+
+def _column(p: Polynomial, index) -> int:
+    (col,) = poly_to_vector(p, index)
+    return col
+
+
+@pytest.mark.parametrize("sig, n", _cases(doubled=True))
+def test_collapse_columns_match_unsuperscript(sig, n):
+    block = len(enumerate_monomials(sig.base, n))
+    base_index = monomial_index(sig.base, n)
+    expected = []
+    for m in enumerate_monomials(sig, n):
+        plain, leaf = unsuperscript(m)
+        expected.append((leaf - 1) * block + base_index[plain.node])
+    base = Subspace(QQ, block, [])
+    assert _collapse_columns(sig, n, base, terms.DEFAULT_DEGREE_CAP) == expected
+
+
+def _variety_cases():
+    names = [f"builtin:{name}" for name in catalog.presentation_names()]
+    out = [(spec, n) for spec in names for n in (2, 3, 4)]
+    out += [(f"di:{spec}", n) for spec in names for n in (2, 3)]
+    out += [("builtin:lie", 5), ("builtin:jts", 5)]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+@pytest.mark.parametrize("spec, n", _variety_cases())
+def test_ideal_rows_match_the_tree_construction(monkeypatch, spec, n, field):
+    variety = resolve_variety(spec)
+    gens = tuple(g.convert(field) for g in variety.generators)
+    monkeypatch.setattr(ideals, "_MEMO", {})
+    space = ideal_component(variety.signature, gens, variety.digest, n, field)
+    oracle = tree_ideal_component(variety.signature, gens, n, field)
+    assert space == oracle
+    # the same vectors reached the reducer in the same order, so even the
+    # key order of each row agrees
+    assert [list(r.items()) for r in space.rows] == [
+        list(r.items()) for r in oracle.rows
+    ]
+
+
+def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(terms, "_BASIS_CACHE", {})
+    for _ in ("cold", "warm"):
+        monkeypatch.setattr(ideals, "_MEMO", {})
+        argv = ["dim", "--variety", "builtin:assoc", "--degree", "4", "--json"]
+        assert main(argv) == 0
+        assert '"quotient": 24' in capsys.readouterr().out
+        kinds = {key[0] for key in terms._BASIS_CACHE}
+        assert kinds == {"layout"}
+        assert not any(
+            isinstance(v, tuple) and any(isinstance(m, Monomial) for m in v)
+            for v in terms._BASIS_CACHE.values()
+        )

@@ -329,6 +329,22 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
     assert (last.kernel_dimension, last.consequence_dimension) == (932, 936)
 
 
+def test_verify_bso_theorem_needs_degree_2():
+    for d in (1, 0):
+        with pytest.raises(ValueError, match=f"at least 2, got {d}"):
+            verify_bso_theorem(LIE_TO_ASSOC, LIE, d)
+
+
+def test_source_identities_above_the_degree_are_not_evaluated():
+    # the degree-4 Jordan identity lies above the cap of 3 and is skipped
+    for d in (2, 3):
+        capped = special_identities(JORDAN_TO_ASSOC, JORDAN, d, QQ, 3)
+        assert capped == special_identities(JORDAN_TO_ASSOC, JORDAN, d)
+    assert verify_bso_theorem(JORDAN_TO_ASSOC, JORDAN, 3, QQ, 3).verdict
+    with pytest.raises(DegreeCapError):
+        special_identities(JORDAN_TO_ASSOC, JORDAN, 4, QQ, 3)
+
+
 def test_characteristic_guard():
     with pytest.raises(CharacteristicGuardError):
         verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(3))

@@ -19,9 +19,10 @@ from dioperad.terms import (
     enumerate_monomials,
     format_polynomial,
     linearize,
-    sort_key,
     substitute_at,
 )
+
+from oracles import sort_key
 
 BIN = Signature([("mul", 2)])
 TERN = Signature([("t", 3)])
