@@ -10,6 +10,7 @@ algebras and for their dialgebra analogues.
 from __future__ import annotations
 
 from .cache import DiskCache, default_cache_dir
+from .context import Context, DegreeCapError
 from .dialgebra import (
     DiPolynomial,
     bso_presentation,
@@ -38,7 +39,6 @@ from .morphisms import (
     verify_bso_theorem,
 )
 from .terms import (
-    DegreeCapError,
     DoubledSignature,
     Monomial,
     Polynomial,
@@ -54,6 +54,7 @@ from .terms import (
 
 __all__ = [
     "CharacteristicGuardError",
+    "Context",
     "DegreeCapError",
     "DiPolynomial",
     "DiskCache",

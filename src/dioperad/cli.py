@@ -22,6 +22,7 @@ import time
 
 from . import catalog
 from .cache import DiskCache, default_cache_dir
+from .context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
 from .dialgebra import bso_presentation, verify_dialgebra_equivalence
 from .fields import DEFAULT_PRIME, parse_field
 from .ideals import consequences_at_degree
@@ -38,7 +39,7 @@ from .sexpr import (
     parse_identity_body,
     read_forms,
 )
-from .terms import DegreeCapError, enumerate_monomials, format_node, format_polynomial
+from .terms import enumerate_monomials, format_node, format_polynomial
 
 
 def _builtin_resolver(name):
@@ -161,16 +162,14 @@ def render_human(report: dict) -> str:
     return out
 
 
-def _cmd_basis(args, field, cache):
+def _cmd_basis(args, ctx):
     variety = resolve_variety(args.variety)
-    monomials = enumerate_monomials(
-        variety.signature, args.degree, args.max_degree
-    )
+    monomials = enumerate_monomials(variety.signature, args.degree, ctx)
     return {
         "command": "basis",
         "variety": variety.name,
         "inputs_digest": variety.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {"ambient": len(monomials), "ideal": None, "quotient": None},
         "verdict": None,
@@ -178,16 +177,14 @@ def _cmd_basis(args, field, cache):
     }
 
 
-def _cmd_dim(args, field, cache):
+def _cmd_dim(args, ctx):
     variety = resolve_variety(args.variety)
-    comp = consequences_at_degree(
-        variety, args.degree, field, args.max_degree, cache
-    )
+    comp = consequences_at_degree(variety, args.degree, ctx)
     return {
         "command": "dim",
         "variety": variety.name,
         "inputs_digest": variety.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {
             "ambient": comp.ambient_dimension,
@@ -198,18 +195,16 @@ def _cmd_dim(args, field, cache):
     }
 
 
-def _cmd_implies(args, field, cache):
+def _cmd_implies(args, ctx):
     variety = resolve_variety(args.variety)
     p = _parse_identity_text(args.identity, variety.signature)
-    comp = consequences_at_degree(
-        variety, p.degree, field, args.max_degree, cache
-    )
+    comp = consequences_at_degree(variety, p.degree, ctx)
     return {
         "command": "implies",
         "variety": variety.name,
         "identity": format_polynomial(p),
         "inputs_digest": variety.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": p.degree,
         "dims": {
             "ambient": comp.ambient_dimension,
@@ -220,14 +215,12 @@ def _cmd_implies(args, field, cache):
     }
 
 
-def _cmd_dialgebrize(args, field, cache):
+def _cmd_dialgebrize(args, ctx):
     variety = resolve_variety(args.variety)
     divar = bso_presentation(variety)
     dims = expected = verdict = None
     if args.verify_degree is not None:
-        rep = verify_dialgebra_equivalence(
-            variety, args.verify_degree, field, args.max_degree, cache
-        )
+        rep = verify_dialgebra_equivalence(variety, args.verify_degree, ctx)
         dims = {
             "ambient": rep.ambient_dimension,
             "ideal": rep.ideal_dimension,
@@ -239,7 +232,7 @@ def _cmd_dialgebrize(args, field, cache):
         "command": "dialgebrize",
         "variety": variety.name,
         "inputs_digest": variety.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.verify_degree,
         "dims": dims,
         "expected_quotient": expected,
@@ -250,16 +243,14 @@ def _cmd_dialgebrize(args, field, cache):
     }
 
 
-def _cmd_verify_di(args, field, cache):
+def _cmd_verify_di(args, ctx):
     variety = resolve_variety(args.variety)
-    rep = verify_dialgebra_equivalence(
-        variety, args.degree, field, args.max_degree, cache
-    )
+    rep = verify_dialgebra_equivalence(variety, args.degree, ctx)
     return {
         "command": "verify-di",
         "variety": variety.name,
         "inputs_digest": variety.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {
             "ambient": rep.ambient_dimension,
@@ -271,17 +262,15 @@ def _cmd_verify_di(args, field, cache):
     }
 
 
-def _cmd_special(args, field, cache):
+def _cmd_special(args, ctx):
     entry = resolve_morphism(args.morphism)
-    rep = special_identities(
-        entry.morphism, entry.source, args.degree, field, args.max_degree, cache
-    )
+    rep = special_identities(entry.morphism, entry.source, args.degree, ctx)
     report = {
         "command": "special",
         "morphism": entry.morphism.name,
         "source": entry.source.name,
         "inputs_digest": entry.morphism.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {
             "ambient": rep.ambient_dimension,
@@ -297,17 +286,15 @@ def _cmd_special(args, field, cache):
     return report
 
 
-def _cmd_special_di(args, field, cache):
+def _cmd_special_di(args, ctx):
     entry = resolve_morphism(args.morphism)
-    rep = di_special_identities(
-        entry.morphism, entry.source, args.degree, field, args.max_degree, cache
-    )
+    rep = di_special_identities(entry.morphism, entry.source, args.degree, ctx)
     report = {
         "command": "special-di",
         "morphism": rep.morphism,
         "source": entry.source.name,
         "inputs_digest": entry.morphism.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {
             "ambient": rep.ambient_dimension,
@@ -323,17 +310,15 @@ def _cmd_special_di(args, field, cache):
     return report
 
 
-def _cmd_verify_bso(args, field, cache):
+def _cmd_verify_bso(args, ctx):
     entry = resolve_morphism(args.morphism)
-    rep = verify_bso_theorem(
-        entry.morphism, entry.source, args.degree, field, args.max_degree, cache
-    )
+    rep = verify_bso_theorem(entry.morphism, entry.source, args.degree, ctx)
     last = rep.comparisons[-1]
     return {
         "command": "verify-bso",
         "morphism": entry.morphism.name,
         "inputs_digest": entry.morphism.digest,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": args.degree,
         "dims": {
             "ambient": last.ambient_dimension,
@@ -354,11 +339,11 @@ def _cmd_verify_bso(args, field, cache):
     }
 
 
-def _cmd_catalog(args, field, cache):
+def _cmd_catalog(args, ctx):
     return {
         "command": "catalog",
         "inputs_digest": None,
-        "field": field.name,
+        "field": ctx.field.name,
         "degree": None,
         "dims": None,
         "verdict": None,
@@ -379,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-degree",
         type=int,
-        default=6,
+        default=DEFAULT_DEGREE_CAP,
         metavar="N",
-        help="degree cap for enumeration (default 6)",
+        help="degree cap for enumeration (default %(default)s)",
     )
     common.add_argument(
         "--json", action="store_true", help="emit one JSON object"
@@ -431,10 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="also verify the counterpart against the block ideal at degree N",
+        help="also check at degree N that the counterpart's consequences are "
+        "the collapse preimage of N copies of the plain ideal",
     )
 
-    p = add("verify-di", _cmd_verify_di, "check the dialgebra counterpart against the block ideal")
+    p = add(
+        "verify-di",
+        _cmd_verify_di,
+        "check that the dialgebra counterpart's consequences at degree N "
+        "are the collapse preimage of N copies of the plain ideal",
+    )
     p.add_argument("--variety", required=True, metavar="SPEC")
     p.add_argument("--degree", type=int, required=True, metavar="N")
 
@@ -466,9 +457,9 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        field = parse_field(args.field)
         cache = None if args.no_cache else DiskCache(default_cache_dir())
-        report = args.func(args, field, cache)
+        ctx = Context(parse_field(args.field), args.max_degree, cache)
+        report = args.func(args, ctx)
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

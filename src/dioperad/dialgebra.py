@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fields import QQ
+from .context import Context
 from .ideals import VarietyPresentation, consequences_at_degree
 from .linalg import Subspace
 from .terms import (
-    DEFAULT_DEGREE_CAP,
     DoubledSignature,
     Monomial,
     Polynomial,
@@ -244,23 +243,19 @@ def stack_copies(rows, n: int, block: int) -> list:
 
 
 def di_ideal_at_degree(
-    variety: VarietyPresentation,
-    n: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    variety: VarietyPresentation, n: int, ctx=None
 ) -> Subspace:
     """The emphasized elements all of whose components lie in the plain
     ideal: the block sum of one copy of the degree-n consequences per
     emphasis position."""
-    comp = consequences_at_degree(variety, n, field, max_degree, cache)
+    comp = consequences_at_degree(variety, n, ctx)
     block = comp.ambient_dimension
-    return Subspace(field, n * block, stack_copies(comp.ideal.rows, n, block))
+    return Subspace(
+        comp.field, n * block, stack_copies(comp.ideal.rows, n, block)
+    )
 
 
-def _collapse_columns(
-    dsig: DoubledSignature, n: int, base: Subspace, max_degree: int
-):
+def _collapse_columns(dsig: DoubledSignature, n: int, base: Subspace, ctx):
     """Column of the collapse image, inside n stacked copies of the plain
     basis, of each degree-n doubled basis monomial, in basis order.  The
     subspace must live in the plain space.
@@ -269,13 +264,13 @@ def _collapse_columns(
     filled with the word 1..n, it gives the plain skeleton's offset and the
     position of the emphasized leaf; a word w then lands in emphasis
     component w[position] at that offset plus the rank of w."""
-    plain = basis_layout(dsig.base, n, max_degree)
+    plain = basis_layout(dsig.base, n, ctx)
     block = plain.ncols
     if base.ncols != block:
         raise ValueError(
             f"subspace has {base.ncols} columns, expected {block}"
         )
-    doubled = basis_layout(dsig, n, max_degree)
+    doubled = basis_layout(dsig, n, ctx)
     words = doubled.words
     cols = []
     for col in range(0, doubled.ncols, len(words)):
@@ -288,16 +283,13 @@ def _collapse_columns(
 
 
 def collapses_into(
-    dsig: DoubledSignature,
-    n: int,
-    rows,
-    base: Subspace,
-    field,
-    max_degree: int = DEFAULT_DEGREE_CAP,
+    dsig: DoubledSignature, n: int, rows, base: Subspace, ctx=None
 ) -> bool:
     """Whether every emphasis component of the collapse image of every
-    given degree-n doubled vector lies in the plain subspace."""
-    cols = _collapse_columns(dsig, n, base, max_degree)
+    given degree-n doubled vector lies in the plain subspace.  The
+    arithmetic is over the subspace's field."""
+    cols = _collapse_columns(dsig, n, base, ctx or Context())
+    field = base.field
     for row in rows:
         image: dict = {}
         for c, v in row.items():
@@ -324,12 +316,7 @@ def collapse_preimage_dimension(n: int, ncols: int, base: Subspace) -> int:
 
 
 def is_collapse_preimage(
-    dsig: DoubledSignature,
-    n: int,
-    space: Subspace,
-    base: Subspace,
-    field,
-    max_degree: int = DEFAULT_DEGREE_CAP,
+    dsig: DoubledSignature, n: int, space: Subspace, base: Subspace, ctx=None
 ) -> bool:
     """Whether the degree-n doubled subspace is the full collapse preimage
     of n copies of the plain subspace.  The preimage is never built: the
@@ -338,7 +325,7 @@ def is_collapse_preimage(
     emphasis component."""
     return space.dim == collapse_preimage_dimension(
         n, space.ncols, base
-    ) and collapses_into(dsig, n, space.rows, base, field, max_degree)
+    ) and collapses_into(dsig, n, space.rows, base, ctx)
 
 
 class DialgebraEquivalenceReport(NamedTuple):
@@ -353,27 +340,24 @@ class DialgebraEquivalenceReport(NamedTuple):
 
 
 def verify_dialgebra_equivalence(
-    variety: VarietyPresentation,
-    n: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    variety: VarietyPresentation, n: int, ctx=None
 ) -> DialgebraEquivalenceReport:
     """Check that the dialgebra presentation's degree-n consequences equal
     the full preimage, under the collapse map, of n copies of the plain
     consequences (``is_collapse_preimage``: dimension plus containment)."""
-    base = consequences_at_degree(variety, n, field, max_degree, cache)
+    ctx = ctx or Context()
+    base = consequences_at_degree(variety, n, ctx)
     divar = bso_presentation(variety)
-    di = consequences_at_degree(divar, n, field, max_degree, cache)
+    di = consequences_at_degree(divar, n, ctx)
     return DialgebraEquivalenceReport(
         variety=variety.name,
         degree=n,
-        field=field.name,
+        field=ctx.field.name,
         ambient_dimension=di.ambient_dimension,
         ideal_dimension=di.ideal.dim,
         quotient_dimension=di.quotient_dimension,
         expected_quotient_dimension=n * base.quotient_dimension,
         equal=is_collapse_preimage(
-            divar.signature, n, di.ideal, base.ideal, field, max_degree
+            divar.signature, n, di.ideal, base.ideal, ctx
         ),
     )

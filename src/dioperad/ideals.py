@@ -14,13 +14,12 @@ import hashlib
 from fractions import Fraction
 from itertools import chain
 
+from .context import Context
 from .fields import QQ
 from .linalg import Subspace, _Reducer
 from .terms import (
-    DEFAULT_DEGREE_CAP,
     Polynomial,
     basis_layout,
-    check_degree,
     check_in_signature,
     enumerate_monomials,
     format_polynomial,
@@ -103,24 +102,25 @@ def vector_to_poly(vec: dict, basis, field, degree=None) -> Polynomial:
 class DegreeComponent:
     """One multilinear degree of a variety: ambient basis, ideal, quotient.
 
-    The basis monomials and their index are built on first use only."""
+    The basis monomials and their index are built on first use only, in
+    the memo of the context."""
 
-    __slots__ = ("signature", "degree", "max_degree", "ideal", "field")
+    __slots__ = ("signature", "degree", "ideal", "field", "ctx")
 
-    def __init__(self, signature, degree, ideal, max_degree=DEFAULT_DEGREE_CAP):
+    def __init__(self, signature, degree, ideal, ctx=None):
         self.signature = signature
         self.degree = degree
-        self.max_degree = max_degree
         self.ideal = ideal
         self.field = ideal.field
+        self.ctx = ctx or Context()
 
     @property
     def basis(self):
-        return enumerate_monomials(self.signature, self.degree, self.max_degree)
+        return enumerate_monomials(self.signature, self.degree, self.ctx)
 
     @property
     def index(self) -> dict:
-        return monomial_index(self.signature, self.degree, self.max_degree)
+        return monomial_index(self.signature, self.degree, self.ctx)
 
     @property
     def ambient_dimension(self) -> int:
@@ -163,7 +163,6 @@ def _perm_column_maps(layout):
     return maps
 
 
-_MEMO: dict = {}
 _CACHE_TAG = "consequences-v1"
 
 
@@ -224,26 +223,24 @@ def _decode_rows(field, stored, ncols):
     return rows if valid else None
 
 
-def ideal_component(
-    signature,
-    generators,
-    digest,
-    n,
-    field,
-    max_degree=DEFAULT_DEGREE_CAP,
-    cache=None,
-) -> Subspace:
+def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
     """Degree-n span of the operad ideal generated by the given multilinear
-    polynomials (already over the working field).  ``digest`` keys the memo
-    and the optional disk cache; equal digests must mean equal inputs.
+    polynomials (already over the context's field).  ``digest`` keys the
+    memo and the optional disk cache; equal digests must mean equal inputs.
     """
-    check_degree(n, max_degree)
-    key = (digest, field.name, n)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
+    ctx = ctx or Context()
+    return ctx.memo(
+        ("ideal", digest, n),
+        n,
+        lambda: _load_or_expand(signature, generators, digest, n, ctx),
+    )
 
-    layout = basis_layout(signature, n, max_degree)
+
+def _load_or_expand(signature, generators, digest, n, ctx) -> Subspace:
+    """The component read back from the disk cache, or else expanded from
+    the lower components and then written to the disk cache."""
+    field, cache = ctx.field, ctx.cache
+    layout = basis_layout(signature, n, ctx)
     ncols = layout.ncols
     ckey = f"{_CACHE_TAG}:{digest}:{field.name}:{n}"
     if cache is not None:
@@ -252,9 +249,7 @@ def ideal_component(
         # an entry that has lost whole rows is still well-formed; its
         # stored dimension gives it away
         if rows is not None and stored.get("dim") == len(rows):
-            space = Subspace(field, ncols, rows)
-            _MEMO[key] = space
-            return space
+            return Subspace(field, ncols, rows)
 
     reducer = _Reducer(field)
     queue: list[dict] = []
@@ -271,14 +266,12 @@ def ideal_component(
         m = n - arity + 1
         if m < 2 or m >= n:
             continue
-        lower = ideal_component(
-            signature, generators, digest, m, field, max_degree, cache
-        )
+        lower = ideal_component(signature, generators, digest, m, ctx)
         if not lower.dim:
             continue
         # every w o_i op, then every op o_i w, for each lower row
         colmaps = substitution_column_maps(
-            basis_layout(signature, m, max_degree), layout, op
+            basis_layout(signature, m, ctx), layout, op
         )
         for row in lower.rows:
             for colmap in colmaps:
@@ -291,7 +284,6 @@ def ideal_component(
             feed({colmap[c]: v for c, v in vec.items()})
 
     space = Subspace(field, ncols, reducer)
-    _MEMO[key] = space
     if cache is not None:
         cache.put(
             ckey, {"rows": _encode_rows(field, space.rows), "dim": space.dim}
@@ -299,43 +291,25 @@ def ideal_component(
     return space
 
 
-def consequences_at_degree(
-    variety,
-    n: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
-) -> DegreeComponent:
+def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
     """The degree-n multilinear component of the variety's defining ideal,
     inside the free-operad basis of that degree."""
-    check_degree(n, max_degree)
+    ctx = ctx or Context()
+    ctx.check_degree(n)  # before converting, so the cap error comes first
     ideal = ideal_component(
         variety.signature,
-        tuple(g.convert(field) for g in variety.generators),
+        tuple(g.convert(ctx.field) for g in variety.generators),
         variety.digest,
         n,
-        field,
-        max_degree,
-        cache,
+        ctx,
     )
-    return DegreeComponent(variety.signature, n, ideal, max_degree)
+    return DegreeComponent(variety.signature, n, ideal, ctx)
 
 
-def quotient_dimension(
-    variety, n, field=QQ, max_degree=DEFAULT_DEGREE_CAP, cache=None
-):
-    return consequences_at_degree(
-        variety, n, field, max_degree, cache
-    ).quotient_dimension
+def quotient_dimension(variety, n, ctx=None):
+    return consequences_at_degree(variety, n, ctx).quotient_dimension
 
 
-def identity_implies(
-    variety,
-    p: Polynomial,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
-) -> bool:
+def identity_implies(variety, p: Polynomial, ctx=None) -> bool:
     """Whether p vanishes in every algebra of the variety."""
-    comp = consequences_at_degree(variety, p.degree, field, max_degree, cache)
-    return comp.contains(p)
+    return consequences_at_degree(variety, p.degree, ctx).contains(p)

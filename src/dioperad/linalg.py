@@ -9,6 +9,20 @@ its own support.
 from __future__ import annotations
 
 
+def _reduce(field, pivot_rows: dict, vec: dict) -> dict:
+    """vec reduced against fully reduced rows keyed by pivot column, as a
+    fresh dict."""
+    out = dict(vec)
+    # Rows are fully reduced, so eliminating a pivot column can only
+    # introduce free columns; one pass over the original support and its
+    # fill-in suffices.
+    for col in sorted(c for c in out if c in pivot_rows):
+        coeff = out.get(col)
+        if coeff:
+            field.axpy_into(out, field.neg(coeff), pivot_rows[col])
+    return out
+
+
 class _Reducer:
     """Incremental fully-reduced row echelon form."""
 
@@ -20,24 +34,9 @@ class _Reducer:
         # column -> set of pivot columns whose rows touch it
         self._colindex: dict[int, set[int]] = {}
 
-    def reduce(self, vec: dict) -> dict:
-        """Return vec reduced against the current basis (a fresh dict)."""
-        f = self.field
-        out = dict(vec)
-        # Rows are fully reduced, so eliminating a pivot column can only
-        # introduce free columns; one pass over the original support and
-        # its fill-in suffices.
-        queue = sorted(c for c in out if c in self.pivot_rows)
-        for col in queue:
-            coeff = out.get(col)
-            if not coeff:
-                continue
-            f.axpy_into(out, f.neg(coeff), self.pivot_rows[col])
-        return out
-
     def insert(self, vec: dict) -> bool:
         """Reduce vec and extend the basis if a new pivot appears."""
-        red = self.reduce(vec)
+        red = _reduce(self.field, self.pivot_rows, vec)
         if not red:
             return False
         f = self.field
@@ -92,15 +91,7 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        f = self.field
-        out = dict(vec)
-        piv = self._pivmap
-        for col in sorted(c for c in out if c in piv):
-            coeff = out.get(col)
-            if not coeff:
-                continue
-            f.axpy_into(out, f.neg(coeff), piv[col])
-        return out
+        return _reduce(self.field, self._pivmap, vec)
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)

@@ -24,6 +24,7 @@ from .dialgebra import (
     vector_to_dipolynomial,
     zero_identities,
 )
+from .context import Context
 from .fields import QQ
 from .ideals import (
     VarietyPresentation,
@@ -34,11 +35,9 @@ from .ideals import (
 )
 from .linalg import Subspace, extend, left_kernel_basis, row_reduce
 from .terms import (
-    DEFAULT_DEGREE_CAP,
     Monomial,
     Polynomial,
     apply_permutation,
-    check_degree,
     compose,
     double_signature,
     format_polynomial,
@@ -124,7 +123,7 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-def _check_source_vanishes(mor, source, d, field, max_degree, cache):
+def _check_source_vanishes(mor, source, d, ctx):
     """Refuse a source presentation that does not match the morphism's
     signature or has an identity of degree at most d whose image is not zero
     in the target.  Identities above d generate nothing up to degree d."""
@@ -133,10 +132,8 @@ def _check_source_vanishes(mor, source, d, field, max_degree, cache):
     for gname, g in zip(source.generator_names, source.generators):
         if g.degree > d:
             continue
-        target_comp = consequences_at_degree(
-            mor.target, g.degree, field, max_degree, cache
-        )
-        img = evaluate_morphism(mor, g, field)
+        target_comp = consequences_at_degree(mor.target, g.degree, ctx)
+        img = evaluate_morphism(mor, g, ctx.field)
         if not target_comp.contains(img):
             raise ValueError(
                 f"identity {gname!r} of {source.name!r} does not vanish "
@@ -155,7 +152,7 @@ class SpecialIdentitiesReport(NamedTuple):
     basis: tuple
 
 
-def _morphism_kernel(mor, source, d, field, max_degree, cache):
+def _morphism_kernel(mor, source, d, ctx):
     """The source component at degree d, the special space S and the
     kernel ker(φ) = I ⊕ S, where I is the source ideal.  The caller must
     have run ``_check_source_vanishes``.
@@ -166,10 +163,9 @@ def _morphism_kernel(mor, source, d, field, max_degree, cache):
     ideal.  Every kernel vector is then an element of I plus its reduction
     modulo I, and that reduction lies in ker(φ) on the normal columns.  So
     S is exactly ker(φ) reduced modulo I."""
-    source_comp = consequences_at_degree(source, d, field, max_degree, cache)
-    target_comp = consequences_at_degree(
-        mor.target, d, field, max_degree, cache
-    )
+    field = ctx.field
+    source_comp = consequences_at_degree(source, d, ctx)
+    target_comp = consequences_at_degree(mor.target, d, ctx)
     pivots = set(source_comp.ideal.pivots)
     normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
     basis, index = source_comp.basis, target_comp.index
@@ -187,22 +183,17 @@ def _morphism_kernel(mor, source, d, field, max_degree, cache):
 
 
 def special_identities(
-    mor: OperadMorphism,
-    source: VarietyPresentation,
-    d: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    mor: OperadMorphism, source: VarietyPresentation, d: int, ctx=None
 ) -> SpecialIdentitiesReport:
     """Kernel identities of the morphism that are not consequences of the
     source presentation.  Every source identity must die in the target.
 
     The special basis is ker(φ) reduced modulo the source ideal, the kernel
     on the source quotient's normal monomials (see ``_morphism_kernel``)."""
-    _check_source_vanishes(mor, source, d, field, max_degree, cache)
-    source_comp, special, kernel = _morphism_kernel(
-        mor, source, d, field, max_degree, cache
-    )
+    ctx = ctx or Context()
+    field = ctx.field
+    _check_source_vanishes(mor, source, d, ctx)
+    source_comp, special, kernel = _morphism_kernel(mor, source, d, ctx)
     basis = tuple(
         vector_to_poly(r, source_comp.basis, field, d) for r in special.rows
     )
@@ -231,25 +222,22 @@ class DiSpecialIdentitiesReport(NamedTuple):
 
 
 def di_special_identities(
-    mor: OperadMorphism,
-    source: VarietyPresentation,
-    d: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    mor: OperadMorphism, source: VarietyPresentation, d: int, ctx=None
 ) -> DiSpecialIdentitiesReport:
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
     as emphasized placements of the plain special identities."""
-    _check_source_vanishes(mor, source, d, field, max_degree, cache)
+    ctx = ctx or Context()
+    field = ctx.field
+    _check_source_vanishes(mor, source, d, ctx)
     source_comp, base_special, base_kernel = _morphism_kernel(
-        mor, source, d, field, max_degree, cache
+        mor, source, d, ctx
     )
     block = source_comp.ambient_dimension
     block_kernel = Subspace(
         field, d * block, stack_copies(base_kernel.rows, d, block)
     )
-    block_ideal = di_ideal_at_degree(source, d, field, max_degree, cache)
+    block_ideal = di_ideal_at_degree(source, d, ctx)
 
     reduced = [block_ideal.reduce(r) for r in block_kernel.rows]
     special = row_reduce(field, d * block, reduced)
@@ -293,12 +281,7 @@ class BsoKernelReport(NamedTuple):
 
 
 def verify_bso_theorem(
-    mor: OperadMorphism,
-    source: VarietyPresentation,
-    d: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    mor: OperadMorphism, source: VarietyPresentation, d: int, ctx=None
 ) -> BsoKernelReport:
     """Check degree by degree that the kernel of the doubled morphism is
     generated, as an operad ideal, by the zero identities together with the
@@ -314,21 +297,21 @@ def verify_bso_theorem(
     is never built.  The comparisons start at degree 2, so d must too."""
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
+    ctx = ctx or Context()
+    field = ctx.field
     p = field.characteristic
     if p and d >= p:
         raise CharacteristicGuardError(
             f"degree {d} requires characteristic 0 or larger than {d}, "
             f"got {p}"
         )
-    check_degree(d, max_degree)
-    _check_source_vanishes(mor, source, d, field, max_degree, cache)
+    ctx.check_degree(d)
+    _check_source_vanishes(mor, source, d, ctx)
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     kernels = {}
     for m in range(2, d + 1):
-        source_comp, _, kernels[m] = _morphism_kernel(
-            mor, source, m, field, max_degree, cache
-        )
+        source_comp, _, kernels[m] = _morphism_kernel(mor, source, m, ctx)
         for r in kernels[m].rows:
             q = vector_to_poly(r, source_comp.basis, field, m)
             for k in range(1, m + 1):
@@ -337,9 +320,7 @@ def verify_bso_theorem(
 
     comparisons = []
     for m, base_kernel in kernels.items():
-        consequence = ideal_component(
-            dsig, tuple(gens), digest, m, field, max_degree, cache
-        )
+        consequence = ideal_component(dsig, tuple(gens), digest, m, ctx)
         comparisons.append(
             DegreeComparison(
                 degree=m,
@@ -349,7 +330,7 @@ def verify_bso_theorem(
                 ),
                 consequence_dimension=consequence.dim,
                 equal=is_collapse_preimage(
-                    dsig, m, consequence, base_kernel, field, max_degree
+                    dsig, m, consequence, base_kernel, ctx
                 ),
             )
         )

@@ -14,15 +14,10 @@ import itertools
 import re
 from fractions import Fraction
 
+from .context import Context
 from .fields import QQ
 
-DEFAULT_DEGREE_CAP = 8
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^-]*$")
-
-
-class DegreeCapError(RuntimeError):
-    """An enumeration would exceed the configured degree cap."""
 
 
 class Signature:
@@ -412,61 +407,32 @@ def _split_node(node, word):
     return (node[0],) + tuple(_split_node(c, word) for c in node[1:])
 
 
-_BASIS_CACHE: dict = {}
-
-
-def check_degree(n: int, max_degree: int = DEFAULT_DEGREE_CAP) -> None:
-    """Reject a degree below 1 or above the cap.  Memoised lookups call this
-    before the lookup, so a result computed under a higher cap is never
-    handed out under a lower one."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if n > max_degree:
-        raise DegreeCapError(f"degree {n} exceeds the enumeration cap {max_degree}")
-
-
-def _memo(kind, sig, n, max_degree, build):
-    check_degree(n, max_degree)
-    key = (kind, sig, n)
-    hit = _BASIS_CACHE.get(key)
-    if hit is None:
-        hit = _BASIS_CACHE[key] = build()
-    return hit
-
-
-def basis_layout(
-    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> BasisLayout:
+def basis_layout(sig: Signature, n: int, ctx=None) -> BasisLayout:
     """The skeleton-by-word layout of the degree-n multilinear basis."""
-    return _memo("layout", sig, n, max_degree, lambda: BasisLayout(sig, n))
+    return (ctx or Context()).memo(
+        ("layout", sig, n), n, lambda: BasisLayout(sig, n)
+    )
 
 
-def enumerate_monomials(
-    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
-):
+def enumerate_monomials(sig: Signature, n: int, ctx=None):
     """All multilinear monomials of degree n, in canonical order."""
-    layout = basis_layout(sig, n, max_degree)
-    return _memo(
-        "basis",
-        sig,
+    ctx = ctx or Context()
+    layout = basis_layout(sig, n, ctx)
+    return ctx.memo(
+        ("basis", sig, n),
         n,
-        max_degree,
         lambda: tuple(Monomial(layout.node(c)) for c in range(layout.ncols)),
     )
 
 
-def monomial_index(
-    sig: Signature, n: int, max_degree: int = DEFAULT_DEGREE_CAP
-) -> dict:
+def monomial_index(sig: Signature, n: int, ctx=None) -> dict:
     """Map raw tree nodes of the degree-n basis to their column positions."""
-    return _memo(
-        "index",
-        sig,
+    ctx = ctx or Context()
+    return ctx.memo(
+        ("index", sig, n),
         n,
-        max_degree,
         lambda: {
-            m.node: i
-            for i, m in enumerate(enumerate_monomials(sig, n, max_degree))
+            m.node: i for i, m in enumerate(enumerate_monomials(sig, n, ctx))
         },
     )
 

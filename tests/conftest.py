@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from dioperad import ideals, morphisms
+from dioperad import morphisms
 from dioperad.linalg import Subspace
 
 _verdicts: list = []
@@ -29,7 +29,7 @@ def pytest_terminal_summary(terminalreporter) -> None:
 def drop_last_kernel_row(monkeypatch):
     """Call with a degree to make the kernel routine
     ``morphisms._morphism_kernel`` lose the last basis row of the kernel at
-    that degree, on a fresh ideal memo."""
+    that degree."""
     full = morphisms._morphism_kernel
 
     def drop(degree):
@@ -40,6 +40,5 @@ def drop_last_kernel_row(monkeypatch):
             return comp, special, kernel
 
         monkeypatch.setattr(morphisms, "_morphism_kernel", patched)
-        monkeypatch.setattr(ideals, "_MEMO", {})
 
     return drop

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import itertools
 
+from dioperad.context import Context
 from dioperad.dialgebra import DiPolynomial, superscript_poly, unsuperscript
-from dioperad.fields import QQ
 from dioperad.ideals import consequences_at_degree, poly_to_vector
 from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
 from dioperad.morphisms import OperadMorphism, evaluate_morphism
 from dioperad.terms import (
-    DEFAULT_DEGREE_CAP,
     DoubledSignature,
     Monomial,
     Polynomial,
@@ -124,16 +123,14 @@ def tree_ideal_component(sig: Signature, generators, n: int, field):
 
 
 def morphism_kernel_at_degree(
-    mor: OperadMorphism,
-    d: int,
-    field=QQ,
-    max_degree: int = DEFAULT_DEGREE_CAP,
-    cache=None,
+    mor: OperadMorphism, d: int, ctx=None
 ) -> Subspace:
     """The full-column kernel: source combinations of every degree-d basis
     monomial whose images die in the target quotient."""
-    basis = enumerate_monomials(mor.source_signature, d, max_degree)
-    target = consequences_at_degree(mor.target, d, field, max_degree, cache)
+    ctx = ctx or Context()
+    field = ctx.field
+    basis = enumerate_monomials(mor.source_signature, d, ctx)
+    target = consequences_at_degree(mor.target, d, ctx)
     rows = []
     for m in basis:
         vec = poly_to_vector(evaluate_morphism(mor, m, field), target.index)
@@ -143,20 +140,18 @@ def morphism_kernel_at_degree(
 
 
 def zeta_preimage(
-    dsig: DoubledSignature,
-    n: int,
-    space: Subspace,
-    field,
-    max_degree: int = DEFAULT_DEGREE_CAP,
+    dsig: DoubledSignature, n: int, space: Subspace, ctx=None
 ) -> Subspace:
     """The collapse kernel: doubled elements whose collapse image lies in
     the given subspace of n stacked copies of the plain space, computed as
-    the kernel of collapse followed by reduction modulo the subspace."""
-    base_index = monomial_index(dsig.base, n, max_degree)
+    the kernel of collapse followed by reduction modulo the subspace, over
+    the subspace's field."""
+    field = space.field
+    base_index = monomial_index(dsig.base, n, ctx)
     block = len(base_index)
     assert space.ncols == n * block
     rows = []
-    for m in enumerate_monomials(dsig, n, max_degree):
+    for m in enumerate_monomials(dsig, n, ctx):
         plain, leaf = unsuperscript(m)
         col = (leaf - 1) * block + base_index[plain.node]
         rows.append(space.reduce({col: field.one}))

@@ -16,7 +16,7 @@ import time
 import conftest
 import pytest
 
-from dioperad import catalog
+from dioperad import Context, catalog
 from dioperad.dialgebra import (
     DiPolynomial,
     bso_presentation,
@@ -90,11 +90,12 @@ def test_criterion_1_dimension_ladder():
     start = time.monotonic()
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for n in range(2, 6):
-            ok &= quotient_dimension(ASSOC, n, field) == math.factorial(n)
-            ok &= quotient_dimension(LIE, n, field) == math.factorial(n - 1)
+            ok &= quotient_dimension(ASSOC, n, ctx) == math.factorial(n)
+            ok &= quotient_dimension(LIE, n, ctx) == math.factorial(n - 1)
         for n in range(2, 5):
-            ok &= quotient_dimension(PERM, n, field) == n
+            ok &= quotient_dimension(PERM, n, ctx) == n
     elapsed = time.monotonic() - start
     ok &= elapsed < 120
     announce(
@@ -128,10 +129,11 @@ def test_criterion_2_bso_of_associativity_is_diassociative():
     )
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for ax in axioms:
-            ok &= identity_implies(divar, ax, field)
+            ok &= identity_implies(divar, ax, ctx)
         for g in divar.generators:
-            ok &= identity_implies(five, g, field)
+            ok &= identity_implies(five, g, ctx)
     announce(
         2,
         ok,
@@ -152,12 +154,13 @@ def test_criterion_3_bso_of_lie_is_leibniz():
     )
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for n in (2, 3, 4):
             ok &= (
-                quotient_dimension(dilie, n, field)
+                quotient_dimension(dilie, n, ctx)
                 == n * math.factorial(n - 1)
             )
-        ok &= identity_implies(dilie, left_leibniz, field)
+        ok &= identity_implies(dilie, left_leibniz, ctx)
     announce(
         3,
         ok,
@@ -173,7 +176,8 @@ def test_criterion_3_stretch_leibniz_degree_five():
     start = time.monotonic()
     ok = True
     for field in FIELDS:
-        ok &= quotient_dimension(dilie, 5, field) == 120
+        ctx = Context(field)
+        ok &= quotient_dimension(dilie, 5, ctx) == 120
     elapsed = time.monotonic() - start
     ok &= elapsed < 600
     announce(
@@ -188,12 +192,15 @@ def test_criterion_4_equivalence_theorem():
     cases = [(ASSOC, 3), (ASSOC, 4), (LIE, 3), (LIE, 4), (JORDAN, 3), (JORDAN, 4), (JTS, 3)]
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for variety, n in cases:
-            rep = verify_dialgebra_equivalence(variety, n, field)
+            rep = verify_dialgebra_equivalence(variety, n, ctx)
             ok &= rep.equal
             ok &= rep.quotient_dimension == rep.expected_quotient_dimension
     start = time.monotonic()
-    big = [verify_dialgebra_equivalence(JTS, 5, field) for field in FIELDS]
+    big = [
+        verify_dialgebra_equivalence(JTS, 5, Context(field)) for field in FIELDS
+    ]
     elapsed = time.monotonic() - start
     ok &= all(rep.equal and rep.ambient_dimension == 3240 for rep in big)
     ok &= elapsed < 300
@@ -209,15 +216,16 @@ def test_criterion_4_equivalence_theorem():
 def test_criterion_5_speciality_baselines():
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for name, source in (("lie-to-assoc", LIE), ("jordan-to-assoc", JORDAN)):
             mor = catalog.morphism(name).morphism
             for d in range(2, 6):
                 ok &= (
-                    special_identities(mor, source, d, field).special_dimension
+                    special_identities(mor, source, d, ctx).special_dimension
                     == 0
                 )
         entry = catalog.morphism("free-to-com-assoc")
-        rep = special_identities(entry.morphism, FREE, 2, field)
+        rep = special_identities(entry.morphism, FREE, 2, ctx)
         comm = poly({("mul", 1, 2): 1, ("mul", 2, 1): -1}).convert(field)
         ok &= rep.basis == (comm,)
     announce(
@@ -233,10 +241,11 @@ def test_criterion_6_main_theorem():
     ok = True
     slow = []
     for field in FIELDS:
+        ctx = Context(field)
         for name, d in MAIN_THEOREM_CASES:
             entry = catalog.morphism(name)
             start = time.monotonic()
-            rep = verify_bso_theorem(entry.morphism, entry.source, d, field)
+            rep = verify_bso_theorem(entry.morphism, entry.source, d, ctx)
             elapsed = time.monotonic() - start
             ok &= rep.verdict
             if d == 4:
@@ -257,7 +266,7 @@ def test_criterion_6_stretch_jts_degree_five():
     entry = catalog.morphism("jts-to-assoc")
     start = time.monotonic()
     ok = all(
-        verify_bso_theorem(entry.morphism, entry.source, 5, field).verdict
+        verify_bso_theorem(entry.morphism, entry.source, 5, Context(field)).verdict
         for field in FIELDS
     )
     elapsed = time.monotonic() - start
@@ -272,12 +281,11 @@ def test_criterion_6_stretch_jts_degree_five():
 def test_criterion_7_lift_match():
     ok = True
     for field in FIELDS:
+        ctx = Context(field)
         for name, d in MAIN_THEOREM_CASES:
             entry = catalog.morphism(name)
-            base = special_identities(
-                entry.morphism, entry.source, d, field
-            )
-            rep = di_special_identities(entry.morphism, entry.source, d, field)
+            base = special_identities(entry.morphism, entry.source, d, ctx)
+            rep = di_special_identities(entry.morphism, entry.source, d, ctx)
             ok &= rep.matches_lifted
             ok &= rep.special_dimension == d * base.special_dimension
     announce(
@@ -404,18 +412,20 @@ def test_criterion_9_characteristic_guard():
     entry = catalog.morphism("lie-to-assoc")
     for p, d in ((3, 3), (5, 5), (5, 6)):
         try:
-            verify_bso_theorem(entry.morphism, entry.source, d, PrimeField(p))
+            verify_bso_theorem(
+                entry.morphism, entry.source, d, Context(PrimeField(p))
+            )
             ok = False
         except CharacteristicGuardError:
             pass
     for p in (5, 7):
-        field = PrimeField(p)
+        ctx, qq = Context(PrimeField(p)), Context(QQ)
         for name, d in MAIN_THEOREM_CASES:
             if d >= p:
                 continue
             entry = catalog.morphism(name)
-            a = verify_bso_theorem(entry.morphism, entry.source, d, field)
-            b = verify_bso_theorem(entry.morphism, entry.source, d, QQ)
+            a = verify_bso_theorem(entry.morphism, entry.source, d, ctx)
+            b = verify_bso_theorem(entry.morphism, entry.source, d, qq)
             ok &= a.verdict and b.verdict
             ok &= [
                 (c.kernel_dimension, c.consequence_dimension)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -331,9 +332,7 @@ def test_verify_bso_comparisons(capsys):
     ]
 
 
-def test_reports_byte_identical_and_cache_transparent(capsys, monkeypatch):
-    from dioperad import ideals
-
+def test_reports_byte_identical_and_cache_transparent(capsys):
     for argv in (
         ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"],
         ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
@@ -341,9 +340,8 @@ def test_reports_byte_identical_and_cache_transparent(capsys, monkeypatch):
     ):
         runs = []
         for extra in ([], [], ["--no-cache"]):
-            # an empty in-process memo makes the warm run read back what
+            # each run has its own memos, so the warm run reads back what
             # the cold run wrote to the disk cache
-            monkeypatch.setattr(ideals, "_MEMO", {})
             runs.append(run(capsys, *argv, *extra))
         first, warm, uncached = runs
         assert first == warm == uncached
@@ -394,7 +392,7 @@ def _corrupt(rows, case):
         "dropped row",
     ],
 )
-def test_corrupt_cache_entry_is_recomputed(capsys, monkeypatch, tmp_path, case):
+def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, case):
     from dioperad import catalog, ideals
     from dioperad.cache import DiskCache
 
@@ -407,7 +405,6 @@ def test_corrupt_cache_entry_is_recomputed(capsys, monkeypatch, tmp_path, case):
         "--field",
         "q",
     ]
-    monkeypatch.setattr(ideals, "_MEMO", {})
     first = run(capsys, *argv)
     assert first[0] == 0
 
@@ -422,10 +419,80 @@ def test_corrupt_cache_entry_is_recomputed(capsys, monkeypatch, tmp_path, case):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entry, fh)
 
-    monkeypatch.setattr(ideals, "_MEMO", {})
     assert run(capsys, *argv) == first
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == good
+
+
+def _cache_files(root):
+    return sorted(p.name for p in root.rglob("*.json"))
+
+
+def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
+    argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
+    written = []
+    for name in ("first", "second"):
+        monkeypatch.setenv("CACHE_DIR", str(tmp_path / name))
+        assert run(capsys, *argv)[0] == 0
+        written.append(_cache_files(tmp_path / name))
+    # the components of degrees 2, 3 and 4
+    assert len(written[0]) == 3
+    assert written[1] == written[0]
+
+
+def _module_containers():
+    """Size of every dict, list and set bound at module level in the
+    package."""
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items())
+        if name == "dioperad" or name.startswith("dioperad.")
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_a_run_leaves_no_module_state_behind(capsys):
+    # a field no other test uses, so any module memo would have to grow
+    argv = ["verify-di", "--variety", "builtin:lie", "--degree", "3",
+            "--field", "p:1000033", "--no-cache"]
+    before = _module_containers()
+    assert run(capsys, *argv)[0] == 0
+    assert _module_containers() == before
+
+
+@pytest.mark.parametrize("tag", ["p:1000000000000000003", "p:2305843009213693951"])
+def test_large_primes_are_accepted_at_once(tag):
+    from dioperad.fields import parse_field
+
+    start = time.monotonic()
+    assert parse_field(tag).name == tag
+    assert time.monotonic() - start < 1
+
+
+def test_large_prime_field_runs(capsys):
+    code, report = run_json(
+        capsys, "dim", "--variety", "builtin:assoc", "--degree", "3",
+        "--field", "p:1000000000000000003",
+    )
+    assert code == 0
+    assert report["dims"] == {"ambient": 12, "ideal": 6, "quotient": 6}
+
+
+@pytest.mark.parametrize(
+    "tag, message",
+    [
+        ("p:1000000000000000001", "1000000000000000001 is not prime"),
+        ("p:561", "561 is not prime"),
+        ("p:3317044064679887385961981", "too large"),
+    ],
+)
+def test_bad_prime_tags_exit_2(capsys, tag, message):
+    argv = ["dim", "--variety", "builtin:assoc", "--degree", "3"]
+    assert main([*argv, "--field", tag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_timings_only_on_request(capsys):

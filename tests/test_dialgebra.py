@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from dioperad import catalog, dialgebra
+from dioperad import Context, catalog, dialgebra
 from dioperad.dialgebra import (
     DiPolynomial,
     EmphasizedMonomial,
@@ -155,11 +155,11 @@ def test_zero_identities_collapse_to_nothing():
             assert DiPolynomial.from_doubled(p).is_zero
 
 
-def emphasis_kernel_rows(dsig, n: int, field):
+def emphasis_kernel_rows(dsig, n: int, field, ctx=None):
     """Differences between each doubled monomial and the lift of its
     emphasized image: a basis of the kernel of the collapse map."""
-    basis = enumerate_monomials(dsig, n)
-    index = monomial_index(dsig, n)
+    basis = enumerate_monomials(dsig, n, ctx)
+    index = monomial_index(dsig, n, ctx)
     rows = []
     for i, m in enumerate(basis):
         plain, leaf = unsuperscript(m)
@@ -237,8 +237,9 @@ def test_left_leibniz_identity_holds_in_dialgebra_counterpart_of_lie():
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
 @pytest.mark.parametrize("variety", [FREE, LIE, ASSOC])
 def test_equivalence_report_small_degrees(field, variety):
+    ctx = Context(field)
     for n in (2, 3):
-        rep = verify_dialgebra_equivalence(variety, n, field)
+        rep = verify_dialgebra_equivalence(variety, n, ctx)
         assert rep.equal
         assert rep.quotient_dimension == rep.expected_quotient_dimension
 
@@ -287,7 +288,7 @@ def test_zeta_preimage_matches_kernel_plus_lifts():
         dsig = double_signature(variety.signature)
         comp = consequences_at_degree(variety, 3)
         block = di_ideal_at_degree(variety, 3)
-        via_kernel = zeta_preimage(dsig, 3, block, QQ)
+        via_kernel = zeta_preimage(dsig, 3, block)
 
         dindex = monomial_index(dsig, 3)
         rows = emphasis_kernel_rows(dsig, 3, QQ)
@@ -299,14 +300,14 @@ def test_zeta_preimage_matches_kernel_plus_lifts():
         assert via_kernel == via_lifts
 
 
-def _verdict_via_preimage(variety, n, field):
+def _verdict_via_preimage(variety, n, ctx):
     """The equivalence verdict the long way: build the whole collapse
     preimage and compare.  Looks ``bso_presentation`` up at call time so a
     patched presentation is seen here too."""
     divar = dialgebra.bso_presentation(variety)
-    di = consequences_at_degree(divar, n, field)
-    block = di_ideal_at_degree(variety, n, field)
-    return di.ideal == zeta_preimage(divar.signature, n, block, field)
+    di = consequences_at_degree(divar, n, ctx)
+    block = di_ideal_at_degree(variety, n, ctx)
+    return di.ideal == zeta_preimage(divar.signature, n, block, ctx)
 
 
 FIELDS = [QQ, PrimeField(1000003)]
@@ -316,9 +317,10 @@ FIELDS = [QQ, PrimeField(1000003)]
 @pytest.mark.parametrize("name", ["free-binary", "lie", "assoc", "jts"])
 def test_equivalence_verdict_matches_preimage_oracle(name, field):
     variety = catalog.presentation(name)
+    ctx = Context(field)
     for n in (3, 4):
-        rep = verify_dialgebra_equivalence(variety, n, field)
-        assert rep.equal is _verdict_via_preimage(variety, n, field) is True
+        rep = verify_dialgebra_equivalence(variety, n, ctx)
+        assert rep.equal is _verdict_via_preimage(variety, n, ctx) is True
 
 
 def _drop_first_zero_identity(variety):
@@ -349,9 +351,10 @@ def _misplace_first_zero_identity(variety):
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
 def test_equivalence_fails_on_the_dimension(monkeypatch, field):
     monkeypatch.setattr(dialgebra, "bso_presentation", _drop_first_zero_identity)
-    rep = verify_dialgebra_equivalence(ASSOC, 4, field)
+    ctx = Context(field)
+    rep = verify_dialgebra_equivalence(ASSOC, 4, ctx)
     assert rep.ideal_dimension < 864
-    assert rep.equal is _verdict_via_preimage(ASSOC, 4, field) is False
+    assert rep.equal is _verdict_via_preimage(ASSOC, 4, ctx) is False
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
@@ -359,37 +362,39 @@ def test_equivalence_fails_on_containment(monkeypatch, field):
     monkeypatch.setattr(
         dialgebra, "bso_presentation", _misplace_first_zero_identity
     )
+    ctx = Context(field)
     for n, preimage_dim in ((3, 30), (4, 864)):
-        rep = verify_dialgebra_equivalence(ASSOC, n, field)
+        rep = verify_dialgebra_equivalence(ASSOC, n, ctx)
         # the dimension matches the preimage, so only containment can fail
         assert rep.ideal_dimension == preimage_dim
-        assert rep.equal is _verdict_via_preimage(ASSOC, n, field) is False
+        assert rep.equal is _verdict_via_preimage(ASSOC, n, ctx) is False
 
 
 def test_collapses_into_rejects_a_row_outside_the_preimage():
     dsig = double_signature(ASSOC.signature)
     base = consequences_at_degree(ASSOC, 3).ideal
-    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3), QQ)
-    assert collapses_into(dsig, 3, preimage.rows, base, QQ)
+    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3))
+    assert collapses_into(dsig, 3, preimage.rows, base)
     outside = next(
         {c: QQ.one}
         for c in range(preimage.ncols)
         if not preimage.contains({c: QQ.one})
     )
-    assert not collapses_into(dsig, 3, [outside], base, QQ)
-    assert not collapses_into(dsig, 3, list(preimage.rows) + [outside], base, QQ)
+    assert not collapses_into(dsig, 3, [outside], base)
+    assert not collapses_into(dsig, 3, list(preimage.rows) + [outside], base)
     with pytest.raises(ValueError, match="columns"):
-        collapses_into(dsig, 3, [], consequences_at_degree(ASSOC, 2).ideal, QQ)
+        collapses_into(dsig, 3, [], consequences_at_degree(ASSOC, 2).ideal)
     with pytest.raises(ValueError, match="columns"):
-        collapses_into(dsig, 3, [], di_ideal_at_degree(ASSOC, 3), QQ)
+        collapses_into(dsig, 3, [], di_ideal_at_degree(ASSOC, 3))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
 def test_is_collapse_preimage_fails_on_each_condition(field):
     dsig = double_signature(ASSOC.signature)
-    base = consequences_at_degree(ASSOC, 3, field).ideal
-    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3, field), field)
-    assert is_collapse_preimage(dsig, 3, preimage, base, field)
+    ctx = Context(field)
+    base = consequences_at_degree(ASSOC, 3, ctx).ideal
+    preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3, ctx), ctx)
+    assert is_collapse_preimage(dsig, 3, preimage, base, ctx)
 
     outside = next(
         {c: field.one}
@@ -399,23 +404,24 @@ def test_is_collapse_preimage_fails_on_each_condition(field):
     swapped = row_reduce(field, preimage.ncols, preimage.rows[:-1] + (outside,))
     # right dimension, so only containment can fail
     assert swapped.dim == preimage.dim
-    assert not collapses_into(dsig, 3, swapped.rows, base, field)
-    assert not is_collapse_preimage(dsig, 3, swapped, base, field)
+    assert not collapses_into(dsig, 3, swapped.rows, base, ctx)
+    assert not is_collapse_preimage(dsig, 3, swapped, base, ctx)
 
     # every row collapses into the base, so only the dimension can fail
     short = Subspace(field, preimage.ncols, preimage.rows[:-1])
-    assert collapses_into(dsig, 3, short.rows, base, field)
-    assert not is_collapse_preimage(dsig, 3, short, base, field)
+    assert collapses_into(dsig, 3, short.rows, base, ctx)
+    assert not is_collapse_preimage(dsig, 3, short, base, ctx)
 
 
-def _stacked_kernel(mor, m, field):
+def _stacked_kernel(mor, m, ctx):
     """The doubled kernel built the long way: collapse-kernel rows plus
     every emphasized lift of the plain kernel, row-reduced."""
+    field = ctx.field
     dsig = double_signature(mor.source_signature)
-    dindex = monomial_index(dsig, m)
-    rows = emphasis_kernel_rows(dsig, m, field)
-    kernel = morphism_kernel_at_degree(mor, m, field)
-    src_basis = enumerate_monomials(mor.source_signature, m)
+    dindex = monomial_index(dsig, m, ctx)
+    rows = emphasis_kernel_rows(dsig, m, field, ctx)
+    kernel = morphism_kernel_at_degree(mor, m, ctx)
+    src_basis = enumerate_monomials(mor.source_signature, m, ctx)
     for r in kernel.rows:
         p = vector_to_poly(r, src_basis, field, m)
         for k in range(1, m + 1):
@@ -423,19 +429,20 @@ def _stacked_kernel(mor, m, field):
     return row_reduce(field, len(dindex), rows), kernel
 
 
-def _bso_consequence(mor, m, field):
+def _bso_consequence(mor, m, ctx):
     """The degree-m ideal that ``verify_bso_theorem`` compares, rebuilt from
     its generators: the zero identities and the lifts of the plain kernels
     up to degree m."""
+    field = ctx.field
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     for j in range(2, m + 1):
-        basis = enumerate_monomials(mor.source_signature, j)
-        for r in morphism_kernel_at_degree(mor, j, field).rows:
+        basis = enumerate_monomials(mor.source_signature, j, ctx)
+        for r in morphism_kernel_at_degree(mor, j, ctx).rows:
             q = vector_to_poly(r, basis, field, j)
             gens.extend(superscript_poly(q, k) for k in range(1, j + 1))
     digest = f"bso-oracle:{mor.digest}"
-    return ideal_component(dsig, tuple(gens), digest, m, field)
+    return ideal_component(dsig, tuple(gens), digest, m, ctx)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
@@ -444,10 +451,11 @@ def test_verify_bso_matches_stacked_kernel_oracle(name, field):
     entry = catalog.morphism(name)
     mor = entry.morphism
     dsig = double_signature(mor.source_signature)
-    rep = verify_bso_theorem(mor, entry.source, 4, field)
+    ctx = Context(field)
+    rep = verify_bso_theorem(mor, entry.source, 4, ctx)
     assert [c.degree for c in rep.comparisons] == [2, 3, 4]
     for c in rep.comparisons:
-        stacked, kernel = _stacked_kernel(mor, c.degree, field)
+        stacked, kernel = _stacked_kernel(mor, c.degree, ctx)
         block = Subspace(
             field,
             c.degree * kernel.ncols,
@@ -457,8 +465,8 @@ def test_verify_bso_matches_stacked_kernel_oracle(name, field):
                 for r in kernel.rows
             ],
         )
-        assert stacked == zeta_preimage(dsig, c.degree, block, field)
-        consequence = _bso_consequence(mor, c.degree, field)
+        assert stacked == zeta_preimage(dsig, c.degree, block, ctx)
+        consequence = _bso_consequence(mor, c.degree, ctx)
         assert c.ambient_dimension == stacked.ncols
         assert c.kernel_dimension == stacked.dim
         assert c.consequence_dimension == consequence.dim

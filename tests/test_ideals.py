@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from dioperad import ideals
+from dioperad import Context, ideals
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
@@ -124,24 +124,27 @@ def _compositions(total, parts):
      (COM_ASSOC, 3), (COM_ASSOC, 4)],
 )
 def test_layer_engine_matches_naive_spanning_set(variety, n, field):
-    fast = consequences_at_degree(variety, n, field).ideal
+    fast = consequences_at_degree(variety, n, Context(field)).ideal
     slow = naive_component(variety, n, field)
     assert fast == slow
 
 
 def test_associative_quotient_dimensions_are_factorials():
+    ctx = Context()
     for n in range(2, 6):
-        assert quotient_dimension(ASSOC, n) == _factorial(n)
+        assert quotient_dimension(ASSOC, n, ctx) == _factorial(n)
 
 
 def test_lie_quotient_dimensions():
+    ctx = Context()
     for n in range(2, 6):
-        assert quotient_dimension(LIE, n) == _factorial(n - 1)
+        assert quotient_dimension(LIE, n, ctx) == _factorial(n - 1)
 
 
 def test_commutative_associative_quotient_dimensions():
+    ctx = Context()
     for n in range(2, 6):
-        assert quotient_dimension(COM_ASSOC, n) == 1
+        assert quotient_dimension(COM_ASSOC, n, ctx) == 1
 
 
 def _factorial(n):
@@ -195,11 +198,11 @@ def test_jacobi_consequence_with_rational_coefficients():
 
 
 def test_prime_field_dimensions_match_rational_ones():
-    f = PrimeField(1000003)
+    fp, qq = Context(PrimeField(1000003)), Context()
     for n in range(2, 5):
         assert (
-            consequences_at_degree(LIE, n, f).quotient_dimension
-            == consequences_at_degree(LIE, n).quotient_dimension
+            consequences_at_degree(LIE, n, fp).quotient_dimension
+            == consequences_at_degree(LIE, n, qq).quotient_dimension
         )
 
 
@@ -268,7 +271,7 @@ def _corrupted(field, rows, case):
     ],
 )
 def test_decode_rows_rejects_each_malformed_entry(field, case):
-    space = consequences_at_degree(ASSOC, 3, field).ideal
+    space = consequences_at_degree(ASSOC, 3, Context(field)).ideal
     stored = ideals._encode_rows(field, space.rows)
     assert ideals._decode_rows(field, {"rows": stored}, 12) == list(space.rows)
     bad = {"rows": _corrupted(field, stored, case)}

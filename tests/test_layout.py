@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from dioperad import catalog, ideals, terms
+from dioperad import Context, catalog, terms
 from dioperad.cli import main, resolve_variety
 from dioperad.dialgebra import _collapse_columns, unsuperscript
 from dioperad.fields import QQ, PrimeField
@@ -37,6 +37,8 @@ PLAIN = sorted(
 SIGNATURES = PLAIN + [double_signature(sig) for sig in PLAIN]
 # mixed arities interleave skeletons of different shapes in canonical order
 MIXED = Signature([("mul", 2), ("t", 3)])
+# one memo for the whole module: the tests below check the same bases
+BASES = Context()
 
 
 def _cases(doubled=False):
@@ -50,15 +52,15 @@ def _cases(doubled=False):
 
 @pytest.mark.parametrize("sig, n", _cases())
 def test_enumeration_matches_the_sorted_oracle(sig, n):
-    basis = enumerate_monomials(sig, n)
+    basis = enumerate_monomials(sig, n, BASES)
     assert list(basis) == sorted_monomials(sig, n)
-    assert basis_layout(sig, n).ncols == len(basis)
+    assert basis_layout(sig, n, BASES).ncols == len(basis)
 
 
 @pytest.mark.parametrize("sig, n", _cases())
 def test_layout_columns_are_basis_positions(sig, n):
-    layout = basis_layout(sig, n)
-    basis = enumerate_monomials(sig, n)
+    layout = basis_layout(sig, n, BASES)
+    basis = enumerate_monomials(sig, n, BASES)
     assert [layout[m.node] for m in basis] == list(range(len(basis)))
     assert [layout.node(c) for c in range(layout.ncols)] == [m.node for m in basis]
     with pytest.raises(KeyError):
@@ -67,9 +69,9 @@ def test_layout_columns_are_basis_positions(sig, n):
 
 @pytest.mark.parametrize("sig, n", _cases())
 def test_relabel_maps_match_relabel_node(sig, n):
-    basis = enumerate_monomials(sig, n)
-    index = monomial_index(sig, n)
-    maps = _perm_column_maps(basis_layout(sig, n))
+    basis = enumerate_monomials(sig, n, BASES)
+    index = monomial_index(sig, n, BASES)
+    maps = _perm_column_maps(basis_layout(sig, n, BASES))
     perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
@@ -81,14 +83,14 @@ def test_relabel_maps_match_relabel_node(sig, n):
 
 @pytest.mark.parametrize("sig, n", _cases())
 def test_substitution_maps_match_substitute_at(sig, n):
-    upper_index = monomial_index(sig, n)
+    upper_index = monomial_index(sig, n, BASES)
     for op, arity in sig.operations:
         m = n - arity + 1
         if m < 1:
             continue
-        lower = enumerate_monomials(sig, m)
+        lower = enumerate_monomials(sig, m, BASES)
         maps = substitution_column_maps(
-            basis_layout(sig, m), basis_layout(sig, n), op
+            basis_layout(sig, m, BASES), basis_layout(sig, n, BASES), op
         )
         assert len(maps) == m + arity
         corolla = Monomial((op,) + tuple(range(1, arity + 1)))
@@ -109,14 +111,14 @@ def _column(p: Polynomial, index) -> int:
 
 @pytest.mark.parametrize("sig, n", _cases(doubled=True))
 def test_collapse_columns_match_unsuperscript(sig, n):
-    block = len(enumerate_monomials(sig.base, n))
-    base_index = monomial_index(sig.base, n)
+    block = len(enumerate_monomials(sig.base, n, BASES))
+    base_index = monomial_index(sig.base, n, BASES)
     expected = []
-    for m in enumerate_monomials(sig, n):
+    for m in enumerate_monomials(sig, n, BASES):
         plain, leaf = unsuperscript(m)
         expected.append((leaf - 1) * block + base_index[plain.node])
     base = Subspace(QQ, block, [])
-    assert _collapse_columns(sig, n, base, terms.DEFAULT_DEGREE_CAP) == expected
+    assert _collapse_columns(sig, n, base, BASES) == expected
 
 
 def _variety_cases():
@@ -129,11 +131,12 @@ def _variety_cases():
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
 @pytest.mark.parametrize("spec, n", _variety_cases())
-def test_ideal_rows_match_the_tree_construction(monkeypatch, spec, n, field):
+def test_ideal_rows_match_the_tree_construction(spec, n, field):
     variety = resolve_variety(spec)
     gens = tuple(g.convert(field) for g in variety.generators)
-    monkeypatch.setattr(ideals, "_MEMO", {})
-    space = ideal_component(variety.signature, gens, variety.digest, n, field)
+    space = ideal_component(
+        variety.signature, gens, variety.digest, n, Context(field)
+    )
     oracle = tree_ideal_component(variety.signature, gens, n, field)
     assert space == oracle
     # the same vectors reached the reducer in the same order, so even the
@@ -144,16 +147,13 @@ def test_ideal_rows_match_the_tree_construction(monkeypatch, spec, n, field):
 
 
 def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dim built a monomial")
+
     monkeypatch.setenv("CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(terms, "_BASIS_CACHE", {})
+    resolve_variety("builtin:assoc")  # parse the catalog before the patch
+    monkeypatch.setattr(terms.Monomial, "__init__", refuse)
     for _ in ("cold", "warm"):
-        monkeypatch.setattr(ideals, "_MEMO", {})
         argv = ["dim", "--variety", "builtin:assoc", "--degree", "4", "--json"]
         assert main(argv) == 0
         assert '"quotient": 24' in capsys.readouterr().out
-        kinds = {key[0] for key in terms._BASIS_CACHE}
-        assert kinds == {"layout"}
-        assert not any(
-            isinstance(v, tuple) and any(isinstance(m, Monomial) for m in v)
-            for v in terms._BASIS_CACHE.values()
-        )

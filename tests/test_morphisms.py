@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from dioperad import catalog, morphisms
+from dioperad import Context, catalog, morphisms
 from dioperad.dialgebra import DiPolynomial, unsuperscript
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
@@ -25,9 +25,8 @@ from dioperad.morphisms import (
     special_identities,
     verify_bso_theorem,
 )
+from dioperad.context import DegreeCapError
 from dioperad.terms import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapError,
     Monomial,
     Polynomial,
     Signature,
@@ -308,7 +307,7 @@ def test_verify_bso_theorem_small_degrees():
 
 
 def test_verify_bso_theorem_prime_field_agreement():
-    a = verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(1000003))
+    a = verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, Context(PrimeField(1000003)))
     b = verify_bso_theorem(LIE_TO_ASSOC, LIE, 3)
     assert a.verdict and b.verdict
     assert [(c.kernel_dimension, c.consequence_dimension) for c in a.comparisons] == [
@@ -321,7 +320,7 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
     drop_last_kernel_row, field
 ):
     drop_last_kernel_row(4)
-    rep = verify_bso_theorem(LIE_TO_ASSOC, LIE, 4, field)
+    rep = verify_bso_theorem(LIE_TO_ASSOC, LIE, 4, Context(field))
     assert not rep.verdict
     assert [c.equal for c in rep.comparisons] == [True, True, False]
     last = rep.comparisons[-1]
@@ -337,21 +336,23 @@ def test_verify_bso_theorem_needs_degree_2():
 
 def test_source_identities_above_the_degree_are_not_evaluated():
     # the degree-4 Jordan identity lies above the cap of 3 and is skipped
+    capped = Context(QQ, 3)
     for d in (2, 3):
-        capped = special_identities(JORDAN_TO_ASSOC, JORDAN, d, QQ, 3)
-        assert capped == special_identities(JORDAN_TO_ASSOC, JORDAN, d)
-    assert verify_bso_theorem(JORDAN_TO_ASSOC, JORDAN, 3, QQ, 3).verdict
+        assert special_identities(
+            JORDAN_TO_ASSOC, JORDAN, d, capped
+        ) == special_identities(JORDAN_TO_ASSOC, JORDAN, d)
+    assert verify_bso_theorem(JORDAN_TO_ASSOC, JORDAN, 3, capped).verdict
     with pytest.raises(DegreeCapError):
-        special_identities(JORDAN_TO_ASSOC, JORDAN, 4, QQ, 3)
+        special_identities(JORDAN_TO_ASSOC, JORDAN, 4, capped)
 
 
 def test_characteristic_guard():
     with pytest.raises(CharacteristicGuardError):
-        verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(3))
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, Context(PrimeField(3)))
     with pytest.raises(CharacteristicGuardError):
-        verify_bso_theorem(LIE_TO_ASSOC, LIE, 5, PrimeField(5))
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 5, Context(PrimeField(5)))
     # characteristic above the degree is fine
-    assert verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, PrimeField(5)).verdict
+    assert verify_bso_theorem(LIE_TO_ASSOC, LIE, 3, Context(PrimeField(5))).verdict
 
 
 def test_jordan_presentation_has_expected_linearized_identity():
@@ -378,27 +379,30 @@ def test_verify_bso_checks_the_degree_cap_first(monkeypatch):
     monkeypatch.setattr(morphisms, "_morphism_kernel", refuse)
     monkeypatch.setattr(morphisms, "consequences_at_degree", refuse)
     with pytest.raises(DegreeCapError):
-        verify_bso_theorem(LIE_TO_ASSOC, LIE, 7, QQ, 6)
+        verify_bso_theorem(LIE_TO_ASSOC, LIE, 7, Context(QQ, 6))
 
 
-def test_degree_cap_holds_after_index_memo_hit():
-    assert len(monomial_index(BRK, 4, 8)) == 120
-    with pytest.raises(DegreeCapError):
-        monomial_index(BRK, 4, 3)
-
-
-def test_degree_cap_holds_after_component_memo_hit():
+def test_degree_cap_holds_after_another_context_computed_the_degree():
     gens = tuple(LIE.generators)
-    assert ideal_component(BRK, gens, LIE.digest, 4, QQ, 8).dim == 114
+    wide = Context(QQ, 4)
+    assert ideal_component(BRK, gens, LIE.digest, 4, wide).dim == 114
+    assert len(monomial_index(BRK, 4, wide)) == 120
+    capped = Context(QQ, 3)
+    assert ideal_component(BRK, gens, LIE.digest, 3, capped).dim == 10
     with pytest.raises(DegreeCapError):
-        ideal_component(BRK, gens, LIE.digest, 4, QQ, 3)
+        ideal_component(BRK, gens, LIE.digest, 4, capped)
+    with pytest.raises(DegreeCapError):
+        monomial_index(BRK, 4, capped)
+    with pytest.raises(DegreeCapError):
+        consequences_at_degree(LIE, 4, capped)
 
 
-def _special_via_full_kernel(mor, source, d, field):
+def _special_via_full_kernel(mor, source, d, ctx):
     """Kernel dimension, special dimension and special basis the long way:
     the whole kernel over every monomial, reduced modulo the source ideal."""
-    kernel = morphism_kernel_at_degree(mor, d, field)
-    comp = consequences_at_degree(source, d, field)
+    field = ctx.field
+    kernel = morphism_kernel_at_degree(mor, d, ctx)
+    comp = consequences_at_degree(source, d, ctx)
     special = row_reduce(
         field, kernel.ncols, [comp.ideal.reduce(r) for r in kernel.rows]
     )
@@ -436,10 +440,11 @@ def test_quotient_special_identities_match_full_kernel(name, field):
         entry = catalog.morphism(name)
         mor, source = entry.morphism, entry.source
     nonempty = 0
+    ctx = Context(field)
     for d in (2, 3, 4):
-        rep = special_identities(mor, source, d, field)
+        rep = special_identities(mor, source, d, ctx)
         kernel_dim, special_dim, basis = _special_via_full_kernel(
-            mor, source, d, field
+            mor, source, d, ctx
         )
         assert rep.kernel_dimension == kernel_dim
         assert rep.special_dimension == special_dim
@@ -468,9 +473,10 @@ def test_quotient_path_refuses_an_image_that_breaks_the_source():
 @pytest.mark.parametrize("name", catalog.morphism_names())
 def test_kernel_on_the_source_quotient_matches_full_column_oracle(name, field):
     entry = catalog.morphism(name)
+    ctx = Context(field)
     for d in (2, 3, 4):
         _, _, kernel = morphisms._morphism_kernel(
-            entry.morphism, entry.source, d, field, DEFAULT_DEGREE_CAP, None
+            entry.morphism, entry.source, d, ctx
         )
-        assert kernel == morphism_kernel_at_degree(entry.morphism, d, field)
+        assert kernel == morphism_kernel_at_degree(entry.morphism, d, ctx)
 

@@ -6,10 +6,9 @@ import itertools
 
 import pytest
 
+from dioperad.context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
 from dioperad.fields import QQ, PrimeField
 from dioperad.terms import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapError,
     Monomial,
     Polynomial,
     Signature,
@@ -93,7 +92,7 @@ def test_degree_cap():
     with pytest.raises(DegreeCapError):
         enumerate_monomials(BIN, DEFAULT_DEGREE_CAP + 1)
     with pytest.raises(DegreeCapError):
-        enumerate_monomials(BIN, 4, max_degree=3)
+        enumerate_monomials(BIN, 4, Context(max_degree=3))
 
 
 def test_polynomial_drops_zeros_and_checks_degrees():
