@@ -18,7 +18,6 @@ from .dialgebra import (
     is_collapse_preimage,
     superscript,
     superscript_poly,
-    unsuperscript,
     verify_dialgebra_equivalence,
     zero_identities,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "substitute_at",
     "superscript",
     "superscript_poly",
-    "unsuperscript",
     "verify_bso_theorem",
     "verify_dialgebra_equivalence",
     "zero_identities",

@@ -25,6 +25,8 @@ class Context:
     __slots__ = ("field", "max_degree", "cache", "_memo")
 
     def __init__(self, field=QQ, max_degree=DEFAULT_DEGREE_CAP, cache=None):
+        if max_degree < 1:
+            raise ValueError(f"degree cap must be at least 1, got {max_degree}")
         self.field = field
         self.max_degree = max_degree
         self.cache = cache
@@ -48,3 +50,14 @@ class Context:
         if hit is None:
             hit = self._memo[key] = build()
         return hit
+
+
+def as_context(ctx) -> Context:
+    """The given context, or a fresh default one for None."""
+    if ctx is None:
+        return Context()
+    if not isinstance(ctx, Context):
+        raise TypeError(
+            f"expected a Context or None as ctx, got {type(ctx).__name__}"
+        )
+    return ctx

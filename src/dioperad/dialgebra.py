@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .context import Context
+from .context import as_context
 from .ideals import VarietyPresentation, consequences_at_degree
 from .linalg import Subspace
 from .terms import (
@@ -29,16 +29,6 @@ from .terms import (
     format_node,
     substitute_at,
 )
-
-
-class EmphasizedMonomial(NamedTuple):
-    """A plain monomial with one distinguished leaf label."""
-
-    monomial: Monomial
-    leaf: int
-
-    def __str__(self):
-        return f"({self.monomial} ! {self.leaf})"
 
 
 def _split_name(name: str) -> tuple[str, int]:
@@ -66,13 +56,6 @@ def _collapse_node(node):
             )
         node = node[k]
     return _strip(top), node
-
-
-def unsuperscript(m: Monomial) -> EmphasizedMonomial:
-    """Drop all superscripts; the emphasized leaf is the one reached by
-    descending along the root superscripts."""
-    plain, leaf = _collapse_node(m.node)
-    return EmphasizedMonomial(Monomial(plain), leaf)
 
 
 def _leaf_set(node, out):
@@ -129,31 +112,6 @@ class DiPolynomial:
         self.field = field
         self.degree = degree
         self.components = components
-
-    @classmethod
-    def from_doubled(cls, p: Polynomial) -> "DiPolynomial":
-        buckets: list[dict] = [dict() for _ in range(p.degree)]
-        f = p.field
-        for m, c in p.terms.items():
-            plain, leaf = unsuperscript(m)
-            bucket = buckets[leaf - 1]
-            nv = f.add(bucket.get(plain, f.zero), c)
-            if nv:
-                bucket[plain] = nv
-            else:
-                bucket.pop(plain, None)
-        return cls(
-            f,
-            p.degree,
-            [Polynomial(f, b, degree=p.degree) for b in buckets],
-        )
-
-    def vector(self, index: dict, block: int) -> dict:
-        out = {}
-        for k, comp in enumerate(self.components, 1):
-            for m, c in comp.terms.items():
-                out[(k - 1) * block + index[m.node]] = c
-        return out
 
     @property
     def is_zero(self) -> bool:
@@ -222,13 +180,14 @@ def bso_presentation(variety: VarietyPresentation) -> VarietyPresentation:
     )
 
 
-def vector_to_dipolynomial(vec: dict, basis, field, n: int) -> DiPolynomial:
-    """Decode a coordinate vector over n stacked copies of the plain basis."""
-    block = len(basis)
+def vector_to_dipolynomial(vec: dict, layout, field) -> DiPolynomial:
+    """Decode a coordinate vector over n stacked copies of the degree-n
+    plain layout; monomials are built for the vector's support only."""
+    n, block = layout.degree, layout.ncols
     buckets: list[dict] = [dict() for _ in range(n)]
     for col, v in vec.items():
         k, c = divmod(col, block)
-        buckets[k][basis[c]] = v
+        buckets[k][Monomial(layout.node(c))] = v
     return DiPolynomial(
         field, n, [Polynomial(field, b, degree=n) for b in buckets]
     )
@@ -288,7 +247,7 @@ def collapses_into(
     """Whether every emphasis component of the collapse image of every
     given degree-n doubled vector lies in the plain subspace.  The
     arithmetic is over the subspace's field."""
-    cols = _collapse_columns(dsig, n, base, ctx or Context())
+    cols = _collapse_columns(dsig, n, base, as_context(ctx))
     field = base.field
     for row in rows:
         image: dict = {}
@@ -345,7 +304,7 @@ def verify_dialgebra_equivalence(
     """Check that the dialgebra presentation's degree-n consequences equal
     the full preimage, under the collapse map, of n copies of the plain
     consequences (``is_collapse_preimage``: dimension plus containment)."""
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     base = consequences_at_degree(variety, n, ctx)
     divar = bso_presentation(variety)
     di = consequences_at_degree(divar, n, ctx)

@@ -14,16 +14,15 @@ import hashlib
 from fractions import Fraction
 from itertools import chain
 
-from .context import Context
+from .context import as_context
 from .fields import QQ
 from .linalg import Subspace, _Reducer
 from .terms import (
+    Monomial,
     Polynomial,
     basis_layout,
     check_in_signature,
-    enumerate_monomials,
     format_polynomial,
-    monomial_index,
     substitution_column_maps,
 )
 
@@ -84,43 +83,34 @@ class VarietyPresentation:
         )
 
 
-def poly_to_vector(p: Polynomial, index: dict) -> dict:
+def poly_to_vector(p: Polynomial, layout) -> dict:
     try:
-        return {index[m.node]: c for m, c in p.terms.items()}
+        return {layout[m.node]: c for m, c in p.terms.items()}
     except KeyError as exc:
         raise ValueError(f"monomial outside the ambient basis: {exc}") from None
 
 
-def vector_to_poly(vec: dict, basis, field, degree=None) -> Polynomial:
-    if degree is None:
-        degree = basis[0].degree if basis else 1
+def vector_to_poly(vec: dict, layout, field) -> Polynomial:
+    """The polynomial with the given coordinates; monomials are built for
+    the vector's support only."""
     return Polynomial(
-        field, {basis[i]: c for i, c in vec.items()}, degree=degree
+        field,
+        {Monomial(layout.node(c)): v for c, v in vec.items()},
+        degree=layout.degree,
     )
 
 
 class DegreeComponent:
-    """One multilinear degree of a variety: ambient basis, ideal, quotient.
+    """One multilinear degree of a variety: the column layout of the
+    ambient basis, the ideal on those columns, and the quotient."""
 
-    The basis monomials and their index are built on first use only, in
-    the memo of the context."""
+    __slots__ = ("layout", "degree", "ideal", "field")
 
-    __slots__ = ("signature", "degree", "ideal", "field", "ctx")
-
-    def __init__(self, signature, degree, ideal, ctx=None):
-        self.signature = signature
-        self.degree = degree
+    def __init__(self, layout, ideal):
+        self.layout = layout
+        self.degree = layout.degree
         self.ideal = ideal
         self.field = ideal.field
-        self.ctx = ctx or Context()
-
-    @property
-    def basis(self):
-        return enumerate_monomials(self.signature, self.degree, self.ctx)
-
-    @property
-    def index(self) -> dict:
-        return monomial_index(self.signature, self.degree, self.ctx)
 
     @property
     def ambient_dimension(self) -> int:
@@ -136,12 +126,7 @@ class DegreeComponent:
             raise ValueError(
                 f"degree {p.degree} element tested in degree {self.degree}"
             )
-        return self.ideal.contains(poly_to_vector(p, self.index))
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        p = p.convert(self.field)
-        vec = self.ideal.reduce(poly_to_vector(p, self.index))
-        return vector_to_poly(vec, self.basis, self.field, self.degree)
+        return self.ideal.contains(poly_to_vector(p, self.layout))
 
 
 def _perm_column_maps(layout):
@@ -228,7 +213,7 @@ def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
     polynomials (already over the context's field).  ``digest`` keys the
     memo and the optional disk cache; equal digests must mean equal inputs.
     """
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     return ctx.memo(
         ("ideal", digest, n),
         n,
@@ -294,7 +279,7 @@ def _load_or_expand(signature, generators, digest, n, ctx) -> Subspace:
 def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
     """The degree-n multilinear component of the variety's defining ideal,
     inside the free-operad basis of that degree."""
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     ideal = ideal_component(
         variety.signature,
@@ -303,7 +288,7 @@ def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
         n,
         ctx,
     )
-    return DegreeComponent(variety.signature, n, ideal, ctx)
+    return DegreeComponent(basis_layout(variety.signature, n, ctx), ideal)
 
 
 def quotient_dimension(variety, n, ctx=None):

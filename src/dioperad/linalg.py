@@ -24,15 +24,24 @@ def _reduce(field, pivot_rows: dict, vec: dict) -> dict:
 
 
 class _Reducer:
-    """Incremental fully-reduced row echelon form."""
+    """Incremental fully-reduced row echelon form, empty or started from
+    the rows of a fully reduced echelon basis (each row's pivot is its
+    least column; the rows are copied)."""
 
     __slots__ = ("field", "pivot_rows", "_colindex")
 
-    def __init__(self, field):
+    def __init__(self, field, rows=()):
         self.field = field
         self.pivot_rows: dict[int, dict[int, object]] = {}
         # column -> set of pivot columns whose rows touch it
         self._colindex: dict[int, set[int]] = {}
+        for row in rows:
+            self._add(min(row), dict(row))
+
+    def _add(self, pivot: int, row: dict) -> None:
+        self.pivot_rows[pivot] = row
+        for c in row:
+            self._colindex.setdefault(c, set()).add(pivot)
 
     def insert(self, vec: dict) -> bool:
         """Reduce vec and extend the basis if a new pivot appears."""
@@ -59,9 +68,7 @@ class _Reducer:
                         del self._colindex[c]
             for c in target.keys() - before:
                 self._colindex.setdefault(c, set()).add(other)
-        self.pivot_rows[pivot] = row
-        for c in row:
-            self._colindex.setdefault(c, set()).add(pivot)
+        self._add(pivot, row)
         return True
 
 
@@ -119,11 +126,7 @@ def row_reduce(field, ncols, rows) -> Subspace:
 
 def extend(space: Subspace, extra_rows) -> Subspace:
     """The span of a subspace together with additional vectors."""
-    r = _Reducer(space.field)
-    for p, row in zip(space.pivots, space.rows):
-        r.pivot_rows[p] = dict(row)
-        for c in row:
-            r._colindex.setdefault(c, set()).add(p)
+    r = _Reducer(space.field, space.rows)
     for row in extra_rows:
         r.insert(row)
     return Subspace(space.field, space.ncols, r)

@@ -24,7 +24,7 @@ from .dialgebra import (
     vector_to_dipolynomial,
     zero_identities,
 )
-from .context import Context
+from .context import as_context
 from .fields import QQ
 from .ideals import (
     VarietyPresentation,
@@ -168,11 +168,12 @@ def _morphism_kernel(mor, source, d, ctx):
     target_comp = consequences_at_degree(mor.target, d, ctx)
     pivots = set(source_comp.ideal.pivots)
     normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
-    basis, index = source_comp.basis, target_comp.index
+    layout = source_comp.layout
     rows = []
     for i in normal:
-        img = evaluate_morphism(mor, basis[i], field)
-        rows.append(target_comp.ideal.reduce(poly_to_vector(img, index)))
+        img = evaluate_morphism(mor, Monomial(layout.node(i)), field)
+        vec = poly_to_vector(img, target_comp.layout)
+        rows.append(target_comp.ideal.reduce(vec))
     ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
     special = row_reduce(
         field,
@@ -190,12 +191,12 @@ def special_identities(
 
     The special basis is ker(φ) reduced modulo the source ideal, the kernel
     on the source quotient's normal monomials (see ``_morphism_kernel``)."""
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     field = ctx.field
     _check_source_vanishes(mor, source, d, ctx)
     source_comp, special, kernel = _morphism_kernel(mor, source, d, ctx)
     basis = tuple(
-        vector_to_poly(r, source_comp.basis, field, d) for r in special.rows
+        vector_to_poly(r, source_comp.layout, field) for r in special.rows
     )
     return SpecialIdentitiesReport(
         morphism=mor.name,
@@ -227,7 +228,7 @@ def di_special_identities(
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
     as emphasized placements of the plain special identities."""
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     field = ctx.field
     _check_source_vanishes(mor, source, d, ctx)
     source_comp, base_special, base_kernel = _morphism_kernel(
@@ -242,7 +243,7 @@ def di_special_identities(
     reduced = [block_ideal.reduce(r) for r in block_kernel.rows]
     special = row_reduce(field, d * block, reduced)
     basis = tuple(
-        vector_to_dipolynomial(r, source_comp.basis, field, d)
+        vector_to_dipolynomial(r, source_comp.layout, field)
         for r in special.rows
     )
 
@@ -297,7 +298,7 @@ def verify_bso_theorem(
     is never built.  The comparisons start at degree 2, so d must too."""
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     field = ctx.field
     p = field.characteristic
     if p and d >= p:
@@ -313,7 +314,7 @@ def verify_bso_theorem(
     for m in range(2, d + 1):
         source_comp, _, kernels[m] = _morphism_kernel(mor, source, m, ctx)
         for r in kernels[m].rows:
-            q = vector_to_poly(r, source_comp.basis, field, m)
+            q = vector_to_poly(r, source_comp.layout, field)
             for k in range(1, m + 1):
                 gens.append(superscript_poly(q, k))
     digest = f"bso-kernel:{mor.digest}"

@@ -14,7 +14,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .context import Context
+from .context import as_context
 from .fields import QQ
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^-]*$")
@@ -409,32 +409,16 @@ def _split_node(node, word):
 
 def basis_layout(sig: Signature, n: int, ctx=None) -> BasisLayout:
     """The skeleton-by-word layout of the degree-n multilinear basis."""
-    return (ctx or Context()).memo(
+    return as_context(ctx).memo(
         ("layout", sig, n), n, lambda: BasisLayout(sig, n)
     )
 
 
 def enumerate_monomials(sig: Signature, n: int, ctx=None):
-    """All multilinear monomials of degree n, in canonical order."""
-    ctx = ctx or Context()
+    """All multilinear monomials of degree n, in canonical order, built
+    afresh from the layout."""
     layout = basis_layout(sig, n, ctx)
-    return ctx.memo(
-        ("basis", sig, n),
-        n,
-        lambda: tuple(Monomial(layout.node(c)) for c in range(layout.ncols)),
-    )
-
-
-def monomial_index(sig: Signature, n: int, ctx=None) -> dict:
-    """Map raw tree nodes of the degree-n basis to their column positions."""
-    ctx = ctx or Context()
-    return ctx.memo(
-        ("index", sig, n),
-        n,
-        lambda: {
-            m.node: i for i, m in enumerate(enumerate_monomials(sig, n, ctx))
-        },
-    )
+    return tuple(Monomial(layout.node(c)) for c in range(layout.ncols))
 
 
 def _insert_block(word, i, size):

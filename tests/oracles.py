@@ -7,9 +7,10 @@ the package's shortcuts against it.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
-from dioperad.context import Context
-from dioperad.dialgebra import DiPolynomial, superscript_poly, unsuperscript
+from dioperad.context import as_context
+from dioperad.dialgebra import DiPolynomial, _collapse_node, superscript_poly
 from dioperad.ideals import consequences_at_degree, poly_to_vector
 from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
 from dioperad.morphisms import OperadMorphism, evaluate_morphism
@@ -19,10 +20,56 @@ from dioperad.terms import (
     Polynomial,
     Signature,
     enumerate_monomials,
-    monomial_index,
     relabel_node,
     substitute_at,
 )
+
+
+def monomial_index(sig: Signature, n: int, ctx=None) -> dict:
+    """The degree-n basis as a dict from raw tree node to column, in the
+    order of ``enumerate_monomials``."""
+    return {m.node: i for i, m in enumerate(enumerate_monomials(sig, n, ctx))}
+
+
+class EmphasizedMonomial(NamedTuple):
+    """A plain monomial with one distinguished leaf label."""
+
+    monomial: Monomial
+    leaf: int
+
+
+def unsuperscript(m: Monomial) -> EmphasizedMonomial:
+    """Drop all superscripts; the emphasized leaf is the one reached by
+    descending along the root superscripts."""
+    plain, leaf = _collapse_node(m.node)
+    return EmphasizedMonomial(Monomial(plain), leaf)
+
+
+def from_doubled(p: Polynomial) -> DiPolynomial:
+    """The collapse image of a doubled polynomial, one monomial at a time."""
+    buckets: list[dict] = [dict() for _ in range(p.degree)]
+    f = p.field
+    for m, c in p.terms.items():
+        plain, leaf = unsuperscript(m)
+        bucket = buckets[leaf - 1]
+        nv = f.add(bucket.get(plain, f.zero), c)
+        if nv:
+            bucket[plain] = nv
+        else:
+            bucket.pop(plain, None)
+    return DiPolynomial(
+        f, p.degree, [Polynomial(f, b, degree=p.degree) for b in buckets]
+    )
+
+
+def dipolynomial_vector(dp: DiPolynomial, layout) -> dict:
+    """Coordinates of an emphasized element over stacked copies of the
+    plain layout, the inverse of ``vector_to_dipolynomial``."""
+    return {
+        (k - 1) * layout.ncols + layout[m.node]: c
+        for k, comp in enumerate(dp.components, 1)
+        for m, c in comp.terms.items()
+    }
 
 
 def _skeleton_key(node, sig):
@@ -127,13 +174,13 @@ def morphism_kernel_at_degree(
 ) -> Subspace:
     """The full-column kernel: source combinations of every degree-d basis
     monomial whose images die in the target quotient."""
-    ctx = ctx or Context()
+    ctx = as_context(ctx)
     field = ctx.field
     basis = enumerate_monomials(mor.source_signature, d, ctx)
     target = consequences_at_degree(mor.target, d, ctx)
     rows = []
     for m in basis:
-        vec = poly_to_vector(evaluate_morphism(mor, m, field), target.index)
+        vec = poly_to_vector(evaluate_morphism(mor, m, field), target.layout)
         rows.append(target.ideal.reduce(vec))
     ker = left_kernel_basis(field, rows, target.ambient_dimension)
     return row_reduce(field, len(basis), ker)

@@ -106,6 +106,15 @@ def test_degree_cap_exits_3(capsys):
     assert main(["basis", "--variety", "builtin:assoc", "--degree", "9"]) == 3
 
 
+def test_degree_cap_below_1_exits_2(capsys):
+    argv = ["dim", "--variety", "builtin:lie", "--degree", "3", "--max-degree"]
+    for cap in ("-1", "0"):
+        assert main([*argv, cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degree cap must be at least 1, got {cap}\n"
+
+
 def test_verify_bso_over_the_cap_exits_3_at_once(capsys):
     code = main(["verify-di", "--variety", "builtin:lie", "--degree", "7"])
     expected = capsys.readouterr().err

@@ -8,15 +8,12 @@ import pytest
 
 from dioperad import Context, catalog, dialgebra
 from dioperad.dialgebra import (
-    DiPolynomial,
-    EmphasizedMonomial,
     bso_presentation,
     collapses_into,
     di_ideal_at_degree,
     is_collapse_preimage,
     superscript,
     superscript_poly,
-    unsuperscript,
     vector_to_dipolynomial,
     verify_dialgebra_equivalence,
     zero_identities,
@@ -36,12 +33,20 @@ from dioperad.terms import (
     Polynomial,
     Signature,
     apply_permutation,
+    basis_layout,
     double_signature,
     enumerate_monomials,
-    monomial_index,
     substitute_at,
 )
-from oracles import morphism_kernel_at_degree, to_doubled, zeta_preimage
+from oracles import (
+    EmphasizedMonomial,
+    dipolynomial_vector,
+    from_doubled,
+    morphism_kernel_at_degree,
+    to_doubled,
+    unsuperscript,
+    zeta_preimage,
+)
 
 BRK = Signature([("b", 2)])
 BIN = Signature([("mul", 2)])
@@ -152,27 +157,26 @@ def test_zero_identity_shape_for_one_binary_operation():
 def test_zero_identities_collapse_to_nothing():
     for sig in (BIN, TERN, MIXED):
         for p in zero_identities(sig)[1]:
-            assert DiPolynomial.from_doubled(p).is_zero
+            assert from_doubled(p).is_zero
 
 
 def emphasis_kernel_rows(dsig, n: int, field, ctx=None):
     """Differences between each doubled monomial and the lift of its
     emphasized image: a basis of the kernel of the collapse map."""
-    basis = enumerate_monomials(dsig, n, ctx)
-    index = monomial_index(dsig, n, ctx)
+    layout = basis_layout(dsig, n, ctx)
     rows = []
-    for i, m in enumerate(basis):
+    for i, m in enumerate(enumerate_monomials(dsig, n, ctx)):
         plain, leaf = unsuperscript(m)
-        j = index[superscript(plain, leaf).node]
+        j = layout[superscript(plain, leaf).node]
         if j != i:
             rows.append({i: field.one, j: field.neg(field.one)})
     return rows
 
 
-def lift_vector(p: Polynomial, k: int, dindex: dict) -> dict:
+def lift_vector(p: Polynomial, k: int, dlayout) -> dict:
     """Coordinates of the emphasis-k lift of a plain polynomial inside the
     doubled basis of the same degree."""
-    return poly_to_vector(superscript_poly(p, k), dindex)
+    return poly_to_vector(superscript_poly(p, k), dlayout)
 
 
 def test_emphasis_kernel_dimension():
@@ -248,7 +252,7 @@ def test_dipolynomial_round_trip():
     dsig = double_signature(BIN)
     for m in enumerate_monomials(dsig, 3)[:12]:
         p = Polynomial.monomial(m)
-        di = DiPolynomial.from_doubled(p)
+        di = from_doubled(p)
         # collapse-then-lift lands on the canonical fiber representative
         back = to_doubled(di)
         plain, leaf = unsuperscript(m)
@@ -277,10 +281,10 @@ def test_di_ideal_vectors_decode_componentwise():
     comp = consequences_at_degree(ASSOC, 3)
     space = di_ideal_at_degree(ASSOC, 3)
     for r in space.rows:
-        dp = vector_to_dipolynomial(r, comp.basis, QQ, 3)
+        dp = vector_to_dipolynomial(r, comp.layout, QQ)
         for part in dp.components:
             assert part.is_zero or comp.contains(part)
-        assert dp.vector(comp.index, comp.ambient_dimension) == r
+        assert dipolynomial_vector(dp, comp.layout) == r
 
 
 def test_zeta_preimage_matches_kernel_plus_lifts():
@@ -290,13 +294,13 @@ def test_zeta_preimage_matches_kernel_plus_lifts():
         block = di_ideal_at_degree(variety, 3)
         via_kernel = zeta_preimage(dsig, 3, block)
 
-        dindex = monomial_index(dsig, 3)
+        dlayout = basis_layout(dsig, 3)
         rows = emphasis_kernel_rows(dsig, 3, QQ)
         for r in comp.ideal.rows:
-            p = vector_to_poly(r, comp.basis, QQ, 3)
+            p = vector_to_poly(r, comp.layout, QQ)
             for k in range(1, 4):
-                rows.append(lift_vector(p, k, dindex))
-        via_lifts = row_reduce(QQ, len(dindex), rows)
+                rows.append(lift_vector(p, k, dlayout))
+        via_lifts = row_reduce(QQ, dlayout.ncols, rows)
         assert via_kernel == via_lifts
 
 
@@ -418,15 +422,15 @@ def _stacked_kernel(mor, m, ctx):
     every emphasized lift of the plain kernel, row-reduced."""
     field = ctx.field
     dsig = double_signature(mor.source_signature)
-    dindex = monomial_index(dsig, m, ctx)
+    dlayout = basis_layout(dsig, m, ctx)
     rows = emphasis_kernel_rows(dsig, m, field, ctx)
     kernel = morphism_kernel_at_degree(mor, m, ctx)
-    src_basis = enumerate_monomials(mor.source_signature, m, ctx)
+    src_layout = basis_layout(mor.source_signature, m, ctx)
     for r in kernel.rows:
-        p = vector_to_poly(r, src_basis, field, m)
+        p = vector_to_poly(r, src_layout, field)
         for k in range(1, m + 1):
-            rows.append(lift_vector(p, k, dindex))
-    return row_reduce(field, len(dindex), rows), kernel
+            rows.append(lift_vector(p, k, dlayout))
+    return row_reduce(field, dlayout.ncols, rows), kernel
 
 
 def _bso_consequence(mor, m, ctx):
@@ -437,9 +441,9 @@ def _bso_consequence(mor, m, ctx):
     dsig = double_signature(mor.source_signature)
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     for j in range(2, m + 1):
-        basis = enumerate_monomials(mor.source_signature, j, ctx)
+        layout = basis_layout(mor.source_signature, j, ctx)
         for r in morphism_kernel_at_degree(mor, j, ctx).rows:
-            q = vector_to_poly(r, basis, field, j)
+            q = vector_to_poly(r, layout, field)
             gens.extend(superscript_poly(q, k) for k in range(1, j + 1))
     digest = f"bso-oracle:{mor.digest}"
     return ideal_component(dsig, tuple(gens), digest, m, ctx)

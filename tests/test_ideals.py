@@ -14,6 +14,7 @@ from dioperad.ideals import (
     identity_implies,
     poly_to_vector,
     quotient_dimension,
+    vector_to_poly,
 )
 from dioperad.linalg import row_reduce
 from dioperad.terms import (
@@ -21,9 +22,9 @@ from dioperad.terms import (
     Polynomial,
     Signature,
     apply_permutation,
+    basis_layout,
     compose,
     enumerate_monomials,
-    monomial_index,
     substitute_at,
 )
 
@@ -80,7 +81,7 @@ def naive_component(variety, n, field):
     """Literal spanning set: every S_n-translate of every one-occurrence
     composite w o_i (g o (u_1..u_m)) built from each identity g."""
     sig = variety.signature
-    index = monomial_index(sig, n)
+    layout = basis_layout(sig, n)
     rows = []
     for g in variety.generators:
         g = g.convert(field)
@@ -101,8 +102,8 @@ def naive_component(variety, n, field):
                     for i in range(1, outer_deg + 1):
                         elem = substitute_at(w, i, inner)
                         for img in symmetric_orbit(elem):
-                            rows.append(poly_to_vector(img, index))
-    return row_reduce(field, len(enumerate_monomials(sig, n)), rows)
+                            rows.append(poly_to_vector(img, layout))
+    return row_reduce(field, layout.ncols, rows)
 
 
 def _compositions(total, parts):
@@ -156,11 +157,16 @@ def _factorial(n):
 
 def test_ideal_component_is_symmetric_group_invariant():
     comp = consequences_at_degree(LIE, 4)
-    basis4 = enumerate_monomials(BRK, 4)
     for row in comp.ideal.rows[:10]:
-        p = Polynomial(QQ, {basis4[c]: v for c, v in row.items()})
+        p = vector_to_poly(row, comp.layout, QQ)
         for img in symmetric_orbit(p):
             assert comp.contains(img)
+
+
+def test_a_field_in_place_of_the_context_is_a_type_error():
+    message = "^expected a Context or None as ctx, got Rationals$"
+    with pytest.raises(TypeError, match=message):
+        quotient_dimension(LIE, 4, QQ)
 
 
 def test_degree_one_component_is_zero():

@@ -8,7 +8,7 @@ import pytest
 
 from dioperad import Context, catalog, terms
 from dioperad.cli import main, resolve_variety
-from dioperad.dialgebra import _collapse_columns, unsuperscript
+from dioperad.dialgebra import _collapse_columns
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import _perm_column_maps, ideal_component, poly_to_vector
 from dioperad.linalg import Subspace
@@ -20,13 +20,12 @@ from dioperad.terms import (
     basis_layout,
     double_signature,
     enumerate_monomials,
-    monomial_index,
     relabel_node,
     substitute_at,
     substitution_column_maps,
 )
 
-from oracles import sorted_monomials, tree_ideal_component
+from oracles import sorted_monomials, tree_ideal_component, unsuperscript
 
 FIELDS = [QQ, PrimeField(1000003)]
 # the built-in signatures: mul:2, bracket:2 and the ternary t:3 of jts
@@ -70,53 +69,51 @@ def test_layout_columns_are_basis_positions(sig, n):
 @pytest.mark.parametrize("sig, n", _cases())
 def test_relabel_maps_match_relabel_node(sig, n):
     basis = enumerate_monomials(sig, n, BASES)
-    index = monomial_index(sig, n, BASES)
-    maps = _perm_column_maps(basis_layout(sig, n, BASES))
+    layout = basis_layout(sig, n, BASES)
+    maps = _perm_column_maps(layout)
     perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
     assert maps == [
-        [index[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
+        [layout[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
         for perm in perms
     ]
 
 
 @pytest.mark.parametrize("sig, n", _cases())
 def test_substitution_maps_match_substitute_at(sig, n):
-    upper_index = monomial_index(sig, n, BASES)
+    upper = basis_layout(sig, n, BASES)
     for op, arity in sig.operations:
         m = n - arity + 1
         if m < 1:
             continue
         lower = enumerate_monomials(sig, m, BASES)
-        maps = substitution_column_maps(
-            basis_layout(sig, m, BASES), basis_layout(sig, n, BASES), op
-        )
+        maps = substitution_column_maps(basis_layout(sig, m, BASES), upper, op)
         assert len(maps) == m + arity
         corolla = Monomial((op,) + tuple(range(1, arity + 1)))
         for i in range(1, m + 1):
             assert maps[i - 1] == [
-                _column(substitute_at(w, i, corolla), upper_index) for w in lower
+                _column(substitute_at(w, i, corolla), upper) for w in lower
             ]
         for i in range(1, arity + 1):
             assert maps[m + i - 1] == [
-                _column(substitute_at(corolla, i, w), upper_index) for w in lower
+                _column(substitute_at(corolla, i, w), upper) for w in lower
             ]
 
 
-def _column(p: Polynomial, index) -> int:
-    (col,) = poly_to_vector(p, index)
+def _column(p: Polynomial, layout) -> int:
+    (col,) = poly_to_vector(p, layout)
     return col
 
 
 @pytest.mark.parametrize("sig, n", _cases(doubled=True))
 def test_collapse_columns_match_unsuperscript(sig, n):
-    block = len(enumerate_monomials(sig.base, n, BASES))
-    base_index = monomial_index(sig.base, n, BASES)
+    plain_layout = basis_layout(sig.base, n, BASES)
+    block = plain_layout.ncols
     expected = []
     for m in enumerate_monomials(sig, n, BASES):
         plain, leaf = unsuperscript(m)
-        expected.append((leaf - 1) * block + base_index[plain.node])
+        expected.append((leaf - 1) * block + plain_layout[plain.node])
     base = Subspace(QQ, block, [])
     assert _collapse_columns(sig, n, base, BASES) == expected
 

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from dioperad import Context, catalog, morphisms
-from dioperad.dialgebra import DiPolynomial, unsuperscript
+from dioperad.dialgebra import DiPolynomial
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
@@ -30,13 +30,13 @@ from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
+    basis_layout,
     compose,
     enumerate_monomials,
     linearize,
-    monomial_index,
     substitute_at,
 )
-from oracles import morphism_kernel_at_degree
+from oracles import from_doubled, morphism_kernel_at_degree, unsuperscript
 
 BRK = Signature([("b", 2)])
 BIN = Signature([("mul", 2)])
@@ -244,7 +244,7 @@ def test_doubled_morphism_commutes_with_collapse():
             image = evaluate_morphism(dmor, m)
             plain, leaf = unsuperscript(m)
             base_image = evaluate_morphism(LIE_TO_ASSOC, plain)
-            collapsed = DiPolynomial.from_doubled(image)
+            collapsed = from_doubled(image)
             for k, comp in enumerate(collapsed.components, 1):
                 assert comp == (
                     base_image if k == leaf else Polynomial(QQ, {}, degree=n)
@@ -386,15 +386,49 @@ def test_degree_cap_holds_after_another_context_computed_the_degree():
     gens = tuple(LIE.generators)
     wide = Context(QQ, 4)
     assert ideal_component(BRK, gens, LIE.digest, 4, wide).dim == 114
-    assert len(monomial_index(BRK, 4, wide)) == 120
+    assert basis_layout(BRK, 4, wide).ncols == 120
     capped = Context(QQ, 3)
     assert ideal_component(BRK, gens, LIE.digest, 3, capped).dim == 10
     with pytest.raises(DegreeCapError):
         ideal_component(BRK, gens, LIE.digest, 4, capped)
     with pytest.raises(DegreeCapError):
-        monomial_index(BRK, 4, capped)
+        basis_layout(BRK, 4, capped)
     with pytest.raises(DegreeCapError):
         consequences_at_degree(LIE, 4, capped)
+
+
+def test_a_field_in_place_of_the_context_is_a_type_error():
+    entry = catalog.morphism("lie-to-assoc")
+    message = "^expected a Context or None as ctx, got PrimeField$"
+    with pytest.raises(TypeError, match=message):
+        special_identities(entry.morphism, entry.source, 5, PrimeField(1000003))
+
+
+def test_special_identities_build_monomials_for_normal_columns_only(monkeypatch):
+    entry = catalog.morphism("lie-to-assoc")  # parse the catalog first
+    built = 0
+    init = Monomial.__init__
+
+    def counting_init(self, node):
+        nonlocal built
+        built += 1
+        init(self, node)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    ctx = Context(PrimeField(1000003))
+    rep = special_identities(entry.morphism, entry.source, 5, ctx)
+    assert rep.ambient_dimension == 1680
+    # the images of the 24 normal monomials, not the whole source basis
+    assert built < rep.ambient_dimension
+
+
+def test_memos_hold_layouts_and_ideal_components_only():
+    entry = catalog.morphism("lie-to-assoc")
+    ctx = Context(PrimeField(1000003))
+    special_identities(entry.morphism, entry.source, 4, ctx)
+    di_special_identities(entry.morphism, entry.source, 4, ctx)
+    verify_bso_theorem(entry.morphism, entry.source, 4, ctx)
+    assert {key[0] for key in ctx._memo} == {"layout", "ideal"}
 
 
 def _special_via_full_kernel(mor, source, d, ctx):
@@ -406,7 +440,7 @@ def _special_via_full_kernel(mor, source, d, ctx):
     special = row_reduce(
         field, kernel.ncols, [comp.ideal.reduce(r) for r in kernel.rows]
     )
-    basis = tuple(vector_to_poly(r, comp.basis, field, d) for r in special.rows)
+    basis = tuple(vector_to_poly(r, comp.layout, field) for r in special.rows)
     return kernel.dim, special.dim, basis
 
 

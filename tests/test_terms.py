@@ -95,6 +95,13 @@ def test_degree_cap():
         enumerate_monomials(BIN, 4, Context(max_degree=3))
 
 
+def test_context_rejects_a_degree_cap_below_1():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"^degree cap must be at least 1, got {cap}$"):
+            Context(max_degree=cap)
+    assert len(enumerate_monomials(BIN, 1, Context(max_degree=1))) == 1
+
+
 def test_polynomial_drops_zeros_and_checks_degrees():
     p = poly({("mul", 1, 2): 1, ("mul", 2, 1): 0})
     assert len(p.terms) == 1
