@@ -25,7 +25,9 @@ from .fields import QQ, PrimeField, parse_field
 from .ideals import (
     VarietyPresentation,
     consequences_at_degree,
+    ideal_dimensions,
     identity_implies,
+    partition_ranks,
     quotient_dimension,
 )
 from .morphisms import (
@@ -77,10 +79,12 @@ __all__ = [
     "enumerate_monomials",
     "evaluate_morphism",
     "format_polynomial",
+    "ideal_dimensions",
     "identity_implies",
     "is_collapse_preimage",
     "linearize",
     "parse_field",
+    "partition_ranks",
     "quotient_dimension",
     "special_identities",
     "substitute_at",

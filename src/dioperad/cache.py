@@ -1,4 +1,5 @@
-"""Content-addressed disk cache for computed ideal layers.
+"""Content-addressed disk cache for computed results: the rows of ideal
+layers and the ranks by partition that ``dim`` reads.
 
 Entries are JSON files under a two-level fan-out of the key hash.  Writes
 go to a temporary file in the same directory and are renamed into place,

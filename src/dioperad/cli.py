@@ -25,7 +25,7 @@ from .cache import DiskCache, default_cache_dir
 from .context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
 from .dialgebra import bso_presentation, verify_dialgebra_equivalence
 from .fields import DEFAULT_PRIME, parse_field
-from .ideals import consequences_at_degree
+from .ideals import consequences_at_degree, ideal_dimensions
 from .morphisms import (
     di_special_identities,
     special_identities,
@@ -179,18 +179,14 @@ def _cmd_basis(args, ctx):
 
 def _cmd_dim(args, ctx):
     variety = resolve_variety(args.variety)
-    comp = consequences_at_degree(variety, args.degree, ctx)
+    ambient, ideal = ideal_dimensions(variety, args.degree, ctx)
     return {
         "command": "dim",
         "variety": variety.name,
         "inputs_digest": variety.digest,
         "field": ctx.field.name,
         "degree": args.degree,
-        "dims": {
-            "ambient": comp.ambient_dimension,
-            "ideal": comp.ideal.dim,
-            "quotient": comp.quotient_dimension,
-        },
+        "dims": {"ambient": ambient, "ideal": ideal, "quotient": ambient - ideal},
         "verdict": None,
     }
 

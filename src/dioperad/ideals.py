@@ -5,7 +5,9 @@ The multilinear consequences of a set of identities in degree n form the
 n-th component of the smallest ideal containing them that is closed under
 composition on either side and relabelling of variables.  The component is
 computed layer by layer: one-step substitutions of a single operation into
-(or around) each lower layer, then closure under the symmetric group.
+(or around) each lower layer, then closure under the symmetric group.  Its
+dimension alone is counted by partition when k[S_n] is semisimple: see
+``ideal_dimensions``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .terms import (
     format_polynomial,
     substitution_column_maps,
 )
+from .young import ModuleRanks, WordTable, dimensions
 
 
 class VarietyPresentation:
@@ -291,8 +294,130 @@ def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
     return DegreeComponent(basis_layout(variety.signature, n, ctx), ideal)
 
 
+_RANKS_TAG = "young-ranks-v1"
+
+
+def _ranks_key(digest, field, n) -> str:
+    return f"{_RANKS_TAG}:{digest}:{field.name}:{n}"
+
+
+def _semisimple(field, n) -> bool:
+    """Whether k[S_n] is semisimple: characteristic 0 or above n."""
+    return not field.characteristic or field.characteristic > n
+
+
+def _ideal_dim(n, ranks) -> int:
+    return sum(map(int.__mul__, dimensions(n), ranks))
+
+
+def _module_step(signature, generators, digest, n, ctx):
+    """The degree-n ideal as an S_n-module: its ranks by partition, and the
+    module generators that raised one of them.  The candidates are the
+    degree-n identities and the one-step substitutions of each lower
+    degree's kept generators.
+
+    By equivariance a substitution of a relabelled element is a relabelling
+    of a substitution at another slot, so the candidates generate the
+    module.  A candidate that raises no rank already lies in the module of
+    those before it, and so do its substitutions, so it is not kept.  The
+    ranks are written to the disk cache."""
+
+    def build():
+        layout = basis_layout(signature, n, ctx)
+        table = ctx.memo(("young", n), n, lambda: WordTable(layout, ctx.field))
+        module = ModuleRanks(table, len(layout.skeletons))
+        kept = []
+
+        def offer(vec):
+            if module.insert(vec):
+                kept.append(vec)
+
+        for g in generators:
+            if g.degree == n:
+                offer(poly_to_vector(g, layout))
+        for op, arity in signature.operations:
+            m = n - arity + 1
+            if m < 2 or m >= n:
+                continue
+            _, lower = _module_step(signature, generators, digest, m, ctx)
+            colmaps = substitution_column_maps(
+                basis_layout(signature, m, ctx), layout, op
+            )
+            for vec in lower:
+                for colmap in colmaps:
+                    offer({colmap[c]: v for c, v in vec.items()})
+        ranks = module.ranks
+        if ctx.cache is not None:
+            ctx.cache.put(
+                _ranks_key(digest, ctx.field, n),
+                {"ranks": ranks, "dim": _ideal_dim(n, ranks)},
+            )
+        return ranks, kept
+
+    return ctx.memo(("ranks", digest, n), n, build)
+
+
+def _decode_ranks(stored, n, nblocks):
+    """The stored ranks, or None unless they are one int per partition of
+    n, each between 0 and nblocks·d_λ, beside an int dimension equal to
+    their weighted sum Σ d_λ·r_λ."""
+    try:
+        ranks, dim = stored["ranks"], stored["dim"]
+    except (LookupError, TypeError):
+        return None
+    dims = dimensions(n)
+    valid = (
+        type(ranks) is list
+        and len(ranks) == len(dims)
+        and all(type(r) is int for r in ranks + [dim])
+        and all(0 <= r <= nblocks * d for r, d in zip(ranks, dims))
+        and dim == _ideal_dim(n, ranks)
+    )
+    return ranks if valid else None
+
+
+def partition_ranks(variety, n, ctx=None) -> list:
+    """The ranks r_λ of the degree-n ideal, one per partition of n in the
+    order of ``young.partitions``, read from the disk cache if it holds
+    them.  The field's characteristic must be 0 or above n.  The ideal has
+    dimension Σ d_λ·r_λ, and λ has multiplicity s·d_λ − r_λ in the
+    quotient, s being the number of skeletons."""
+    ctx = as_context(ctx)
+    ctx.check_degree(n)  # before converting, so the cap error comes first
+    if not _semisimple(ctx.field, n):
+        raise ValueError(
+            f"ranks by partition need characteristic 0 or above {n}, "
+            f"got {ctx.field.characteristic}"
+        )
+    generators = tuple(g.convert(ctx.field) for g in variety.generators)
+    if ctx.cache is not None:
+        ranks = _decode_ranks(
+            ctx.cache.get(_ranks_key(variety.digest, ctx.field, n)),
+            n,
+            len(basis_layout(variety.signature, n, ctx).skeletons),
+        )
+        if ranks is not None:
+            return ranks
+    return _module_step(variety.signature, generators, variety.digest, n, ctx)[0]
+
+
+def ideal_dimensions(variety, n, ctx=None):
+    """(ambient, ideal) dimensions of the degree-n component.  Over the
+    rationals or a prime above n, where k[S_n] is semisimple, the ideal's
+    dimension comes from ``partition_ranks``; over a smaller prime it is
+    the rank of the expanded ideal."""
+    ctx = as_context(ctx)
+    ctx.check_degree(n)
+    if not _semisimple(ctx.field, n):
+        comp = consequences_at_degree(variety, n, ctx)
+        return comp.ambient_dimension, comp.ideal.dim
+    ranks = partition_ranks(variety, n, ctx)
+    return basis_layout(variety.signature, n, ctx).ncols, _ideal_dim(n, ranks)
+
+
 def quotient_dimension(variety, n, ctx=None):
-    return consequences_at_degree(variety, n, ctx).quotient_dimension
+    ambient, ideal = ideal_dimensions(variety, n, ctx)
+    return ambient - ideal
 
 
 def identity_implies(variety, p: Polynomial, ctx=None) -> bool:

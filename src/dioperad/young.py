@@ -1,0 +1,260 @@
+"""Young's seminormal representations of the symmetric groups, and the ranks
+that measure a submodule of copies of the group algebra.
+
+Over a field of characteristic 0 or above n the group algebra k[S_n] is
+semisimple: it is the direct sum, over the partitions λ of n, of matrix
+algebras of size d_λ, the number of standard tableaux of shape λ.  A left
+submodule M of k[S_n]^s generated by g_1, g_2, ... is then fixed by the row
+spaces of the stacked d_λ × s·d_λ matrices ρ_λ(g_j), and
+dim M = Σ_λ d_λ·r_λ where r_λ is the rank of that stack (Hentzel,
+*Processing identities by group representation*, 1977).
+
+A permutation is a leaf word w = (w_1, ..., w_n), the map j -> w_j, and
+relabelling by σ is left multiplication, the word (σ(w_1), ..., σ(w_n)).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .fields import QQ
+from .linalg import _Reducer
+
+
+def partitions(n: int):
+    """The partitions of n as descending tuples, in reverse lexicographic
+    order: (n) first, (1, ..., 1) last."""
+
+    def parts(rest, largest):
+        if not rest:
+            yield ()
+        for first in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - first, first):
+                yield (first,) + tail
+
+    return tuple(parts(n, n))
+
+
+def standard_tableaux(shape):
+    """The standard tableaux of a shape in lexicographic order of their row
+    words: entry i sits in row ``word[i - 1]`` (rows counted from 0)."""
+    n = sum(shape)
+    counts = [0] * len(shape)
+    word: list = []
+    out = []
+
+    def fill():
+        if len(word) == n:
+            out.append(tuple(word))
+            return
+        for row, size in enumerate(shape):
+            if counts[row] < size and (row == 0 or counts[row - 1] > counts[row]):
+                counts[row] += 1
+                word.append(row)
+                fill()
+                word.pop()
+                counts[row] -= 1
+
+    fill()
+    return tuple(out)
+
+
+def dimensions(n: int):
+    """d_λ, the number of standard tableaux, for each partition of n in
+    the order of ``partitions``."""
+    return [len(standard_tableaux(shape)) for shape in partitions(n)]
+
+
+def _contents(word):
+    """Column minus row of each entry of a tableau given by its row word."""
+    filled: dict = {}
+    out = []
+    for row in word:
+        col = filled.get(row, 0)
+        filled[row] = col + 1
+        out.append(col - row)
+    return out
+
+
+def seminormal_matrices(shape):
+    """ρ_λ(s_1), ..., ρ_λ(s_{n-1}) in Young's seminormal form, as dense
+    Fraction matrices on the standard tableaux: ρ(s_i) e_u = Σ_t M[t][u] e_t.
+
+    With r the content of i+1 minus that of i in tableau T, s_i sends e_T to
+    e_T / r plus a multiple of e_{s_i T} when swapping i and i+1 leaves a
+    standard tableau: 1 if i+1 lies in a lower row than i, else 1 - 1/r².
+    The entries have denominators dividing lcm(1..n-1)²."""
+    tableaux = standard_tableaux(shape)
+    index = {t: k for k, t in enumerate(tableaux)}
+    contents = [_contents(t) for t in tableaux]
+    d = len(tableaux)
+    mats = []
+    for i in range(1, sum(shape)):
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for u, t in enumerate(tableaux):
+            r = contents[u][i] - contents[u][i - 1]
+            m[u][u] = Fraction(1, r)
+            if abs(r) > 1:
+                swapped = index[t[: i - 1] + (t[i], t[i - 1]) + t[i + 1:]]
+                lower = t[i] > t[i - 1]
+                m[swapped][u] = Fraction(1) if lower else 1 - Fraction(1, r * r)
+        mats.append(m)
+    return mats
+
+
+class WordTable:
+    """ρ_λ(w) for the leaf words w of degree n and the partitions λ of n, in
+    Python ints.  A word other than the identity puts some label i+1 before
+    i; swapping the first such pair gives its parent, one inversion
+    shorter, with w = s_i ∘ parent and so ρ(w) = ρ(s_i)·ρ(parent).  A
+    word's matrices are built from its parent's on first use: a module
+    generator, brought to the identity word by ``ModuleRanks``, meets few
+    of the n! words.
+
+    The words and their ranks are those of a basis layout of degree n
+    (``terms.BasisLayout``), so column c of the layout holds the word of
+    rank c mod n!.  ``matrix(k, r)`` is the flat row-major integer matrix
+    N_w for the k-th partition and the word of rank r.  Over a prime
+    field N_w is ρ(w) mod p.  Over the rationals each seminormal generator
+    is scaled by L = lcm(1..n-1)² to integers, so ρ(w) = N_w / L^ℓ(w),
+    where ℓ(w) = ``length(r)`` counts the inversions of w."""
+
+    __slots__ = ("degree", "field", "dims", "words", "rank", "scale", "_gens", "_mats")
+
+    def __init__(self, layout, field):
+        self.degree = n = layout.degree
+        self.field = field
+        self.words, self.rank = layout.words, layout.rank
+        if field == QQ:
+            self.scale = math.lcm(*range(1, n)) ** 2
+            coerce = lambda x: int(x * self.scale)  # noqa: E731
+        else:
+            self.scale = None
+            coerce = field.coerce
+        self.dims = dimensions(n)
+        self._gens = [
+            [
+                [[(u, coerce(x)) for u, x in enumerate(row) if x] for row in m]
+                for m in seminormal_matrices(shape)
+            ]
+            for shape in partitions(n)
+        ]
+        identity = self.rank[tuple(range(1, n + 1))]
+        self._mats = [
+            {identity: tuple(int(t == u) for t in range(d) for u in range(d))}
+            for d in self.dims
+        ]
+
+    def length(self, r: int) -> int:
+        word = self.words[r]
+        return sum(a > b for j, a in enumerate(word) for b in word[j + 1:])
+
+    def matrix(self, k: int, r: int):
+        """N_w for the k-th partition and the word of rank r."""
+        mats = self._mats[k]
+        out = mats.get(r)
+        if out is None:
+            word = self.words[r]
+            at = {v: j for j, v in enumerate(word)}
+            i = next(i for i in range(1, self.degree) if at[i + 1] < at[i])
+            swap = {i: i + 1, i + 1: i}
+            parent = self.rank[tuple(swap.get(v, v) for v in word)]
+            prev, d = self.matrix(k, parent), self.dims[k]
+            out = []
+            for entries in self._gens[k][i - 1]:
+                (u, c), *rest = entries
+                acc = [c * x for x in prev[u * d:(u + 1) * d]]
+                for u, c in rest:
+                    acc = [a + c * x for a, x in zip(acc, prev[u * d:(u + 1) * d])]
+                out.extend(acc)
+            if self.scale is None:
+                out = [x % self.field.p for x in out]
+            mats[r] = out = tuple(out)
+        return out
+
+
+class ModuleRanks:
+    """The ranks r_λ of the stacked matrices ρ_λ(g) over the elements g of
+    k[S_n]^s inserted so far.  An element is a dict column -> scalar over
+    the table's field, column = block · n! + rank of the leaf word."""
+
+    __slots__ = ("table", "width", "reducers", "ncols")
+
+    def __init__(self, table: WordTable, nblocks: int):
+        self.table = table
+        self.width = len(table.words)
+        self.reducers = [_Reducer(table.field) for _ in table.dims]
+        self.ncols = [nblocks * d for d in table.dims]
+
+    @property
+    def ranks(self):
+        return [len(r.pivot_rows) for r in self.reducers]
+
+    def _coefficients(self, vec):
+        """Per block, the (word rank, integer coefficient) pairs of vec.
+        Over the rationals vec is scaled by a common denominator and by the
+        powers of L that bring each N_w to ρ(w)·L^E; this scales each
+        ρ_λ(vec) as a whole, which leaves its row space alone."""
+        table, width = self.table, self.width
+        # ρ(σ·vec) = ρ(σ)ρ(vec) has the same row space as ρ(vec); taking σ
+        # to bring the first column's word to the identity makes it sparser
+        first = table.words[min(vec) % width]
+        inverse = {v: j for j, v in enumerate(first, 1)}
+        rank, words = table.rank, table.words
+        vec = {
+            c - r + rank[tuple(inverse[x] for x in words[r])]: v
+            for c, v in vec.items()
+            for r in (c % width,)
+        }
+        if table.scale is not None:
+            den = math.lcm(*(v.denominator for v in vec.values()))
+            lengths = {c: table.length(c % width) for c in vec}
+            top = max(lengths.values())
+            vec = {
+                c: v.numerator * (den // v.denominator)
+                * table.scale ** (top - lengths[c])
+                for c, v in vec.items()
+            }
+        blocks: dict = {}
+        for c, v in vec.items():
+            b, r = divmod(c, width)
+            blocks.setdefault(b, []).append((r, v))
+        return blocks
+
+    def insert(self, vec: dict) -> bool:
+        """Add ρ_λ(vec)'s rows for every λ; whether any rank went up."""
+        if not vec:
+            return False
+        blocks = self._coefficients(vec)
+        table = self.table
+        modulus = None if table.scale is not None else table.field.p
+        raised = False
+        for k, (d, reducer, ncols) in enumerate(
+            zip(table.dims, self.reducers, self.ncols)
+        ):
+            if len(reducer.pivot_rows) == ncols:
+                continue
+            images = []
+            for b, terms in blocks.items():
+                (r, c), *rest = terms
+                acc = [c * x for x in table.matrix(k, r)]
+                for r, c in rest:
+                    acc = [a + c * x for a, x in zip(acc, table.matrix(k, r))]
+                if modulus is not None:
+                    acc = [x % modulus for x in acc]
+                images.append((b * d, acc))
+            for t in range(0, d * d, d):
+                row = {
+                    base + j: x
+                    for base, acc in images
+                    for j, x in enumerate(acc[t:t + d])
+                    if x
+                }
+                if not row:
+                    continue
+                if modulus is None:
+                    g = math.gcd(*row.values())
+                    row = {c: Fraction(x // g) for c, x in row.items()}
+                raised |= reducer.insert(row)
+        return raised

@@ -106,6 +106,15 @@ def test_degree_cap_exits_3(capsys):
     assert main(["basis", "--variety", "builtin:assoc", "--degree", "9"]) == 3
 
 
+@pytest.mark.parametrize("field", ["q", "p:1000003", "p:5"])
+def test_dim_over_the_cap_exits_3_on_either_path(capsys, field):
+    argv = ["dim", "--variety", "builtin:lie", "--degree", "7", "--field", field]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: degree 7 exceeds the enumeration cap 6\n"
+    )
+
+
 def test_degree_cap_below_1_exits_2(capsys):
     argv = ["dim", "--variety", "builtin:lie", "--degree", "3", "--max-degree"]
     for cap in ("-1", "0"):
@@ -172,8 +181,12 @@ def test_denominator_vanishing_mod_p_exits_2(capsys, tmp_path):
         encoding="utf-8",
     )
     message = "error: denominator of 1/3 vanishes modulo 3\n"
-    code = main(["dim", "--variety", str(source), "--degree", "3", "--field", "p:3"])
-    assert (code, capsys.readouterr().err) == (2, message)
+    # degree 2 takes the partition path, degree 3 the row path
+    for degree in ("2", "3"):
+        code = main(
+            ["dim", "--variety", str(source), "--degree", degree, "--field", "p:3"]
+        )
+        assert (code, capsys.readouterr().err) == (2, message)
     code = main(
         [
             "implies",
@@ -344,6 +357,8 @@ def test_verify_bso_comparisons(capsys):
 def test_reports_byte_identical_and_cache_transparent(capsys):
     for argv in (
         ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"],
+        ["dim", "--variety", "builtin:jordan", "--degree", "5"],
+        ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "p:5"],
         ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
         ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
     ):
@@ -390,47 +405,94 @@ def _corrupt(rows, case):
         del rows[-1]
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "zero denominator",
-        "column out of range",
-        "row scaled by 2",
-        "duplicated row",
-        "non-integer numerator",
-        "dropped row",
-    ],
-)
+ROW_CASES = [
+    "zero denominator",
+    "column out of range",
+    "row scaled by 2",
+    "duplicated row",
+    "non-integer numerator",
+    "dropped row",
+]
+RANK_CASES = [
+    "ranks: wrong length",
+    "ranks: not an int",
+    "ranks: negative rank",
+    "ranks: rank above s·d",
+    "ranks: dim not the weighted sum",
+]
+
+
+def _corrupt_ranks(value, case):
+    """One defect in a stored rank entry of lie in degree 4 (5 skeletons;
+    the first partition, (4), has d = 1).  Apart from the defect named,
+    the stored dimension stays the weighted sum of the ranks."""
+    ranks = value["ranks"]
+    if case == "ranks: wrong length":
+        ranks.append(0)
+    elif case == "ranks: not an int":
+        ranks[0] = float(ranks[0])
+    elif case == "ranks: negative rank":
+        value["dim"] -= ranks[0] + 1
+        ranks[0] = -1
+    elif case == "ranks: rank above s·d":
+        value["dim"] += 6 - ranks[0]
+        ranks[0] = 6
+    elif case == "ranks: dim not the weighted sum":
+        value["dim"] += 1
+
+
+@pytest.mark.parametrize("case", ROW_CASES + RANK_CASES)
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, case):
     from dioperad import catalog, ideals
     from dioperad.cache import DiskCache
 
-    argv = [
-        "implies",
-        "--variety",
-        "builtin:assoc",
-        "--identity",
-        "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))",
-        "--field",
-        "q",
-    ]
+    if case in RANK_CASES:
+        argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
+        digest = catalog.presentation("lie").digest
+        key = f"{ideals._RANKS_TAG}:{digest}:q:4"
+    else:
+        argv = [
+            "implies",
+            "--variety",
+            "builtin:assoc",
+            "--identity",
+            "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))",
+            "--field",
+            "q",
+        ]
+        digest = catalog.presentation("assoc").digest
+        key = f"{ideals._CACHE_TAG}:{digest}:q:3"
     first = run(capsys, *argv)
     assert first[0] == 0
 
-    digest = catalog.presentation("assoc").digest
-    path = DiskCache(tmp_path / "cache")._path(
-        f"{ideals._CACHE_TAG}:{digest}:q:3"
-    )
+    path = DiskCache(tmp_path / "cache")._path(key)
     with open(path, encoding="utf-8") as fh:
         good = fh.read()
     entry = json.loads(good)
-    _corrupt(entry["value"]["rows"], case)
+    if case in RANK_CASES:
+        _corrupt_ranks(entry["value"], case)
+    else:
+        _corrupt(entry["value"]["rows"], case)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entry, fh)
 
     assert run(capsys, *argv) == first
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == good
+
+
+def test_warm_dim_reads_the_ranks(capsys, monkeypatch):
+    from dioperad import ideals
+
+    argv = ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "q"]
+    cold = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm dim recomputed its ranks")
+
+    monkeypatch.setattr(ideals, "_module_step", refuse)
+    assert run(capsys, *argv) == cold
+    assert cold[0] == 0
 
 
 def _cache_files(root):
@@ -444,7 +506,7 @@ def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("CACHE_DIR", str(tmp_path / name))
         assert run(capsys, *argv)[0] == 0
         written.append(_cache_files(tmp_path / name))
-    # the components of degrees 2, 3 and 4
+    # the rank entries of degrees 2, 3 and 4
     assert len(written[0]) == 3
     assert written[1] == written[0]
 
