@@ -1,5 +1,5 @@
-"""Content-addressed disk cache for computed results: the rows of ideal
-layers and the ranks by partition that ``dim`` reads.
+"""Content-addressed disk cache for computed results: the ranks by
+partition that ``dim`` writes and reads.
 
 Entries are JSON files under a two-level fan-out of the key hash.  Writes
 go to a temporary file in the same directory and are renamed into place,

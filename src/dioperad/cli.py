@@ -368,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit one JSON object"
     )
     common.add_argument(
-        "--no-cache", action="store_true", help="skip the on-disk layer cache"
+        "--no-cache",
+        action="store_true",
+        help="skip the on-disk cache of ranks by partition",
     )
     common.add_argument(
         "--timings",

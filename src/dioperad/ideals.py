@@ -5,16 +5,15 @@ The multilinear consequences of a set of identities in degree n form the
 n-th component of the smallest ideal containing them that is closed under
 composition on either side and relabelling of variables.  The component is
 computed layer by layer: one-step substitutions of a single operation into
-(or around) each lower layer, then closure under the symmetric group.  Its
-dimension alone is counted by partition when k[S_n] is semisimple: see
-``ideal_dimensions``.
+(or around) each lower layer, then closure under the symmetric group, kept
+in the run context's memo.  Its dimension alone is counted by partition
+when k[S_n] is semisimple (see ``ideal_dimensions``), and those ranks are
+the only results written to the disk cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
-from itertools import chain
 
 from .context import as_context
 from .fields import QQ
@@ -24,6 +23,7 @@ from .terms import (
     Polynomial,
     basis_layout,
     check_in_signature,
+    format_node,
     format_polynomial,
     substitution_column_maps,
 )
@@ -129,6 +129,13 @@ class DegreeComponent:
             raise ValueError(
                 f"degree {p.degree} element tested in degree {self.degree}"
             )
+        for m in p.terms:
+            if not m.is_multilinear():
+                raise ValueError(
+                    f"monomial {format_node(m.node)} is not multilinear: each "
+                    f"of the variables 1..{self.degree} must occur once; "
+                    "write a multihomogeneous identity as (linearize ...)"
+                )
         return self.ideal.contains(poly_to_vector(p, self.layout))
 
 
@@ -151,132 +158,62 @@ def _perm_column_maps(layout):
     return maps
 
 
-_CACHE_TAG = "consequences-v1"
-
-
-def _encode_rows(field, rows) -> list:
-    if field == QQ:
-        return [
-            [[c, str(v.numerator), str(v.denominator)]
-             for c, v in sorted(row.items())]
-            for row in rows
-        ]
-    return [[[c, int(v)] for c, v in sorted(row.items())] for row in rows]
-
-
-def _decode_rows(field, stored, ncols):
-    """The rows of a stored component (None on a miss), or None unless they
-    form a fully reduced echelon basis over the field: integer columns in
-    range and strictly increasing in each row, nonzero values in normal
-    form, a one at each row's pivot, strictly increasing pivots, and no row
-    nonzero in another row's pivot column.  An entry that has lost rows
-    still passes."""
-    try:
-        data = stored["rows"]
-        if field == QQ:
-            rows = [{c: Fraction(int(n), int(d)) for c, n, d in e} for e in data]
-            entries = list(chain.from_iterable(data))
-        else:
-            rows = [dict(e) for e in data]
-        pivots = list(map(min, rows))
-    except (LookupError, TypeError, ValueError, ZeroDivisionError):
-        return None
-    columns = list(chain.from_iterable(rows))
-    values = list(chain.from_iterable(map(dict.values, rows)))
-    if field == QQ:
-        # A nonzero numerator stored as a string survives normalisation only
-        # in lowest terms over a positive denominator.
-        nums = [e[1] for e in entries]
-        normal = set(map(type, nums + [e[2] for e in entries])) <= {str} and [
-            v.numerator for v in values
-        ] == list(map(int, nums))
-    else:
-        normal = (
-            set(map(type, values)) <= {int}
-            and 0 < min(values, default=1)
-            and max(values, default=0) < field.p
-        )
-    pivot_set = set(pivots)
-    valid = (
-        normal
-        and all(values)
-        and len(columns) == sum(map(len, data))
-        and set(map(type, columns)) <= {int}
-        and all(map(list.__eq__, map(list, rows), map(sorted, rows)))
-        and 0 <= min(columns, default=0) <= max(columns, default=0) < ncols
-        and pivots == sorted(pivot_set)
-        and list(map(dict.__getitem__, rows, pivots)) == [field.one] * len(rows)
-        and sum(map(len, map(pivot_set.intersection, rows))) == len(rows)
-    )
-    return rows if valid else None
-
-
-def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
-    """Degree-n span of the operad ideal generated by the given multilinear
-    polynomials (already over the context's field).  ``digest`` keys the
-    memo and the optional disk cache; equal digests must mean equal inputs.
-    """
-    ctx = as_context(ctx)
-    return ctx.memo(
-        ("ideal", digest, n),
-        n,
-        lambda: _load_or_expand(signature, generators, digest, n, ctx),
-    )
-
-
-def _load_or_expand(signature, generators, digest, n, ctx) -> Subspace:
-    """The component read back from the disk cache, or else expanded from
-    the lower components and then written to the disk cache."""
-    field, cache = ctx.field, ctx.cache
+def _candidates(signature, generators, n, ctx, lower):
+    """The vectors that generate the degree-n ideal, in a fixed order: the
+    degree-n identities, then, one operation at a time, the one-step
+    substitutions of each vector in ``lower(m)``, m being the lower degree
+    that the operation composes into degree n."""
     layout = basis_layout(signature, n, ctx)
-    ncols = layout.ncols
-    ckey = f"{_CACHE_TAG}:{digest}:{field.name}:{n}"
-    if cache is not None:
-        stored = cache.get(ckey)
-        rows = _decode_rows(field, stored, ncols)
-        # an entry that has lost whole rows is still well-formed; its
-        # stored dimension gives it away
-        if rows is not None and stored.get("dim") == len(rows):
-            return Subspace(field, ncols, rows)
-
-    reducer = _Reducer(field)
-    queue: list[dict] = []
-
-    def feed(vec):
-        if reducer.insert(vec):
-            queue.append(vec)
-
     for g in generators:
         if g.degree == n:
-            feed(poly_to_vector(g, layout))
-
+            yield poly_to_vector(g, layout)
     for op, arity in signature.operations:
         m = n - arity + 1
         if m < 2 or m >= n:
             continue
-        lower = ideal_component(signature, generators, digest, m, ctx)
-        if not lower.dim:
+        vectors = lower(m)
+        if not vectors:
             continue
-        # every w o_i op, then every op o_i w, for each lower row
+        # every w o_i op, then every op o_i w, for each lower vector
         colmaps = substitution_column_maps(
             basis_layout(signature, m, ctx), layout, op
         )
-        for row in lower.rows:
+        for vec in vectors:
             for colmap in colmaps:
-                feed({colmap[c]: v for c, v in row.items()})
+                yield {colmap[c]: v for c, v in vec.items()}
 
-    colmaps = _perm_column_maps(layout)
-    while queue:
-        vec = queue.pop()
-        for colmap in colmaps:
-            feed({colmap[c]: v for c, v in vec.items()})
 
-    space = Subspace(field, ncols, reducer)
-    if cache is not None:
-        cache.put(
-            ckey, {"rows": _encode_rows(field, space.rows), "dim": space.dim}
-        )
-    return space
+def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
+    """Degree-n span of the operad ideal generated by the given multilinear
+    polynomials (already over the context's field): the span of the
+    candidates, with every lower component's rows substituted, closed
+    under S_n.  ``digest`` keys the memo; equal digests must mean equal
+    inputs.
+    """
+    ctx = as_context(ctx)
+
+    def build():
+        reducer = _Reducer(ctx.field)
+        queue: list[dict] = []
+
+        def feed(vec):
+            if reducer.insert(vec):
+                queue.append(vec)
+
+        def lower(m):
+            return ideal_component(signature, generators, digest, m, ctx).rows
+
+        for vec in _candidates(signature, generators, n, ctx, lower):
+            feed(vec)
+        layout = basis_layout(signature, n, ctx)
+        colmaps = _perm_column_maps(layout)
+        while queue:
+            vec = queue.pop()
+            for colmap in colmaps:
+                feed({colmap[c]: v for c, v in vec.items()})
+        return Subspace(ctx.field, layout.ncols, reducer)
+
+    return ctx.memo(("ideal", digest, n), n, build)
 
 
 def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
@@ -312,9 +249,8 @@ def _ideal_dim(n, ranks) -> int:
 
 def _module_step(signature, generators, digest, n, ctx):
     """The degree-n ideal as an S_n-module: its ranks by partition, and the
-    module generators that raised one of them.  The candidates are the
-    degree-n identities and the one-step substitutions of each lower
-    degree's kept generators.
+    module generators that raised one of them: the ``_candidates`` with
+    each lower degree's kept generators substituted.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates generate the
@@ -328,24 +264,12 @@ def _module_step(signature, generators, digest, n, ctx):
         module = ModuleRanks(table, len(layout.skeletons))
         kept = []
 
-        def offer(vec):
+        def lower(m):
+            return _module_step(signature, generators, digest, m, ctx)[1]
+
+        for vec in _candidates(signature, generators, n, ctx, lower):
             if module.insert(vec):
                 kept.append(vec)
-
-        for g in generators:
-            if g.degree == n:
-                offer(poly_to_vector(g, layout))
-        for op, arity in signature.operations:
-            m = n - arity + 1
-            if m < 2 or m >= n:
-                continue
-            _, lower = _module_step(signature, generators, digest, m, ctx)
-            colmaps = substitution_column_maps(
-                basis_layout(signature, m, ctx), layout, op
-            )
-            for vec in lower:
-                for colmap in colmaps:
-                    offer({colmap[c]: v for c, v in vec.items()})
         ranks = module.ranks
         if ctx.cache is not None:
             ctx.cache.put(

@@ -364,8 +364,9 @@ def test_reports_byte_identical_and_cache_transparent(capsys):
     ):
         runs = []
         for extra in ([], [], ["--no-cache"]):
-            # each run has its own memos, so the warm run reads back what
-            # the cold run wrote to the disk cache
+            # each run has its own memos: a warm dim on the partition path
+            # reads back the ranks the cold run wrote to the disk cache,
+            # and every row command recomputes
             runs.append(run(capsys, *argv, *extra))
         first, warm, uncached = runs
         assert first == warm == uncached
@@ -389,30 +390,6 @@ def test_verify_bso_exits_1_without_a_kernel_row(capsys, drop_last_kernel_row):
     assert report["comparisons"][-1]["equal"] is False
 
 
-def _corrupt(rows, case):
-    first = rows[0]
-    if case == "zero denominator":
-        first[0][2] = "0"
-    elif case == "column out of range":
-        first[-1][0] = 12
-    elif case == "row scaled by 2":
-        rows[0] = [[c, str(2 * int(n)), d] for c, n, d in first]
-    elif case == "duplicated row":
-        rows.insert(1, first)
-    elif case == "non-integer numerator":
-        first[0][1] = "1.5"
-    elif case == "dropped row":
-        del rows[-1]
-
-
-ROW_CASES = [
-    "zero denominator",
-    "column out of range",
-    "row scaled by 2",
-    "duplicated row",
-    "non-integer numerator",
-    "dropped row",
-]
 RANK_CASES = [
     "ranks: wrong length",
     "ranks: not an int",
@@ -441,27 +418,14 @@ def _corrupt_ranks(value, case):
         value["dim"] += 1
 
 
-@pytest.mark.parametrize("case", ROW_CASES + RANK_CASES)
+@pytest.mark.parametrize("case", RANK_CASES)
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, case):
     from dioperad import catalog, ideals
     from dioperad.cache import DiskCache
 
-    if case in RANK_CASES:
-        argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
-        digest = catalog.presentation("lie").digest
-        key = f"{ideals._RANKS_TAG}:{digest}:q:4"
-    else:
-        argv = [
-            "implies",
-            "--variety",
-            "builtin:assoc",
-            "--identity",
-            "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))",
-            "--field",
-            "q",
-        ]
-        digest = catalog.presentation("assoc").digest
-        key = f"{ideals._CACHE_TAG}:{digest}:q:3"
+    argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
+    digest = catalog.presentation("lie").digest
+    key = f"{ideals._RANKS_TAG}:{digest}:q:4"
     first = run(capsys, *argv)
     assert first[0] == 0
 
@@ -469,10 +433,7 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, case):
     with open(path, encoding="utf-8") as fh:
         good = fh.read()
     entry = json.loads(good)
-    if case in RANK_CASES:
-        _corrupt_ranks(entry["value"], case)
-    else:
-        _corrupt(entry["value"]["rows"], case)
+    _corrupt_ranks(entry["value"], case)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entry, fh)
 
@@ -499,6 +460,15 @@ def _cache_files(root):
     return sorted(p.name for p in root.rglob("*.json"))
 
 
+ROW_COMMANDS = [
+    ["implies", "--variety", "builtin:assoc", "--identity",
+     "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))", "--field", "q"],
+    ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
+    ["special", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
+    ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "p:5"],
+]
+
+
 def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
     argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
     written = []
@@ -509,6 +479,23 @@ def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
     # the rank entries of degrees 2, 3 and 4
     assert len(written[0]) == 3
     assert written[1] == written[0]
+    # the row path, dim at p <= n included, keeps its layers in the memo
+    for i, row_argv in enumerate(ROW_COMMANDS):
+        monkeypatch.setenv("CACHE_DIR", str(tmp_path / f"rows{i}"))
+        assert run(capsys, *row_argv)[0] == 0
+        assert _cache_files(tmp_path / f"rows{i}") == [], row_argv
+
+
+@pytest.mark.parametrize(
+    "identity", ["(bracket 1 3)", "(bracket 1 (bracket 2 2))"]
+)
+def test_implies_rejects_a_non_multilinear_identity(capsys, identity):
+    code = main(["implies", "--variety", "builtin:lie", "--identity", identity])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"monomial {identity} is not multilinear" in captured.err
+    assert "(linearize ...)" in captured.err
 
 
 def _module_containers():
