@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from dioperad import Context
+from dioperad import Context, catalog, ideals
+from dioperad.cache import DiskCache
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
@@ -27,6 +28,7 @@ from dioperad.terms import (
     enumerate_monomials,
     substitute_at,
 )
+from dioperad.young import dimensions
 
 
 def symmetric_orbit(p: Polynomial):
@@ -236,3 +238,73 @@ def test_presentation_digest_distinguishes_content():
     assert a == VarietyPresentation(
         "x", BIN, [poly({("mul", 1, 2): 1, ("mul", 2, 1): -1})]
     )
+
+
+def _corrupted_ranks(stored, n, skeletons, case):
+    """A copy of a stored rank entry with one defect it could carry.  Apart
+    from the defect named, the dimension stays the weighted sum Σ d_λ·r_λ
+    of the ranks, so only the clause under test can reject the entry."""
+    if case == "no entry":
+        return None
+    if case == "not a mapping":
+        return list(stored["ranks"])
+    value = {"ranks": list(stored["ranks"]), "dim": stored["dim"]}
+    ranks, first = value["ranks"], dimensions(n)[0]
+    if case == "no ranks":
+        del value["ranks"]
+    elif case == "no dim":
+        del value["dim"]
+    elif case == "ranks not a list":
+        value["ranks"] = tuple(ranks)
+    elif case == "one rank too few":
+        value["dim"] -= dimensions(n)[-1] * ranks.pop()
+    elif case == "one rank too many":
+        ranks.append(0)
+    elif case == "rank not an int":
+        ranks[0] = float(ranks[0])
+    elif case == "dim not an int":
+        value["dim"] = float(value["dim"])
+    elif case == "negative rank":
+        value["dim"] -= first * (ranks[0] + 1)
+        ranks[0] = -1
+    elif case == "rank above s·d":
+        value["dim"] += first * (skeletons * first + 1 - ranks[0])
+        ranks[0] = skeletons * first + 1
+    elif case == "dim not the weighted sum":
+        value["dim"] += 1
+    return value
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("lie", 4, QQ), ("assoc", 5, PrimeField(1000003))],
+    ids=["lie-d4-q", "assoc-d5-p"],
+)
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no entry",
+        "not a mapping",
+        "no ranks",
+        "no dim",
+        "ranks not a list",
+        "one rank too few",
+        "one rank too many",
+        "rank not an int",
+        "dim not an int",
+        "negative rank",
+        "rank above s·d",
+        "dim not the weighted sum",
+    ],
+)
+def test_decode_ranks_rejects_each_malformed_entry(tmp_path, source, case):
+    name, n, field = source
+    variety = catalog.presentation(name)
+    ctx = Context(field, cache=DiskCache(tmp_path))
+    ranks = ideals.partition_ranks(variety, n, ctx)
+    stored = ctx.cache.get(ideals._ranks_key(variety.digest, field, n))
+    skeletons = len(basis_layout(variety.signature, n, ctx).skeletons)
+    # the entry the run wrote reads back as the ranks it computed
+    assert ideals._decode_ranks(stored, n, skeletons) == ranks
+    bad = _corrupted_ranks(stored, n, skeletons, case)
+    assert ideals._decode_ranks(bad, n, skeletons) is None
