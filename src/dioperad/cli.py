@@ -6,7 +6,12 @@ A presentation or morphism argument takes one of the forms ``builtin:NAME``
 of several in a file), or — for varieties — ``di:SPEC`` (the dialgebra
 counterpart of whatever SPEC names).  Output is an aligned table or, with
 --json, one JSON object; identical inputs produce byte-identical reports
-unless --timings is given.
+unless --timings is given.  Every report keys its fields in one order:
+command; the subject names (variety, identity, morphism, source); then
+inputs_digest, field, degree and dims; the command's checks
+(expected_quotient, kernel and special, or comparisons); verdict; the
+command's listings (basis, result, presentations, ...); and elapsed_ms
+under --timings.
 
 Exit codes: 0 success, 1 false verdict, 2 usage or input errors, 3 degree
 cap exceeded.
@@ -15,6 +20,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,49 +64,43 @@ def _load_document(path):
     return parse_document(text, resolver=_builtin_resolver)
 
 
-def _pick(entries: dict, path: str, name, kind: str):
-    if name is not None:
-        entry = entries.get(name)
-        if entry is None:
-            known = ", ".join(entries) or "none"
-            raise ValueError(
-                f"no {kind} named {name!r} in {path!r} (defined: {known})"
-            )
-        return entry
-    if len(entries) == 1:
-        return next(iter(entries.values()))
-    raise ValueError(
-        f"{path!r} defines {len(entries)} {kind}s; choose one with {path}:NAME"
-    )
+def _resolve(spec: str, kind: str, builtin, unresolved: str):
+    """The presentation or morphism (``kind``) that ``builtin:NAME``,
+    ``PATH`` (a file defining exactly one) or ``PATH:NAME`` names.  Any
+    other SPEC is an error whose message ends in ``unresolved``."""
+    if spec.startswith("builtin:"):
+        return builtin(spec[len("builtin:"):])
+    if os.path.exists(spec):
+        path, name = spec, None
+    else:
+        path, sep, name = spec.rpartition(":")
+        if not (sep and os.path.exists(path)):
+            raise ValueError(f"cannot resolve {unresolved}")
+    entries = getattr(_load_document(path), f"{kind}s")
+    if name is None:
+        if len(entries) == 1:
+            return next(iter(entries.values()))
+        raise ValueError(
+            f"{path!r} defines {len(entries)} {kind}s; choose one with {path}:NAME"
+        )
+    if name not in entries:
+        known = ", ".join(entries) or "none"
+        raise ValueError(f"no {kind} named {name!r} in {path!r} (defined: {known})")
+    return entries[name]
 
 
 def resolve_variety(spec: str):
     if spec.startswith("di:"):
         return bso_presentation(resolve_variety(spec[3:]))
-    if spec.startswith("builtin:"):
-        return catalog.presentation(spec[len("builtin:"):])
-    if os.path.exists(spec):
-        return _pick(_load_document(spec).presentations, spec, None, "presentation")
-    path, sep, name = spec.rpartition(":")
-    if sep and os.path.exists(path):
-        return _pick(_load_document(path).presentations, path, name, "presentation")
-    raise ValueError(
-        f"cannot resolve variety {spec!r} (use builtin:NAME, PATH, PATH:NAME, "
-        f"or di:SPEC)"
-    )
+    usage = "(use builtin:NAME, PATH, PATH:NAME, or di:SPEC)"
+    return _resolve(spec, "presentation", catalog.presentation,
+                    f"variety {spec!r} {usage}")
 
 
 def resolve_morphism(spec: str) -> MorphismEntry:
-    if spec.startswith("builtin:"):
-        return catalog.morphism(spec[len("builtin:"):])
-    if os.path.exists(spec):
-        return _pick(_load_document(spec).morphisms, spec, None, "morphism")
-    path, sep, name = spec.rpartition(":")
-    if sep and os.path.exists(path):
-        return _pick(_load_document(path).morphisms, path, name, "morphism")
-    raise ValueError(
-        f"cannot resolve morphism {spec!r} (use builtin:NAME, PATH, or PATH:NAME)"
-    )
+    usage = "(use builtin:NAME, PATH, or PATH:NAME)"
+    return _resolve(spec, "morphism", catalog.morphism,
+                    f"morphism {spec!r} {usage}")
 
 
 def _parse_identity_text(text: str, sig):
@@ -162,190 +162,118 @@ def render_human(report: dict) -> str:
     return out
 
 
+def _report(args, ctx, names, digest, degree=None, dims=None, checks=None,
+            verdict=None, **listings):
+    """A report, keyed in the order the module docstring gives."""
+    report = {"command": args.command, **names, "inputs_digest": digest,
+              "field": ctx.field.name, "degree": degree, "dims": dims}
+    report.update(checks or {})
+    report["verdict"] = verdict
+    report.update(listings)
+    return report
+
+
+def _dims(ambient, ideal):
+    quotient = None if ideal is None else ambient - ideal
+    return {"ambient": ambient, "ideal": ideal, "quotient": quotient}
+
+
 def _cmd_basis(args, ctx):
     variety = resolve_variety(args.variety)
     monomials = enumerate_monomials(variety.signature, args.degree, ctx)
-    return {
-        "command": "basis",
-        "variety": variety.name,
-        "inputs_digest": variety.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {"ambient": len(monomials), "ideal": None, "quotient": None},
-        "verdict": None,
-        "basis": [format_node(m.node) for m in monomials],
-    }
+    return _report(args, ctx, {"variety": variety.name}, variety.digest,
+                   args.degree, _dims(len(monomials), None),
+                   basis=[format_node(m.node) for m in monomials])
 
 
 def _cmd_dim(args, ctx):
     variety = resolve_variety(args.variety)
     ambient, ideal = ideal_dimensions(variety, args.degree, ctx)
-    return {
-        "command": "dim",
-        "variety": variety.name,
-        "inputs_digest": variety.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {"ambient": ambient, "ideal": ideal, "quotient": ambient - ideal},
-        "verdict": None,
-    }
+    return _report(args, ctx, {"variety": variety.name}, variety.digest,
+                   args.degree, _dims(ambient, ideal))
 
 
 def _cmd_implies(args, ctx):
     variety = resolve_variety(args.variety)
     p = _parse_identity_text(args.identity, variety.signature)
     comp = consequences_at_degree(variety, p.degree, ctx)
+    names = {"variety": variety.name, "identity": format_polynomial(p)}
+    return _report(args, ctx, names, variety.digest, p.degree,
+                   _dims(comp.ambient_dimension, comp.ideal.dim),
+                   verdict=comp.contains(p))
+
+
+def _di_equivalence(variety, degree, ctx):
+    """The degree, dims, checks and verdict of a verify-di report."""
+    rep = verify_dialgebra_equivalence(variety, degree, ctx)
     return {
-        "command": "implies",
-        "variety": variety.name,
-        "identity": format_polynomial(p),
-        "inputs_digest": variety.digest,
-        "field": ctx.field.name,
-        "degree": p.degree,
-        "dims": {
-            "ambient": comp.ambient_dimension,
-            "ideal": comp.ideal.dim,
-            "quotient": comp.quotient_dimension,
-        },
-        "verdict": comp.contains(p),
+        "degree": degree,
+        "dims": _dims(rep.ambient_dimension, rep.ideal_dimension),
+        "checks": {"expected_quotient": rep.expected_quotient_dimension},
+        "verdict": rep.equal,
     }
 
 
 def _cmd_dialgebrize(args, ctx):
     variety = resolve_variety(args.variety)
     divar = bso_presentation(variety)
-    dims = expected = verdict = None
+    checked = {"checks": {"expected_quotient": None}}
     if args.verify_degree is not None:
-        rep = verify_dialgebra_equivalence(variety, args.verify_degree, ctx)
-        dims = {
-            "ambient": rep.ambient_dimension,
-            "ideal": rep.ideal_dimension,
-            "quotient": rep.quotient_dimension,
-        }
-        expected = rep.expected_quotient_dimension
-        verdict = rep.equal
-    return {
-        "command": "dialgebrize",
-        "variety": variety.name,
-        "inputs_digest": variety.digest,
-        "field": ctx.field.name,
-        "degree": args.verify_degree,
-        "dims": dims,
-        "expected_quotient": expected,
-        "verdict": verdict,
-        "result": divar.name,
-        "result_digest": divar.digest,
-        "presentation": format_presentation(divar),
-    }
+        checked = _di_equivalence(variety, args.verify_degree, ctx)
+    return _report(args, ctx, {"variety": variety.name}, variety.digest,
+                   **checked, result=divar.name, result_digest=divar.digest,
+                   presentation=format_presentation(divar))
 
 
 def _cmd_verify_di(args, ctx):
     variety = resolve_variety(args.variety)
-    rep = verify_dialgebra_equivalence(variety, args.degree, ctx)
-    return {
-        "command": "verify-di",
-        "variety": variety.name,
-        "inputs_digest": variety.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {
-            "ambient": rep.ambient_dimension,
-            "ideal": rep.ideal_dimension,
-            "quotient": rep.quotient_dimension,
-        },
-        "expected_quotient": rep.expected_quotient_dimension,
-        "verdict": rep.equal,
-    }
+    return _report(args, ctx, {"variety": variety.name}, variety.digest,
+                   **_di_equivalence(variety, args.degree, ctx))
 
 
-def _cmd_special(args, ctx):
+def _cmd_special(identities, format_basis, args, ctx):
+    """special and special-di, which differ in the library call, the basis
+    formatter, and the lift-match verdict that only special-di has."""
     entry = resolve_morphism(args.morphism)
-    rep = special_identities(entry.morphism, entry.source, args.degree, ctx)
-    report = {
-        "command": "special",
-        "morphism": entry.morphism.name,
-        "source": entry.source.name,
-        "inputs_digest": entry.morphism.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {
-            "ambient": rep.ambient_dimension,
-            "ideal": rep.ideal_dimension,
-            "quotient": rep.ambient_dimension - rep.ideal_dimension,
-        },
-        "kernel": rep.kernel_dimension,
-        "special": rep.special_dimension,
-        "verdict": None,
-    }
+    rep = identities(entry.morphism, entry.source, args.degree, ctx)
+    listings = {}
     if args.basis:
-        report["basis"] = [format_polynomial(p) for p in rep.basis]
-    return report
-
-
-def _cmd_special_di(args, ctx):
-    entry = resolve_morphism(args.morphism)
-    rep = di_special_identities(entry.morphism, entry.source, args.degree, ctx)
-    report = {
-        "command": "special-di",
-        "morphism": rep.morphism,
-        "source": entry.source.name,
-        "inputs_digest": entry.morphism.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {
-            "ambient": rep.ambient_dimension,
-            "ideal": rep.ideal_dimension,
-            "quotient": rep.ambient_dimension - rep.ideal_dimension,
-        },
-        "kernel": rep.kernel_dimension,
-        "special": rep.special_dimension,
-        "verdict": rep.matches_lifted,
-    }
-    if args.basis:
-        report["basis"] = [_format_dipolynomial(p) for p in rep.basis]
-    return report
+        listings["basis"] = [format_basis(p) for p in rep.basis]
+    return _report(
+        args, ctx, {"morphism": rep.morphism, "source": entry.source.name},
+        entry.morphism.digest, args.degree,
+        _dims(rep.ambient_dimension, rep.ideal_dimension),
+        checks={"kernel": rep.kernel_dimension,
+                "special": rep.special_dimension},
+        verdict=getattr(rep, "matches_lifted", None),
+        **listings,
+    )
 
 
 def _cmd_verify_bso(args, ctx):
     entry = resolve_morphism(args.morphism)
     rep = verify_bso_theorem(entry.morphism, entry.source, args.degree, ctx)
     last = rep.comparisons[-1]
-    return {
-        "command": "verify-bso",
-        "morphism": entry.morphism.name,
-        "inputs_digest": entry.morphism.digest,
-        "field": ctx.field.name,
-        "degree": args.degree,
-        "dims": {
-            "ambient": last.ambient_dimension,
-            "ideal": last.consequence_dimension,
-            "quotient": last.ambient_dimension - last.consequence_dimension,
-        },
-        "comparisons": [
-            {
-                "degree": c.degree,
-                "ambient": c.ambient_dimension,
-                "kernel": c.kernel_dimension,
-                "consequences": c.consequence_dimension,
-                "equal": c.equal,
-            }
-            for c in rep.comparisons
-        ],
-        "verdict": rep.verdict,
-    }
+    comparisons = [
+        {
+            "degree": c.degree,
+            "ambient": c.ambient_dimension,
+            "kernel": c.kernel_dimension,
+            "consequences": c.consequence_dimension,
+            "equal": c.equal,
+        }
+        for c in rep.comparisons
+    ]
+    return _report(args, ctx, {"morphism": entry.morphism.name},
+                   entry.morphism.digest, args.degree,
+                   _dims(last.ambient_dimension, last.consequence_dimension),
+                   checks={"comparisons": comparisons}, verdict=rep.verdict)
 
 
 def _cmd_catalog(args, ctx):
-    return {
-        "command": "catalog",
-        "inputs_digest": None,
-        "field": ctx.field.name,
-        "degree": None,
-        "dims": None,
-        "verdict": None,
-        "presentations": list(catalog.presentation_names()),
-        "morphisms": list(catalog.morphism_names()),
-    }
+    return _report(args, ctx, {}, None,
+                   presentations=list(catalog.presentation_names()),
+                   morphisms=list(catalog.morphism_names()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,21 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, subject=None, degree=False):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
+        if subject is not None:
+            p.add_argument(f"--{subject}", required=True, metavar="SPEC")
+        if degree:
+            p.add_argument("--degree", type=int, required=True, metavar="N")
         return p
 
-    p = add("basis", _cmd_basis, "enumerate the multilinear monomials of a degree")
-    p.add_argument("--variety", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
+    add("basis", _cmd_basis, "enumerate the multilinear monomials of a degree",
+        "variety", degree=True)
+    add("dim", _cmd_dim, "ambient, ideal, and quotient dimensions at a degree",
+        "variety", degree=True)
 
-    p = add("dim", _cmd_dim, "ambient, ideal, and quotient dimensions at a degree")
-    p.add_argument("--variety", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
-
-    p = add("implies", _cmd_implies, "test whether an identity follows from a presentation")
-    p.add_argument("--variety", required=True, metavar="SPEC")
+    p = add("implies", _cmd_implies,
+            "test whether an identity follows from a presentation", "variety")
     p.add_argument(
         "--identity",
         required=True,
@@ -407,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="s-expression, optionally wrapped in (linearize ...)",
     )
 
-    p = add("dialgebrize", _cmd_dialgebrize, "emit the dialgebra counterpart of a presentation")
-    p.add_argument("--variety", required=True, metavar="SPEC")
+    p = add("dialgebrize", _cmd_dialgebrize,
+            "emit the dialgebra counterpart of a presentation", "variety")
     p.add_argument(
         "--verify-degree",
         type=int,
@@ -418,28 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
         "the collapse preimage of N copies of the plain ideal",
     )
 
-    p = add(
-        "verify-di",
-        _cmd_verify_di,
+    add("verify-di", _cmd_verify_di,
         "check that the dialgebra counterpart's consequences at degree N "
         "are the collapse preimage of N copies of the plain ideal",
-    )
-    p.add_argument("--variety", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
+        "variety", degree=True)
 
-    p = add("special", _cmd_special, "identities of the morphism image beyond the source presentation")
-    p.add_argument("--morphism", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--basis", action="store_true", help="list the basis")
+    for name, identities, format_basis, help_text in (
+        ("special", special_identities, format_polynomial,
+         "identities of the morphism image beyond the source presentation"),
+        ("special-di", di_special_identities, _format_dipolynomial,
+         "emphasized special identities and the lift-match flag"),
+    ):
+        func = functools.partial(_cmd_special, identities, format_basis)
+        p = add(name, func, help_text, "morphism", degree=True)
+        p.add_argument("--basis", action="store_true", help="list the basis")
 
-    p = add("special-di", _cmd_special_di, "emphasized special identities and the lift-match flag")
-    p.add_argument("--morphism", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--basis", action="store_true", help="list the basis")
-
-    p = add("verify-bso", _cmd_verify_bso, "compare the doubled kernel with the lifted-kernel consequences")
-    p.add_argument("--morphism", required=True, metavar="SPEC")
-    p.add_argument("--degree", type=int, required=True, metavar="N")
+    add("verify-bso", _cmd_verify_bso,
+        "compare the doubled kernel with the lifted-kernel consequences",
+        "morphism", degree=True)
 
     add("catalog", _cmd_catalog, "list built-in presentations and morphisms")
 

@@ -346,4 +346,6 @@ def quotient_dimension(variety, n, ctx=None):
 
 def identity_implies(variety, p: Polynomial, ctx=None) -> bool:
     """Whether p vanishes in every algebra of the variety."""
+    for m in p.terms:
+        check_in_signature(m, variety.signature)
     return consequences_at_degree(variety, p.degree, ctx).contains(p)

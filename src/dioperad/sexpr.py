@@ -36,6 +36,10 @@ from .terms import (
     linearize,
 )
 
+# Forms nest at most this deep, which keeps every recursive walk over a
+# parsed term far inside Python's recursion limit.
+MAX_DEPTH = 100
+
 
 class ParseError(ValueError):
     """Bad input text; carries a 1-based line and column."""
@@ -94,6 +98,8 @@ def read_forms(text):
     top = []
     for kind, value, line, col in _tokens(text):
         if kind == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"forms nested deeper than {MAX_DEPTH}", line, col)
             stack.append(([], line, col))
         elif kind == ")":
             if not stack:
@@ -417,16 +423,4 @@ def format_presentation(v: VarietyPresentation) -> str:
     lines = [f"(presentation {v.name}", f"  {format_signature(v.signature)}"]
     for name, g in zip(v.generator_names, v.generators):
         lines.append(f"  (identity {name} {format_polynomial(g)})")
-    return "\n".join(lines) + ")"
-
-
-def format_morphism(entry: MorphismEntry) -> str:
-    mor = entry.morphism
-    lines = [
-        f"(morphism {mor.name}",
-        f"  (source {entry.source.name})",
-        f"  (target {mor.target.name})",
-    ]
-    for op in mor.source_signature.names:
-        lines.append(f"  (image {op} {format_polynomial(mor.images[op])})")
     return "\n".join(lines) + ")"

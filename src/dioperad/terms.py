@@ -23,7 +23,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^-]*$")
 class Signature:
     """An ordered family of named operations, every arity at least two."""
 
-    __slots__ = ("operations", "_arity", "_order")
+    __slots__ = ("operations", "_arity")
 
     def __init__(self, operations):
         ops = []
@@ -40,16 +40,12 @@ class Signature:
         self._arity = dict(self.operations)
         if len(self._arity) != len(self.operations):
             raise ValueError("duplicate operation names")
-        self._order = {name: i for i, (name, _) in enumerate(self.operations)}
 
     def arity(self, name: str) -> int:
         try:
             return self._arity[name]
         except KeyError:
             raise ValueError(f"unknown operation {name!r}") from None
-
-    def index(self, name: str) -> int:
-        return self._order[name]
 
     @property
     def names(self):

@@ -75,7 +75,7 @@ def dipolynomial_vector(dp: DiPolynomial, layout) -> dict:
 def _skeleton_key(node, sig):
     if isinstance(node, int):
         return (1,)
-    return (0, sig.index(node[0])) + tuple(
+    return (0, sig.names.index(node[0])) + tuple(
         _skeleton_key(c, sig) for c in node[1:]
     )
 

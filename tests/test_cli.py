@@ -221,6 +221,39 @@ def test_usage_error_exits_2(capsys):
     assert main(["dim", "--variety", "builtin:assoc"]) == 2
 
 
+def nested_brackets(depth):
+    expr = str(depth + 1)
+    for i in range(depth, 0, -1):
+        expr = f"(bracket {i} {expr})"
+    return expr
+
+
+def test_deeply_nested_identity_exits_2(capsys):
+    argv = ["implies", "--variety", "builtin:lie",
+            "--identity", nested_brackets(500)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1, column 1193: forms nested deeper than 100\n"
+    )
+
+
+def test_deeply_nested_presentation_file_exits_2(capsys, tmp_path):
+    source = tmp_path / "deep.sexp"
+    source.write_text(
+        "(presentation deep (signature (op bracket 2))\n"
+        f" (identity d {nested_brackets(500)}))\n",
+        encoding="utf-8",
+    )
+    assert main(["dim", "--variety", str(source), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2, column 1181: forms nested deeper than 100\n"
+    )
+
+
 def test_dialgebrize_output_reparses(capsys):
     code, out = run(capsys, "dialgebrize", "--variety", "builtin:lie")
     assert code == 0
@@ -598,6 +631,37 @@ def test_file_based_definitions(capsys, tmp_path):
     )
     assert code == 0
     assert report["basis"] == ["(+ (mul 1 2) (- (mul 2 1)))"]
+
+
+def test_file_spec_errors_exit_2(capsys, tmp_path):
+    source = tmp_path / "two.sexp"
+    source.write_text(
+        "(presentation a (signature (op mul 2)))\n"
+        "(presentation b (signature (op mul 2)))\n",
+        encoding="utf-8",
+    )
+    cases = [
+        ("dim", "--variety", f"{source}:c",
+         f"no presentation named 'c' in {str(source)!r} (defined: a, b)"),
+        ("dim", "--variety", str(source),
+         f"{str(source)!r} defines 2 presentations; "
+         f"choose one with {source}:NAME"),
+        ("special", "--morphism", f"{source}:m",
+         f"no morphism named 'm' in {str(source)!r} (defined: none)"),
+        ("special", "--morphism", str(source),
+         f"{str(source)!r} defines 0 morphisms; choose one with {source}:NAME"),
+        ("dim", "--variety", f"di:{source}:b:x",
+         f"cannot resolve variety {str(source) + ':b:x'!r} (use builtin:NAME, "
+         "PATH, PATH:NAME, or di:SPEC)"),
+        ("dim", "--variety", str(tmp_path),
+         f"cannot read {str(tmp_path)!r}: [Errno 21] Is a directory: "
+         f"{str(tmp_path)!r}"),
+    ]
+    for command, flag, spec, message in cases:
+        assert main([command, flag, spec, "--degree", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_module_entry_point():

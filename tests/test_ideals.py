@@ -202,6 +202,19 @@ def test_identity_implies_rejects_a_non_multilinear_identity():
         identity_implies(ASSOC, square)
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (("bracket", 1, 2), "operation 'bracket' is not in the signature"),
+        (("mul", 1, 2, 3), "operation 'mul' expects 2 arguments, got 3"),
+    ],
+)
+def test_identity_implies_checks_the_signature(node, message):
+    with pytest.raises(ValueError) as excinfo:
+        identity_implies(catalog.presentation("assoc"), poly({node: 1}))
+    assert str(excinfo.value) == message
+
+
 def test_jacobi_consequence_with_rational_coefficients():
     # (1/2) scaling stays inside the ideal over the rationals
     comp = consequences_at_degree(LIE, 3)

@@ -1,9 +1,12 @@
-"""Pinned CLI reports: the built-in catalog at low degree, compared byte for
-byte with the recorded stdout, stderr and exit code of each query.
+"""Pinned CLI reports: the built-in catalog at low degree, then every
+subcommand in text and JSON form, every help text and the error exits, each
+compared byte for byte with the recorded stdout, stderr and exit code.
 
 Regenerate the recording (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_report_corpus.py
+
+which prints the argv of every entry it adds, removes or changes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 from dioperad import catalog
 from dioperad.cli import main
@@ -19,6 +24,9 @@ from dioperad.cli import main
 CORPUS = pathlib.Path(__file__).parent / "data" / "report_corpus.json"
 FIELDS = ("q", "p:1000003")
 DEGREES = (2, 3, 4)
+SUBCOMMANDS = ("basis", "dim", "implies", "dialgebrize", "verify-di",
+               "special", "special-di", "verify-bso", "catalog")
+ASSOCIATOR = "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))"
 
 
 def queries():
@@ -39,12 +47,58 @@ def queries():
                 for d in DEGREES:
                     out.append([cmd, "--morphism", f"builtin:{name}",
                                 "--degree", str(d), "--field", field, *extra])
-    return [argv + ["--json", "--no-cache"] for argv in out]
+    catalog_reports = [argv + ["--json", "--no-cache"] for argv in out]
+    return catalog_reports + surface_queries()
+
+
+def surface_queries():
+    """The rest of the command line: the subcommands and output forms the
+    catalog sweep leaves out, the error exits, and every help text."""
+    reports = [
+        ["catalog"],
+        ["implies", "--variety", "builtin:assoc", "--identity", ASSOCIATOR],
+        ["implies", "--variety", "builtin:lie",
+         "--identity", "(bracket (bracket 1 2) 3)"],
+        ["dialgebrize", "--variety", "builtin:lie"],
+        ["dialgebrize", "--variety", "builtin:lie", "--verify-degree", "3"],
+        ["basis", "--variety", "di:builtin:assoc", "--degree", "2"],
+        ["dim", "--variety", "di:builtin:lie", "--degree", "3"],
+    ]
+    text = [
+        ["basis", "--variety", "builtin:lie", "--degree", "3"],
+        ["dim", "--variety", "builtin:jordan", "--degree", "4"],
+        ["implies", "--variety", "builtin:lie",
+         "--identity", "(bracket (bracket 1 2) 3)"],
+        ["dialgebrize", "--variety", "builtin:jordan", "--verify-degree", "3"],
+        ["verify-di", "--variety", "builtin:assoc", "--degree", "3"],
+        ["special", "--morphism", "builtin:free-to-com-assoc", "--degree", "3",
+         "--basis"],
+        ["special-di", "--morphism", "builtin:free-to-com-assoc",
+         "--degree", "2", "--basis"],
+        ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
+        ["catalog"],
+    ]
+    errors = [
+        ["dim", "--variety", "builtin:nope", "--degree", "3"],
+        ["special", "--morphism", "builtin:nope", "--degree", "3"],
+        ["dim", "--variety", "no/such/file.sexp", "--degree", "3"],
+        ["special", "--morphism", "no/such/file.sexp", "--degree", "3"],
+        ["dim", "--variety", "builtin:assoc", "--degree", "3", "--field", "p:4"],
+        ["dim", "--variety", "builtin:assoc", "--degree", "5",
+         "--max-degree", "4"],
+        ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "1"],
+        ["dim", "--variety", "builtin:assoc"],
+    ]
+    helps = [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]
+    return ([argv + ["--json", "--no-cache"] for argv in reports + errors]
+            + [argv + ["--no-cache"] for argv in text] + helps)
 
 
 def run_query(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # argparse wraps help and usage at the terminal width.
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
             "stderr": stderr.getvalue()}
@@ -57,7 +111,23 @@ def test_reports_match_the_pinned_corpus():
         assert run_query(expected["argv"]) == expected
 
 
+def _changes(old, new):
+    """(added, removed, changed) argv lists between two recordings."""
+    before = {json.dumps(e["argv"]): e for e in old}
+    after = {json.dumps(e["argv"]): e for e in new}
+    added = [k for k in after if k not in before]
+    removed = [k for k in before if k not in after]
+    changed = [k for k in after if k in before and after[k] != before[k]]
+    return added, removed, changed
+
+
 if __name__ == "__main__":
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
     records = [run_query(argv) for argv in queries()]
     CORPUS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} reports to {CORPUS}")
+    for label, argvs in zip(("added", "removed", "changed"),
+                            _changes(old, records)):
+        for argv in argvs:
+            print(f"{label}: {argv}")
+        print(f"{len(argvs)} {label}")

@@ -11,8 +11,9 @@ from dioperad.dialgebra import bso_presentation
 from dioperad.ideals import consequences_at_degree
 from dioperad.morphisms import special_identities
 from dioperad.sexpr import (
+    MAX_DEPTH,
+    MorphismEntry,
     ParseError,
-    format_morphism,
     format_presentation,
     parse_document,
     parse_expression,
@@ -76,6 +77,17 @@ def test_expression_errors_carry_positions():
         expr("(+ (mul 1 2) (mul (mul 1 2) 3))")
     with pytest.raises(ParseError, match="linearize"):
         expr("(mul (linearize (mul 1 1)) 3)")
+
+
+def test_nesting_is_bounded():
+    (form,) = read_forms("(" * MAX_DEPTH + ")" * MAX_DEPTH)
+    assert form.line == form.col == 1
+    deeper = "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as excinfo:
+        read_forms(deeper)
+    assert str(excinfo.value) == (
+        f"line 1, column {MAX_DEPTH + 1}: forms nested deeper than {MAX_DEPTH}"
+    )
 
 
 def test_comments_and_whitespace():
@@ -167,6 +179,18 @@ def test_format_round_trip_for_presentations():
         doc = parse_document(text)
         again = doc.presentations[name]
         assert again.digest == v.digest
+
+
+def format_morphism(entry: MorphismEntry) -> str:
+    mor = entry.morphism
+    lines = [
+        f"(morphism {mor.name}",
+        f"  (source {entry.source.name})",
+        f"  (target {mor.target.name})",
+    ]
+    for op in mor.source_signature.names:
+        lines.append(f"  (image {op} {format_polynomial(mor.images[op])})")
+    return "\n".join(lines) + ")"
 
 
 def test_format_round_trip_for_morphisms():
