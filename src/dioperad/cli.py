@@ -55,19 +55,20 @@ def _builtin_resolver(name):
         return None
 
 
-def _load_document(path):
+def _load_document(path, ctx):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
-    return parse_document(text, resolver=_builtin_resolver)
+    return parse_document(text, resolver=_builtin_resolver, ctx=ctx)
 
 
-def _resolve(spec: str, kind: str, builtin, unresolved: str):
+def _resolve(spec: str, kind: str, builtin, unresolved: str, ctx):
     """The presentation or morphism (``kind``) that ``builtin:NAME``,
-    ``PATH`` (a file defining exactly one) or ``PATH:NAME`` names.  Any
-    other SPEC is an error whose message ends in ``unresolved``."""
+    ``PATH`` (a file defining exactly one) or ``PATH:NAME`` names, a file
+    being parsed under ``ctx``'s degree cap.  Any other SPEC is an error
+    whose message ends in ``unresolved``."""
     if spec.startswith("builtin:"):
         return builtin(spec[len("builtin:"):])
     if os.path.exists(spec):
@@ -76,7 +77,7 @@ def _resolve(spec: str, kind: str, builtin, unresolved: str):
         path, sep, name = spec.rpartition(":")
         if not (sep and os.path.exists(path)):
             raise ValueError(f"cannot resolve {unresolved}")
-    entries = getattr(_load_document(path), f"{kind}s")
+    entries = getattr(_load_document(path, ctx), f"{kind}s")
     if name is None:
         if len(entries) == 1:
             return next(iter(entries.values()))
@@ -89,25 +90,25 @@ def _resolve(spec: str, kind: str, builtin, unresolved: str):
     return entries[name]
 
 
-def resolve_variety(spec: str):
+def resolve_variety(spec: str, ctx=None):
     if spec.startswith("di:"):
-        return bso_presentation(resolve_variety(spec[3:]))
+        return bso_presentation(resolve_variety(spec[3:], ctx))
     usage = "(use builtin:NAME, PATH, PATH:NAME, or di:SPEC)"
     return _resolve(spec, "presentation", catalog.presentation,
-                    f"variety {spec!r} {usage}")
+                    f"variety {spec!r} {usage}", ctx)
 
 
-def resolve_morphism(spec: str) -> MorphismEntry:
+def resolve_morphism(spec: str, ctx=None) -> MorphismEntry:
     usage = "(use builtin:NAME, PATH, or PATH:NAME)"
     return _resolve(spec, "morphism", catalog.morphism,
-                    f"morphism {spec!r} {usage}")
+                    f"morphism {spec!r} {usage}", ctx)
 
 
-def _parse_identity_text(text: str, sig):
+def _parse_identity_text(text: str, sig, ctx):
     forms = read_forms(text)
     if len(forms) != 1:
         raise ParseError("expected exactly one identity expression", 1, 1)
-    return parse_identity_body(forms[0], sig)
+    return parse_identity_body(forms[0], sig, ctx)
 
 
 def _format_dipolynomial(dp) -> str:
@@ -179,7 +180,7 @@ def _dims(ambient, ideal):
 
 
 def _cmd_basis(args, ctx):
-    variety = resolve_variety(args.variety)
+    variety = resolve_variety(args.variety, ctx)
     monomials = enumerate_monomials(variety.signature, args.degree, ctx)
     return _report(args, ctx, {"variety": variety.name}, variety.digest,
                    args.degree, _dims(len(monomials), None),
@@ -187,15 +188,15 @@ def _cmd_basis(args, ctx):
 
 
 def _cmd_dim(args, ctx):
-    variety = resolve_variety(args.variety)
+    variety = resolve_variety(args.variety, ctx)
     ambient, ideal = ideal_dimensions(variety, args.degree, ctx)
     return _report(args, ctx, {"variety": variety.name}, variety.digest,
                    args.degree, _dims(ambient, ideal))
 
 
 def _cmd_implies(args, ctx):
-    variety = resolve_variety(args.variety)
-    p = _parse_identity_text(args.identity, variety.signature)
+    variety = resolve_variety(args.variety, ctx)
+    p = _parse_identity_text(args.identity, variety.signature, ctx)
     comp = consequences_at_degree(variety, p.degree, ctx)
     names = {"variety": variety.name, "identity": format_polynomial(p)}
     return _report(args, ctx, names, variety.digest, p.degree,
@@ -215,7 +216,7 @@ def _di_equivalence(variety, degree, ctx):
 
 
 def _cmd_dialgebrize(args, ctx):
-    variety = resolve_variety(args.variety)
+    variety = resolve_variety(args.variety, ctx)
     divar = bso_presentation(variety)
     checked = {"checks": {"expected_quotient": None}}
     if args.verify_degree is not None:
@@ -226,7 +227,7 @@ def _cmd_dialgebrize(args, ctx):
 
 
 def _cmd_verify_di(args, ctx):
-    variety = resolve_variety(args.variety)
+    variety = resolve_variety(args.variety, ctx)
     return _report(args, ctx, {"variety": variety.name}, variety.digest,
                    **_di_equivalence(variety, args.degree, ctx))
 
@@ -234,7 +235,7 @@ def _cmd_verify_di(args, ctx):
 def _cmd_special(identities, format_basis, args, ctx):
     """special and special-di, which differ in the library call, the basis
     formatter, and the lift-match verdict that only special-di has."""
-    entry = resolve_morphism(args.morphism)
+    entry = resolve_morphism(args.morphism, ctx)
     rep = identities(entry.morphism, entry.source, args.degree, ctx)
     listings = {}
     if args.basis:
@@ -251,7 +252,7 @@ def _cmd_special(identities, format_basis, args, ctx):
 
 
 def _cmd_verify_bso(args, ctx):
-    entry = resolve_morphism(args.morphism)
+    entry = resolve_morphism(args.morphism, ctx)
     rep = verify_bso_theorem(entry.morphism, entry.source, args.degree, ctx)
     last = rep.comparisons[-1]
     comparisons = [

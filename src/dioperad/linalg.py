@@ -4,9 +4,18 @@ Vectors are dicts column -> nonzero scalar.  The engine keeps a fully
 reduced row echelon basis at all times: every pivot column appears in
 exactly one row, so an incoming vector is reduced in a single pass over
 its own support.
+
+Over the rationals the engine eliminates without fractions: it holds each
+row as a primitive vector of Python ints whose pivot entry is positive,
+the fully reduced row with its denominators cleared, and a ``Subspace``
+divides each by its pivot entry once, giving the canonical ``Fraction``
+rows of the reduced echelon form.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def _reduce(field, pivot_rows: dict, vec: dict) -> dict:
@@ -23,10 +32,49 @@ def _reduce(field, pivot_rows: dict, vec: dict) -> dict:
     return out
 
 
+def _cleared(vec: dict) -> dict:
+    """A rational (Fraction or int) vector times the lcm of its
+    denominators, as a fresh dict of ints."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+
+
+def _divide_content(vec: dict, pivot: int) -> None:
+    """Divide an int vector, in place, by the gcd of its entries, signed so
+    that the entry at pivot becomes positive."""
+    g = gcd(*vec.values())
+    if vec[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c in vec:
+            vec[c] //= g
+
+
+def _eliminate(vec: dict, col: int, row: dict) -> None:
+    """Clear column col of the int vector vec with the int row whose pivot
+    is col, in place: vec <- (a/g)·vec - (c/g)·row, where a = row[col] > 0,
+    c = vec[col] and g = gcd(a, c)."""
+    a, c = row[col], vec[col]
+    g = gcd(a, c)
+    if a != g:
+        scale = a // g
+        for k in vec:
+            vec[k] *= scale
+    c = -(c // g)
+    for k, v in row.items():
+        nv = vec.get(k, 0) + c * v
+        if nv:
+            vec[k] = nv
+        else:
+            del vec[k]
+
+
 class _Reducer:
     """Incremental fully-reduced row echelon form, empty or started from
     the rows of a fully reduced echelon basis (each row's pivot is its
-    least column; the rows are copied)."""
+    least column; the rows are copied).  Over a prime field each row has
+    pivot entry 1; over the rationals it is a primitive int vector with a
+    positive pivot entry (see the module docstring)."""
 
     __slots__ = ("field", "pivot_rows", "_colindex")
 
@@ -35,8 +83,10 @@ class _Reducer:
         self.pivot_rows: dict[int, dict[int, object]] = {}
         # column -> set of pivot columns whose rows touch it
         self._colindex: dict[int, set[int]] = {}
+        # a pivot-1 row cleared of its denominators is primitive
+        copy = dict if field.characteristic else _cleared
         for row in rows:
-            self._add(min(row), dict(row))
+            self._add(min(row), copy(row))
 
     def _add(self, pivot: int, row: dict) -> None:
         self.pivot_rows[pivot] = row
@@ -45,13 +95,23 @@ class _Reducer:
 
     def insert(self, vec: dict) -> bool:
         """Reduce vec and extend the basis if a new pivot appears."""
-        red = _reduce(self.field, self.pivot_rows, vec)
-        if not red:
-            return False
         f = self.field
-        pivot = min(red)
-        inv = f.inv(red[pivot])
-        row = {c: f.mul(inv, v) for c, v in red.items()}
+        rational = not f.characteristic
+        if rational:
+            row = _cleared(vec)
+            for col in sorted(c for c in row if c in self.pivot_rows):
+                _eliminate(row, col, self.pivot_rows[col])
+            if not row:
+                return False
+            pivot = min(row)
+            _divide_content(row, pivot)
+        else:
+            red = _reduce(f, self.pivot_rows, vec)
+            if not red:
+                return False
+            pivot = min(red)
+            inv = f.inv(red[pivot])
+            row = {c: f.mul(inv, v) for c, v in red.items()}
         # back-eliminate the new pivot from existing rows
         for other in list(self._colindex.get(pivot, ())):
             target = self.pivot_rows[other]
@@ -59,7 +119,11 @@ class _Reducer:
             if not coeff:
                 continue
             before = set(target)
-            f.axpy_into(target, f.neg(coeff), row)
+            if rational:
+                _eliminate(target, pivot, row)
+                _divide_content(target, other)
+            else:
+                f.axpy_into(target, f.neg(coeff), row)
             for c in before.difference(target):
                 owners = self._colindex.get(c)
                 if owners is not None:
@@ -71,9 +135,25 @@ class _Reducer:
         self._add(pivot, row)
         return True
 
+    def take_canonical_rows(self) -> list:
+        """Over the rationals: (pivot, row) in pivot order, each row divided
+        by its pivot entry into its canonical Fraction form.  The reducer
+        gives up each int row as it converts it and is left empty, so the
+        two forms of the basis are never held at once."""
+        rows = self.pivot_rows
+        self._colindex.clear()
+        out = []
+        for p in sorted(rows):
+            row = rows.pop(p)
+            a = row[p]
+            out.append((p, {c: Fraction(v, a) for c, v in row.items()}))
+        return out
+
 
 class Subspace:
-    """A subspace of a coordinate space, held as a canonical reduced basis."""
+    """A subspace of a coordinate space, held as a canonical reduced basis,
+    built from trusted canonical rows or from a ``_Reducer``; a reducer
+    over the rationals is left empty."""
 
     __slots__ = ("field", "ncols", "rows", "pivots", "_pivmap")
 
@@ -81,7 +161,10 @@ class Subspace:
         self.field = field
         self.ncols = ncols
         if isinstance(reducer_or_rows, _Reducer):
-            items = sorted(reducer_or_rows.pivot_rows.items())
+            if field.characteristic:
+                items = sorted(reducer_or_rows.pivot_rows.items())
+            else:
+                items = reducer_or_rows.take_canonical_rows()
         else:
             items = sorted(
                 ((min(r), dict(r)) for r in reducer_or_rows),

@@ -241,11 +241,16 @@ def _combinations(parts):
             yield ((m, c),) + rest
 
 
-def parse_identity_body(node, sig: Signature) -> Polynomial:
+def parse_identity_body(node, sig: Signature, ctx=None) -> Polynomial:
+    """An identity body: an expression, or ``(linearize expr)``.  Given a
+    run context, the degree of a linearized expression is checked against
+    its cap before the expansion, which has up to n! terms per monomial."""
     if _head(node) == "linearize":
         if len(node.items) != 2:
             raise ParseError("linearize takes one argument", node.line, node.col)
         inner = parse_expression(node.items[1], sig)
+        if ctx is not None:
+            ctx.check_degree(inner.degree)
         try:
             return linearize(inner)
         except ValueError as exc:
@@ -279,7 +284,9 @@ def parse_signature(node) -> Signature:
         raise ParseError(str(exc), node.line, node.col) from None
 
 
-def _parse_presentation_items(name, items, line, col) -> VarietyPresentation:
+def _parse_presentation_items(
+    name, items, line, col, ctx
+) -> VarietyPresentation:
     if not items or _head(items[0]) != "signature":
         raise ParseError("a presentation starts with its signature", line, col)
     sig = parse_signature(items[0])
@@ -292,7 +299,7 @@ def _parse_presentation_items(name, items, line, col) -> VarietyPresentation:
                 getattr(form, "col", col),
             )
         iname = _expect_atom(form.items[1], "an identity name")
-        body = parse_identity_body(form.items[2], sig)
+        body = parse_identity_body(form.items[2], sig, ctx)
         names.append(iname)
         polys.append(body)
     try:
@@ -301,11 +308,13 @@ def _parse_presentation_items(name, items, line, col) -> VarietyPresentation:
         raise ParseError(str(exc), line, col) from None
 
 
-def parse_presentation(node) -> VarietyPresentation:
+def parse_presentation(node, ctx=None) -> VarietyPresentation:
     if _head(node) != "presentation" or len(node.items) < 2:
         raise ParseError("expected (presentation NAME ...)", node.line, node.col)
     name = _expect_atom(node.items[1], "a presentation name")
-    return _parse_presentation_items(name, node.items[2:], node.line, node.col)
+    return _parse_presentation_items(
+        name, node.items[2:], node.line, node.col, ctx
+    )
 
 
 class MorphismEntry(NamedTuple):
@@ -320,9 +329,10 @@ class Document(NamedTuple):
     morphisms: dict
 
 
-def parse_document(text, resolver=None) -> Document:
+def parse_document(text, resolver=None, ctx=None) -> Document:
     """Parse a document; ``resolver`` supplies presentations referenced by
-    name but not defined in the file."""
+    name but not defined in the file, and ``ctx`` the degree cap that
+    ``parse_identity_body`` checks."""
     forms = read_forms(text)
     presentations: dict = {}
     anonymous: list = []
@@ -330,7 +340,7 @@ def parse_document(text, resolver=None) -> Document:
     for form in forms:
         head = _head(form)
         if head == "presentation":
-            p = parse_presentation(form)
+            p = parse_presentation(form, ctx)
             if p.name in presentations:
                 raise ParseError(
                     f"duplicate presentation {p.name!r}", form.line, form.col
@@ -348,7 +358,8 @@ def parse_document(text, resolver=None) -> Document:
             )
     if anonymous:
         p = _parse_presentation_items(
-            "anonymous", tuple(anonymous), anonymous[0].line, anonymous[0].col
+            "anonymous", tuple(anonymous), anonymous[0].line, anonymous[0].col,
+            ctx,
         )
         if p.name in presentations:
             raise ParseError(

@@ -251,10 +251,6 @@ class ModuleRanks:
                     for j, x in enumerate(acc[t:t + d])
                     if x
                 }
-                if not row:
-                    continue
-                if modulus is None:
-                    g = math.gcd(*row.values())
-                    row = {c: Fraction(x // g) for c, x in row.items()}
-                raised |= reducer.insert(row)
+                if row:
+                    raised |= reducer.insert(row)
         return raised

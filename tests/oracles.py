@@ -213,3 +213,62 @@ def to_doubled(dp: DiPolynomial) -> Polynomial:
         if not comp.is_zero:
             out = out + superscript_poly(comp, k)
     return out
+
+
+class FractionReducer:
+    """Incremental fully reduced row echelon form with pivot entry 1 in
+    every row, by the field's own arithmetic: the reference for
+    ``linalg._Reducer``, which over the rationals eliminates on primitive
+    integer rows instead."""
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self.pivot_rows: dict = {}
+        # column -> set of pivot columns whose rows touch it
+        self._colindex: dict = {}
+        for row in rows:
+            self._add(min(row), dict(row))
+
+    def _add(self, pivot, row):
+        self.pivot_rows[pivot] = row
+        for c in row:
+            self._colindex.setdefault(c, set()).add(pivot)
+
+    def insert(self, vec) -> bool:
+        f = self.field
+        red = dict(vec)
+        for col in sorted(c for c in red if c in self.pivot_rows):
+            coeff = red.get(col)
+            if coeff:
+                f.axpy_into(red, f.neg(coeff), self.pivot_rows[col])
+        if not red:
+            return False
+        pivot = min(red)
+        inv = f.inv(red[pivot])
+        row = {c: f.mul(inv, v) for c, v in red.items()}
+        for other in list(self._colindex.get(pivot, ())):
+            target = self.pivot_rows[other]
+            coeff = target.get(pivot)
+            if not coeff:
+                continue
+            before = set(target)
+            f.axpy_into(target, f.neg(coeff), row)
+            for c in before.difference(target):
+                owners = self._colindex.get(c)
+                if owners is not None:
+                    owners.discard(other)
+                    if not owners:
+                        del self._colindex[c]
+            for c in target.keys() - before:
+                self._colindex.setdefault(c, set()).add(other)
+        self._add(pivot, row)
+        return True
+
+
+def fraction_row_reduce(field, ncols, rows, seed=None) -> Subspace:
+    """The reduced echelon basis of the span of ``seed``'s rows, if given,
+    and the given rows, built by ``FractionReducer``."""
+    reducer = FractionReducer(field, seed.rows if seed is not None else ())
+    for row in rows:
+        reducer.insert(row)
+    return Subspace(field, ncols, list(reducer.pivot_rows.values()))

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from dioperad import sexpr
 from dioperad.cli import main
 from dioperad.sexpr import parse_document
 
@@ -135,6 +136,54 @@ def test_verify_bso_over_the_cap_exits_3_at_once(capsys):
     )
 
 
+def test_linearize_over_the_cap_exits_3_before_expanding(
+    capsys, tmp_path, monkeypatch
+):
+    # one variable ten times over: expanding it runs through 10! assignments
+    body = "1"
+    for _ in range(9):
+        body = f"(mul 1 {body})"
+    identity = f"(linearize {body})"
+    source = tmp_path / "power.sexp"
+    source.write_text(
+        f"(presentation power (signature (op mul 2)) (identity p {identity}))",
+        encoding="utf-8",
+    )
+
+    def expand(poly):
+        raise AssertionError(f"linearize reached at degree {poly.degree}")
+
+    assert run(capsys, "catalog")[0] == 0  # parse it before the patch
+    monkeypatch.setattr(sexpr, "linearize", expand)
+    start = time.monotonic()
+    implies = ["implies", "--variety", "builtin:assoc", "--identity", identity]
+    for argv, cap in (
+        (implies, "6"),
+        (implies, "9"),
+        (["dim", "--variety", str(source), "--degree", "2"], "6"),
+        (["dim", "--variety", f"di:{source}", "--degree", "2"], "9"),
+    ):
+        assert main([*argv, "--max-degree", cap]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degree 10 exceeds the enumeration cap {cap}\n"
+        )
+    assert time.monotonic() - start < 2
+
+
+def test_linearize_at_the_cap_expands(capsys, tmp_path):
+    source = tmp_path / "jordan.sexp"
+    source.write_text(SCALED_DOCUMENTS[0], encoding="utf-8")
+    argv = ["dim", "--variety", f"{source}:jordan-like", "--degree", "3"]
+    code, report = run_json(capsys, *argv, "--max-degree", "4")
+    assert (code, report["dims"]["quotient"]) == (0, 3)
+    assert main([*argv, "--max-degree", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: degree 4 exceeds the enumeration cap 3\n"
+    )
+
+
 def test_verify_bso_below_degree_2_exits_2(capsys):
     for degree in ("1", "0"):
         argv = ["verify-bso", "--morphism", "builtin:lie-to-assoc"]
@@ -199,6 +248,84 @@ def test_denominator_vanishing_mod_p_exits_2(capsys, tmp_path):
         ]
     )
     assert (code, capsys.readouterr().err) == (2, message)
+
+
+ASSOCIATOR_123 = "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))"
+ASSOCIATOR_213 = "(- (mul (mul 2 1) 3) (mul 2 (mul 1 3)))"
+# identities and morphism images with fractional coefficients, then the same
+# ones, each scaled by a constant to integer coefficients
+SCALED_DOCUMENTS = [
+    f"""
+(presentation jordan-like (signature (op mul 2))
+  (identity commutativity (- (* 1/2 (mul 1 2)) (* 1/2 (mul 2 1))))
+  (identity jordan
+    (linearize
+      (* -3/4 (- (mul (mul (mul 1 1) 2) 1) (mul (mul 1 1) (mul 2 1)))))))
+(presentation skew (signature (op mul 2))
+  (identity skew-associator
+    (+ (* 1/2 {ASSOCIATOR_123}) (* -1/3 {ASSOCIATOR_213}))))
+(morphism skew-to-assoc (source skew) (target assoc) (image mul (mul 1 2)))
+(presentation anti (signature (op bracket 2))
+  (identity antisymmetry (+ (* 1/2 (bracket 1 2)) (* 1/2 (bracket 2 1)))))
+(morphism anti-to-assoc (source anti) (target assoc)
+  (image bracket (* -3/4 (- (mul 1 2) (mul 2 1)))))
+""",
+    f"""
+(presentation jordan-like (signature (op mul 2))
+  (identity commutativity (- (mul 1 2) (mul 2 1)))
+  (identity jordan
+    (linearize (* 3 (- (mul (mul (mul 1 1) 2) 1) (mul (mul 1 1) (mul 2 1)))))))
+(presentation skew (signature (op mul 2))
+  (identity skew-associator
+    (+ (* 3 {ASSOCIATOR_123}) (* -2 {ASSOCIATOR_213}))))
+(morphism skew-to-assoc (source skew) (target assoc) (image mul (mul 1 2)))
+(presentation anti (signature (op bracket 2))
+  (identity antisymmetry (+ (bracket 1 2) (bracket 2 1))))
+(morphism anti-to-assoc (source anti) (target assoc)
+  (image bracket (- (mul 1 2) (mul 2 1))))
+""",
+]
+
+
+def test_fractional_coefficients_answer_as_their_integer_multiples(
+    capsys, tmp_path
+):
+    paths = []
+    for k, text in enumerate(SCALED_DOCUMENTS):
+        paths.append(tmp_path / f"scaled{k}.sexp")
+        paths[-1].write_text(text, encoding="utf-8")
+    queries = [
+        ("dim", "--variety", "jordan-like", "--degree", str(d))
+        for d in (2, 3, 4, 5)
+    ] + [
+        ("dim", "--variety", "skew", "--degree", "4"),
+        ("implies", "--variety", "skew", "--identity", ASSOCIATOR_123),
+        ("verify-di", "--variety", "skew", "--degree", "3"),
+    ] + [
+        ("special", "--morphism", name, "--degree", d, "--basis")
+        for name in ("skew-to-assoc", "anti-to-assoc")
+        for d in ("3", "4")
+    ]
+    reports = []
+    for command, flag, name, *rest in queries:
+        by_file = []
+        for field in ("q", "p:1000003"):
+            for path in paths:
+                argv = [command, flag, f"{path}:{name}", *rest, "--field", field]
+                code, report = run_json(capsys, *argv)
+                del report["inputs_digest"], report["field"]
+                by_file.append((code, report))
+        q_frac, q_int, p_frac, p_int = by_file
+        assert q_frac == q_int
+        assert p_frac == p_int
+        # a basis prints its coefficients in the field's own form
+        q_frac[1].pop("basis", None)
+        p_frac[1].pop("basis", None)
+        assert q_frac == p_frac
+        reports.append(q_frac)
+    assert [r["dims"]["quotient"] for _, r in reports[:5]] == [1, 3, 11, 55, 24]
+    assert [(code, r["verdict"]) for code, r in reports[5:7]] == [(0, True)] * 2
+    assert [r["special"] for _, r in reports[7:]] == [0, 0, 1, 9]
 
 
 def test_characteristic_guard_exits_2(capsys):

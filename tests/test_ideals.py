@@ -233,6 +233,15 @@ def test_prime_field_dimensions_match_rational_ones():
         )
 
 
+@pytest.mark.parametrize("name, quotient", [("lie", 120), ("assoc", 720)])
+def test_rational_and_prime_dimensions_agree_at_degree_6(name, quotient):
+    variety = catalog.presentation(name)
+    over_q = ideals.ideal_dimensions(variety, 6, Context())
+    over_p = ideals.ideal_dimensions(variety, 6, Context(PrimeField(1000003)))
+    assert over_q == over_p
+    assert over_q[0] - over_q[1] == quotient
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         VarietyPresentation("bad", BIN, [poly({("mul", 1, 1): 1})])

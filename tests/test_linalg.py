@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,15 @@ import pytest
 from dioperad.fields import QQ, PrimeField
 from dioperad.linalg import (
     Subspace,
+    _Reducer,
+    extend,
     kernel_basis,
     left_kernel_basis,
     row_reduce,
     transpose,
 )
+
+from oracles import fraction_row_reduce
 
 F7 = PrimeField(7)
 
@@ -165,3 +170,80 @@ def test_rref_agrees_with_dense_elimination():
         expected = [row for row in dense_m[:prow]]
         got = [dense(r, n) for r in s.rows]
         assert got == expected
+
+
+def random_rational_rows(rng, m, n):
+    """m sparse rows with fractional entries of both signs.  About a third
+    are rational combinations of two earlier rows, so some reduce to zero."""
+    rows = []
+    for _ in range(m):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            u, w = rng.sample(rows, 2)
+            s, t = (Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                    for _ in range(2))
+            row = {
+                c: s * u.get(c, 0) + t * w.get(c, 0)
+                for c in sorted(u.keys() | w.keys())
+            }
+        else:
+            row = {
+                c: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                for c in rng.sample(range(n), rng.randint(1, 4))
+            }
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def assert_primitive_echelon(reducer, space):
+    """The reducer holds, for each row of the canonical basis ``space``, that
+    row scaled to a primitive int vector with a positive pivot entry."""
+    assert sorted(reducer.pivot_rows) == list(space.pivots)
+    for p, expected in zip(space.pivots, space.rows):
+        row = reducer.pivot_rows[p]
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert {c: Fraction(v, row[p]) for c, v in row.items()} == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_reducer_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+    n = 10
+    rows = random_rational_rows(rng, 16, n)
+    expected = fraction_row_reduce(QQ, n, rows)
+    for _ in range(4):
+        order = rows[:]
+        rng.shuffle(order)
+        reducer = _Reducer(QQ)
+        for row in order:
+            reducer.insert(row)
+        assert_primitive_echelon(reducer, expected)
+        assert Subspace(QQ, n, reducer) == expected
+        assert not reducer.pivot_rows  # handed over, not copied
+        assert row_reduce(QQ, n, order) == expected
+    half = len(rows) // 2
+    base = row_reduce(QQ, n, rows[:half])
+    assert base == fraction_row_reduce(QQ, n, rows[:half])
+    reducer = _Reducer(QQ, base.rows)
+    for row in rows[half:]:
+        reducer.insert(row)
+    assert_primitive_echelon(reducer, expected)
+    assert extend(base, rows[half:]) == expected
+    assert fraction_row_reduce(QQ, n, rows[half:], seed=base) == expected
+
+
+def test_rows_that_cancel_to_zero_add_nothing():
+    u = {0: Fraction(-1, 2), 2: Fraction(3, 4), 3: Fraction(5)}
+    w = {1: Fraction(-2, 3), 2: Fraction(1, 6)}
+    both = {c: -6 * u.get(c, 0) + Fraction(3, 2) * w.get(c, 0) for c in range(4)}
+    minus_u = {c: -v for c, v in u.items()}
+    rows = [u, w, {c: v for c, v in both.items() if v}, minus_u, {}]
+    reducer = _Reducer(QQ)
+    assert [reducer.insert(r) for r in rows] == [True, True, False, False, False]
+    expected = fraction_row_reduce(QQ, 4, rows)
+    assert expected.dim == 2
+    assert_primitive_echelon(reducer, expected)
+    assert row_reduce(QQ, 4, rows) == expected
+    assert row_reduce(QQ, 4, [u, {c: -3 * v for c, v in u.items()}]).dim == 1
+    assert row_reduce(QQ, 4, [{}, {}]) == fraction_row_reduce(QQ, 4, [])
