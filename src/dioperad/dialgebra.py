@@ -246,25 +246,11 @@ def collapses_into(
 ) -> bool:
     """Whether every emphasis component of the collapse image of every
     given degree-n doubled vector lies in the plain subspace.  The
-    arithmetic is over the subspace's field."""
+    arithmetic is over the subspace's field.  Each row goes through the
+    collapse columns straight into the subspace's membership sums, so
+    doubled terms that collapse onto one plain column add up first."""
     cols = _collapse_columns(dsig, n, base, as_context(ctx))
-    field = base.field
-    for row in rows:
-        image: dict = {}
-        for c, v in row.items():
-            col = cols[c]
-            total = field.add(image.get(col, field.zero), v)
-            if total:
-                image[col] = total
-            else:
-                image.pop(col, None)
-        parts: list[dict] = [dict() for _ in range(n)]
-        for col, v in image.items():
-            k, j = divmod(col, base.ncols)
-            parts[k][j] = v
-        if not all(base.contains(part) for part in parts):
-            return False
-    return True
+    return all(base.contains(row, cols) for row in rows)
 
 
 def collapse_preimage_dimension(n: int, ncols: int, base: Subspace) -> int:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_QZERO = Fraction(0)
-
 
 class Rationals:
     """The field of rational numbers."""
@@ -40,15 +38,6 @@ class Rationals:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def axpy_into(self, row: dict, c, other: dict) -> None:
-        """row += c * other, in place, dropping entries that cancel."""
-        for col, v in other.items():
-            nv = row.get(col, _QZERO) + c * v
-            if nv:
-                row[col] = nv
-            else:
-                row.pop(col, None)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -10,6 +10,11 @@ row as a primitive vector of Python ints whose pivot entry is positive,
 the fully reduced row with its denominators cleared, and a ``Subspace``
 divides each by its pivot entry once, giving the canonical ``Fraction``
 rows of the reduced echelon form.
+
+Membership and normal forms take integer dot products with one map per
+``Subspace``, built on first use (see its docstring): no vector is
+eliminated row by row, and over the rationals the only ``Fraction`` values
+made are the entries of a normal form.
 """
 
 from __future__ import annotations
@@ -18,25 +23,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _reduce(field, pivot_rows: dict, vec: dict) -> dict:
-    """vec reduced against fully reduced rows keyed by pivot column, as a
-    fresh dict."""
-    out = dict(vec)
-    # Rows are fully reduced, so eliminating a pivot column can only
-    # introduce free columns; one pass over the original support and its
-    # fill-in suffices.
-    for col in sorted(c for c in out if c in pivot_rows):
-        coeff = out.get(col)
-        if coeff:
-            field.axpy_into(out, field.neg(coeff), pivot_rows[col])
-    return out
-
-
-def _cleared(vec: dict) -> dict:
-    """A rational (Fraction or int) vector times the lcm of its
-    denominators, as a fresh dict of ints."""
+def _cleared(vec: dict) -> tuple[int, dict]:
+    """The lcm of the denominators of a rational (Fraction or int) vector
+    and the vector times it, as a fresh dict of ints."""
     den = lcm(*(v.denominator for v in vec.values()))
-    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+    return den, {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
 
 
 def _divide_content(vec: dict, pivot: int) -> None:
@@ -84,9 +75,10 @@ class _Reducer:
         # column -> set of pivot columns whose rows touch it
         self._colindex: dict[int, set[int]] = {}
         # a pivot-1 row cleared of its denominators is primitive
-        copy = dict if field.characteristic else _cleared
         for row in rows:
-            self._add(min(row), copy(row))
+            self._add(
+                min(row), dict(row) if field.characteristic else _cleared(row)[1]
+            )
 
     def _add(self, pivot: int, row: dict) -> None:
         self.pivot_rows[pivot] = row
@@ -98,7 +90,7 @@ class _Reducer:
         f = self.field
         rational = not f.characteristic
         if rational:
-            row = _cleared(vec)
+            row = _cleared(vec)[1]
             for col in sorted(c for c in row if c in self.pivot_rows):
                 _eliminate(row, col, self.pivot_rows[col])
             if not row:
@@ -106,7 +98,14 @@ class _Reducer:
             pivot = min(row)
             _divide_content(row, pivot)
         else:
-            red = _reduce(f, self.pivot_rows, vec)
+            # Rows are fully reduced, so eliminating a pivot column can only
+            # introduce free columns; one pass over the original support and
+            # its fill-in suffices.
+            red = dict(vec)
+            for col in sorted(c for c in red if c in self.pivot_rows):
+                coeff = red.get(col)
+                if coeff:
+                    f.axpy_into(red, f.neg(coeff), self.pivot_rows[col])
             if not red:
                 return False
             pivot = min(red)
@@ -153,9 +152,17 @@ class _Reducer:
 class Subspace:
     """A subspace of a coordinate space, held as a canonical reduced basis,
     built from trusted canonical rows or from a ``_Reducer``; a reducer
-    over the rationals is left empty."""
+    over the rationals is left empty.
 
-    __slots__ = ("field", "ncols", "rows", "pivots", "_pivmap")
+    Membership and normal forms go through one integer map, built on first
+    use.  Each free (non-pivot) column f has the kernel vector
+    z_f = e_f - sum_p row_p[f]·e_p, and reduce(v)[f] = v·z_f, so v lies in
+    the subspace exactly when every v·z_f vanishes.  The map holds each z_f
+    scaled to ints, by the lcm of the denominators in column f over the
+    rationals, and by column: c -> {f: scaled z_f[c]}.  A free column that
+    no row touches has z_f = e_f and no entry."""
+
+    __slots__ = ("field", "ncols", "rows", "pivots", "_nf", "_scale")
 
     def __init__(self, field, ncols, reducer_or_rows):
         self.field = field
@@ -172,19 +179,91 @@ class Subspace:
             )
         self.pivots = tuple(p for p, _ in items)
         self.rows = tuple(r for _, r in items)
-        self._pivmap = dict(items)
-        if len(self._pivmap) != len(self.rows):
+        if len(set(self.pivots)) != len(self.rows):
             raise ValueError("rows do not have distinct pivots")
+        self._nf = None
+        self._scale = None
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        return _reduce(self.field, self._pivmap, vec)
+    def _normal_form(self) -> dict:
+        """The integer map column -> {free column: entry}, built once."""
+        if self._nf is None:
+            scale: dict[int, int] = {}
+            nf: dict[int, dict[int, int]] = {}
+            if self.field.characteristic:
+                for p, row in zip(self.pivots, self.rows):
+                    nf[p] = {c: -v for c, v in row.items() if c != p}
+            else:
+                for row in self.rows:
+                    for c, v in row.items():
+                        if v.denominator != 1:
+                            scale[c] = lcm(scale.get(c, 1), v.denominator)
+                for p, row in zip(self.pivots, self.rows):
+                    nf[p] = {
+                        c: -v.numerator * (scale.get(c, 1) // v.denominator)
+                        for c, v in row.items()
+                        if c != p
+                    }
+                for f, s in scale.items():
+                    nf[f] = {f: s}
+            self._nf, self._scale = nf, scale
+        return self._nf
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+    def _sums(self, vec: dict, cols=None) -> tuple[int, dict]:
+        """The lcm den of vec's denominators (1 over a prime field) and the
+        int dot products of den·vec with each scaled z_f, keyed by f.  A sum
+        may be zero, and over a prime field it is not yet taken mod p.
+
+        With cols, vec lives on other columns: its column c stands for
+        column cols[c] of stacked copies of this space, and the sums of
+        copy k are keyed k·ncols + f.  A column outside the space (or
+        outside cols) is refused with a ValueError naming it."""
+        width = self.ncols if cols is None else len(cols)
+        if vec and (min(vec) < 0 or max(vec) >= width):
+            bad = next(c for c in vec if not 0 <= c < width)
+            raise ValueError(f"column {bad} outside 0..{width - 1}")
+        den, ints = (1, vec) if self.field.characteristic else _cleared(vec)
+        nf = self._normal_form()
+        n = self.ncols
+        acc: dict[int, int] = {}
+        get = acc.get
+        off = 0
+        for c, v in ints.items():
+            if cols is not None:
+                c = cols[c]
+                off = c - c % n
+                c -= off
+            z = nf.get(c)
+            if z is None:
+                k = off + c
+                acc[k] = get(k, 0) + v
+            else:
+                for f, w in z.items():
+                    k = off + f
+                    acc[k] = get(k, 0) + v * w
+        return den, acc
+
+    def reduce(self, vec: dict) -> dict:
+        """The normal form of vec: vec minus the combination of rows that
+        clears its pivot columns, supported on free columns."""
+        den, sums = self._sums(vec)
+        p = self.field.characteristic
+        if p:
+            return {f: r for f, s in sums.items() if (r := s % p)}
+        scale = self._scale
+        return {
+            f: Fraction(s, den * scale.get(f, 1)) for f, s in sums.items() if s
+        }
+
+    def contains(self, vec: dict, cols=None) -> bool:
+        """Whether vec lies in the subspace.  With cols (see ``_sums``),
+        whether each stacked copy's component of vec lies in it."""
+        sums = self._sums(vec, cols)[1].values()
+        p = self.field.characteristic
+        return not any(s % p for s in sums) if p else not any(sums)
 
     def __eq__(self, other):
         return (

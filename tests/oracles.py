@@ -215,6 +215,32 @@ def to_doubled(dp: DiPolynomial) -> Polynomial:
     return out
 
 
+def axpy_into(field, row: dict, c, other: dict) -> None:
+    """row += c * other, in place, in the field's own arithmetic, dropping
+    entries that cancel."""
+    for col, v in other.items():
+        nv = field.add(row.get(col, field.zero), field.mul(c, v))
+        if nv:
+            row[col] = nv
+        else:
+            row.pop(col, None)
+
+
+def elimination_reduce(space: Subspace, vec: dict) -> dict:
+    """vec reduced against the subspace's fully reduced rows, one pivot
+    column at a time in the field's own arithmetic: the reference for
+    ``Subspace.reduce``, which takes integer dot products with the
+    subspace's normal-form map instead."""
+    f = space.field
+    pivot_rows = dict(zip(space.pivots, space.rows))
+    out = dict(vec)
+    for col in sorted(c for c in out if c in pivot_rows):
+        coeff = out.get(col)
+        if coeff:
+            axpy_into(f, out, f.neg(coeff), pivot_rows[col])
+    return out
+
+
 class FractionReducer:
     """Incremental fully reduced row echelon form with pivot entry 1 in
     every row, by the field's own arithmetic: the reference for
@@ -240,7 +266,7 @@ class FractionReducer:
         for col in sorted(c for c in red if c in self.pivot_rows):
             coeff = red.get(col)
             if coeff:
-                f.axpy_into(red, f.neg(coeff), self.pivot_rows[col])
+                axpy_into(f, red, f.neg(coeff), self.pivot_rows[col])
         if not red:
             return False
         pivot = min(red)
@@ -252,7 +278,7 @@ class FractionReducer:
             if not coeff:
                 continue
             before = set(target)
-            f.axpy_into(target, f.neg(coeff), row)
+            axpy_into(f, target, f.neg(coeff), row)
             for c in before.difference(target):
                 owners = self._colindex.get(c)
                 if owners is not None:

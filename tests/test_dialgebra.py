@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -475,3 +476,46 @@ def test_verify_bso_matches_stacked_kernel_oracle(name, field):
         assert c.kernel_dimension == stacked.dim
         assert c.consequence_dimension == consequence.dim
         assert c.equal is (stacked == consequence)
+
+
+F7 = PrimeField(7)
+# Two doubled monomials that differ only below the slot the root
+# superscript skips, so both collapse onto (mul (mul 1 2) 3) emphasized
+# at leaf 3.
+TWINS = (("mul^2", ("mul^1", 1, 2), 3), ("mul^2", ("mul^2", 1, 2), 3))
+
+
+@pytest.mark.parametrize(
+    "field, coeffs, changed",
+    [
+        (QQ, (Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 3))),
+        (F7, (3, 4), (3, 5)),
+        (F7, (6, 1), (5, 1)),
+    ],
+    ids=["q-opposite", "p7-sum-7", "p7-sum-7-swapped"],
+)
+def test_collapse_sums_twin_terms_before_testing_membership(field, coeffs, changed):
+    dsig = double_signature(BIN)
+    layout = basis_layout(dsig, 3)
+    plain = basis_layout(BIN, 3)
+    target = plain[("mul", ("mul", 1, 2), 3)]
+    other = plain[("mul", 1, ("mul", 2, 3))]
+    # the base holds neither term's image alone, only e_target + e_other
+    base = row_reduce(field, plain.ncols, [{target: field.one, other: field.one}])
+    cols = [layout[t] for t in TWINS]
+    for c, a in zip(cols, coeffs):
+        assert not collapses_into(dsig, 3, [{c: a}], base)
+    assert collapses_into(dsig, 3, [dict(zip(cols, coeffs))], base)
+    assert not collapses_into(dsig, 3, [dict(zip(cols, changed))], base)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+def test_collapses_into_refuses_columns_outside_the_doubled_space(field):
+    dsig = double_signature(BIN)
+    ncols = basis_layout(dsig, 3).ncols
+    base = Subspace(field, basis_layout(BIN, 3).ncols, [])
+    for bad in (ncols, -1):
+        with pytest.raises(
+            ValueError, match=rf"column {bad} outside 0\.\.{ncols - 1}"
+        ):
+            collapses_into(dsig, 3, [{0: field.one, bad: field.one}], base)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from dioperad.linalg import (
     transpose,
 )
 
-from oracles import fraction_row_reduce
+from oracles import elimination_reduce, fraction_row_reduce
 
 F7 = PrimeField(7)
 
@@ -247,3 +248,89 @@ def test_rows_that_cancel_to_zero_add_nothing():
     assert row_reduce(QQ, 4, rows) == expected
     assert row_reduce(QQ, 4, [u, {c: -3 * v for c, v in u.items()}]).dim == 1
     assert row_reduce(QQ, 4, [{}, {}]) == fraction_row_reduce(QQ, 4, [])
+
+
+def random_scalar(rng, field):
+    if field.characteristic:
+        return rng.randint(1, field.characteristic - 1)
+    return Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6))
+
+
+def combination(rng, field, rows, k):
+    """A random combination of k of the rows, zero entries dropped."""
+    out = {}
+    for row in rng.sample(rows, min(k, len(rows))):
+        a = random_scalar(rng, field)
+        for c, v in row.items():
+            out[c] = field.add(out.get(c, field.zero), field.mul(a, v))
+    return {c: v for c, v in out.items() if v}
+
+
+def probe_vectors(rng, space):
+    """(vector, expected membership) pairs: the empty vector, vectors
+    inside and outside the span, vectors on pivot columns only and on free
+    columns only, and in-span combinations that cancel a column."""
+    field, rows = space.field, list(space.rows)
+    pivots = set(space.pivots)
+    free = [c for c in range(space.ncols) if c not in pivots]
+    probes = [({}, True)]
+    for k in (1, 2, 3):
+        inside = combination(rng, field, rows, k)
+        probes.append((inside, True))
+        f = rng.choice(free)
+        outside = dict(inside)
+        outside[f] = field.add(outside.get(f, field.zero), field.one)
+        probes.append(({c: v for c, v in outside.items() if v}, False))
+    pivot_only = {c: random_scalar(rng, field) for c in rng.sample(sorted(pivots), 2)}
+    free_only = {c: random_scalar(rng, field) for c in rng.sample(free, 2)}
+    probes += [(pivot_only, None), (free_only, False)]
+    for u, w in itertools.combinations(rows, 2):
+        shared = sorted((u.keys() & w.keys()) - pivots)
+        if shared:
+            c = shared[0]
+            vec = {}
+            for row, a in ((u, w[c]), (w, field.neg(u[c]))):
+                for col, v in row.items():
+                    vec[col] = field.add(vec.get(col, field.zero), field.mul(a, v))
+            assert not vec[c]
+            probes.append(({k: v for k, v in vec.items() if v}, True))
+            break
+    return probes
+
+
+def random_space(rng, field, n):
+    if field.characteristic:
+        p = field.characteristic
+        rows = [
+            {c: rng.randint(1, p - 1) for c in rng.sample(range(n), rng.randint(1, 4))}
+            for _ in range(7)
+        ]
+    else:
+        rows = random_rational_rows(rng, 7, n)
+    return row_reduce(field, n, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+@pytest.mark.parametrize("seed", range(12))
+def test_normal_form_map_matches_elimination(field, seed):
+    rng = random.Random(seed)
+    n = 12
+    space = random_space(rng, field, n)
+    assert 0 < space.dim < n
+    for vec, member in probe_vectors(rng, space):
+        expected = elimination_reduce(space, vec)
+        assert space.reduce(vec) == expected
+        assert space.contains(vec) is (not expected)
+        if member is not None:
+            assert space.contains(vec) is member
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+def test_columns_outside_the_space_are_refused(field):
+    space = row_reduce(field, 3, [{0: field.one, 2: field.one}])
+    for bad in (3, -1):
+        vec = {0: field.one, bad: field.one}
+        with pytest.raises(ValueError, match=rf"column {bad} outside 0\.\.2"):
+            space.reduce(vec)
+        with pytest.raises(ValueError, match=rf"column {bad} outside 0\.\.2"):
+            space.contains(vec)
