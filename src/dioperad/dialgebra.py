@@ -17,7 +17,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .context import as_context
-from .ideals import VarietyPresentation, consequences_at_degree
+from .ideals import (
+    VarietyPresentation,
+    consequences_at_degree,
+    module_generators,
+)
 from .linalg import Subspace
 from .terms import (
     DoubledSignature,
@@ -66,26 +70,28 @@ def _leaf_set(node, out):
             _leaf_set(c, out)
 
 
+def _lift_node(node, k):
+    """The raw doubled tree of a raw plain tree node: on the path to leaf k
+    each superscript points toward it, off the path every superscript is
+    1."""
+    if isinstance(node, int):
+        return node
+    sup = 1
+    kids = []
+    for i, c in enumerate(node[1:], 1):
+        leaves: set = set()
+        _leaf_set(c, leaves)
+        if k in leaves:
+            sup = i
+        kids.append(_lift_node(c, k))
+    return (f"{node[0]}^{sup}",) + tuple(kids)
+
+
 def superscript(m: Monomial, k: int) -> Monomial:
-    """Lift a plain monomial: on the path to leaf k each superscript points
-    toward it, off the path every superscript is 1."""
+    """Lift a plain monomial toward its leaf k (see ``_lift_node``)."""
     if k not in m.leaf_word:
         raise ValueError(f"no leaf labelled {k} in {m}")
-
-    def lift(node):
-        if isinstance(node, int):
-            return node
-        sup = 1
-        kids = []
-        for i, c in enumerate(node[1:], 1):
-            leaves: set = set()
-            _leaf_set(c, leaves)
-            if k in leaves:
-                sup = i
-            kids.append(lift(c))
-        return (f"{node[0]}^{sup}",) + tuple(kids)
-
-    return Monomial(lift(m.node))
+    return Monomial(_lift_node(m.node, k))
 
 
 def superscript_poly(p: Polynomial, k: int) -> Polynomial:
@@ -260,17 +266,48 @@ def collapse_preimage_dimension(n: int, ncols: int, base: Subspace) -> int:
     return ncols - n * (base.ncols - base.dim)
 
 
+def _lift_columns(dsig: DoubledSignature, n: int, ctx):
+    """For each emphasis k = 1..n, the doubled column of the lift
+    (``superscript``) toward leaf k of each degree-n plain basis monomial,
+    in basis order.
+
+    Lifting keeps the leaf word, and the lifted skeleton depends only on
+    the plain skeleton and on the slot that holds leaf k: each plain
+    skeleton, filled with the word 1..n, is lifted once per slot, giving the
+    doubled skeleton's offset; the plain word w at that offset then lands
+    at the offset for slot w.index(k) plus the rank of w."""
+    plain = basis_layout(dsig.base, n, ctx)
+    doubled = basis_layout(dsig, n, ctx)
+    words = plain.words
+    offsets = [
+        [doubled[_lift_node(plain.node(col), j)] for j in range(1, n + 1)]
+        for col in range(0, plain.ncols, len(words))
+    ]
+    return [
+        [row[w.index(k)] + r for row in offsets for r, w in enumerate(words)]
+        for k in range(1, n + 1)
+    ]
+
+
 def is_collapse_preimage(
-    dsig: DoubledSignature, n: int, space: Subspace, base: Subspace, ctx=None
+    dsig: DoubledSignature, n: int, dim: int, generators, base: Subspace,
+    ctx=None,
 ) -> bool:
-    """Whether the degree-n doubled subspace is the full collapse preimage
-    of n copies of the plain subspace.  The preimage is never built: the
-    two are equal exactly when the subspace has the preimage's dimension
-    and each of its rows collapses into the plain subspace in every
-    emphasis component."""
-    return space.dim == collapse_preimage_dimension(
-        n, space.ncols, base
-    ) and collapses_into(dsig, n, space.rows, base, ctx)
+    """Whether the degree-n doubled S_n-submodule of the given dimension,
+    spanned as a k[S_n]-module by the given vectors, is the full collapse
+    preimage P_n of n copies of the S_n-stable plain subspace.  The
+    preimage is never built.
+
+    Collapse is S_n-equivariant: σ relabels a doubled monomial's word and
+    moves its emphasized leaf, and so its emphasis component, by σ.  So P_n
+    is S_n-stable, every generator in P_n puts the whole module in P_n, and
+    the two are equal exactly when the dimensions agree as well.  Rows of
+    a subspace are module generators too, so any basis may be given."""
+    ctx = as_context(ctx)
+    ncols = basis_layout(dsig, n, ctx).ncols
+    return dim == collapse_preimage_dimension(
+        n, ncols, base
+    ) and collapses_into(dsig, n, generators, base, ctx)
 
 
 class DialgebraEquivalenceReport(NamedTuple):
@@ -287,22 +324,30 @@ class DialgebraEquivalenceReport(NamedTuple):
 def verify_dialgebra_equivalence(
     variety: VarietyPresentation, n: int, ctx=None
 ) -> DialgebraEquivalenceReport:
-    """Check that the dialgebra presentation's degree-n consequences equal
-    the full preimage, under the collapse map, of n copies of the plain
-    consequences (``is_collapse_preimage``: dimension plus containment)."""
+    """Check that the dialgebra presentation's degree-n consequences I_n
+    equal the full preimage P_n, under the collapse map, of n copies of the
+    plain consequences.
+
+    The plain ideal is S_n-stable, so P_n is too (``is_collapse_preimage``),
+    and I_n = P_n exactly when dim I_n = dim P_n and every S_n-module
+    generator of I_n collapses into the plain ideal.  Both come from
+    ``module_generators``: over the rationals or a prime above n the
+    doubled ideal is never expanded, and over a smaller prime its rows are
+    the generators."""
     ctx = as_context(ctx)
     base = consequences_at_degree(variety, n, ctx)
     divar = bso_presentation(variety)
-    di = consequences_at_degree(divar, n, ctx)
+    dim, generators = module_generators(divar, n, ctx)
+    ambient = basis_layout(divar.signature, n, ctx).ncols
     return DialgebraEquivalenceReport(
         variety=variety.name,
         degree=n,
         field=ctx.field.name,
-        ambient_dimension=di.ambient_dimension,
-        ideal_dimension=di.ideal.dim,
-        quotient_dimension=di.quotient_dimension,
+        ambient_dimension=ambient,
+        ideal_dimension=dim,
+        quotient_dimension=ambient - dim,
         expected_quotient_dimension=n * base.quotient_dimension,
         equal=is_collapse_preimage(
-            divar.signature, n, di.ideal, base.ideal, ctx
+            divar.signature, n, dim, generators, base.ideal, ctx
         ),
     )

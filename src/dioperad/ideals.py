@@ -6,9 +6,11 @@ n-th component of the smallest ideal containing them that is closed under
 composition on either side and relabelling of variables.  The component is
 computed layer by layer: one-step substitutions of a single operation into
 (or around) each lower layer, then closure under the symmetric group, kept
-in the run context's memo.  Its dimension alone is counted by partition
-when k[S_n] is semisimple (see ``ideal_dimensions``), and those ranks are
-the only results written to the disk cache.
+in the run context's memo.  When k[S_n] is semisimple its dimension is
+counted by partition instead, from a few S_n-module generators that are
+not expanded (see ``ideal_dimensions`` and ``module_generators``), and a
+presentation's ranks by partition are the only results written to the
+disk cache.
 """
 
 from __future__ import annotations
@@ -158,15 +160,27 @@ def _perm_column_maps(layout):
     return maps
 
 
-def _candidates(signature, generators, n, ctx, lower):
+def _seeds(signature, generators, n, ctx) -> dict:
+    """The given polynomials of degree at most n, converted to the
+    context's field, as vectors on their own degree's layout, keyed by
+    degree."""
+    seeds: dict = {}
+    for g in generators:
+        if g.degree <= n:
+            layout = basis_layout(signature, g.degree, ctx)
+            seeds.setdefault(g.degree, []).append(
+                poly_to_vector(g.convert(ctx.field), layout)
+            )
+    return seeds
+
+
+def _candidates(signature, seeds, n, ctx, lower):
     """The vectors that generate the degree-n ideal, in a fixed order: the
-    degree-n identities, then, one operation at a time, the one-step
+    degree-n seed vectors, then, one operation at a time, the one-step
     substitutions of each vector in ``lower(m)``, m being the lower degree
     that the operation composes into degree n."""
     layout = basis_layout(signature, n, ctx)
-    for g in generators:
-        if g.degree == n:
-            yield poly_to_vector(g, layout)
+    yield from seeds
     for op, arity in signature.operations:
         m = n - arity + 1
         if m < 2 or m >= n:
@@ -203,9 +217,10 @@ def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
         def lower(m):
             return ideal_component(signature, generators, digest, m, ctx).rows
 
-        for vec in _candidates(signature, generators, n, ctx, lower):
-            feed(vec)
         layout = basis_layout(signature, n, ctx)
+        seeds = [poly_to_vector(g, layout) for g in generators if g.degree == n]
+        for vec in _candidates(signature, seeds, n, ctx, lower):
+            feed(vec)
         colmaps = _perm_column_maps(layout)
         while queue:
             vec = queue.pop()
@@ -247,16 +262,17 @@ def _ideal_dim(n, ranks) -> int:
     return sum(map(int.__mul__, dimensions(n), ranks))
 
 
-def _module_step(signature, generators, digest, n, ctx):
-    """The degree-n ideal as an S_n-module: its ranks by partition, and the
-    module generators that raised one of them: the ``_candidates`` with
-    each lower degree's kept generators substituted.
+def _module_step(signature, seeds, digest, n, ctx, cache=None):
+    """The degree-n ideal generated by the seed vectors (``_seeds``) as an
+    S_n-module: its ranks by partition, and the module generators that
+    raised one of them: the ``_candidates`` with each lower degree's kept
+    generators substituted.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates generate the
     module.  A candidate that raises no rank already lies in the module of
     those before it, and so do its substitutions, so it is not kept.  The
-    ranks are written to the disk cache."""
+    ranks of each degree are written to the given disk cache, if any."""
 
     def build():
         layout = basis_layout(signature, n, ctx)
@@ -265,20 +281,29 @@ def _module_step(signature, generators, digest, n, ctx):
         kept = []
 
         def lower(m):
-            return _module_step(signature, generators, digest, m, ctx)[1]
+            return _module_step(signature, seeds, digest, m, ctx, cache)[1]
 
-        for vec in _candidates(signature, generators, n, ctx, lower):
+        for vec in _candidates(signature, seeds.get(n, ()), n, ctx, lower):
             if module.insert(vec):
                 kept.append(vec)
         ranks = module.ranks
-        if ctx.cache is not None:
-            ctx.cache.put(
+        if cache is not None:
+            cache.put(
                 _ranks_key(digest, ctx.field, n),
                 {"ranks": ranks, "dim": _ideal_dim(n, ranks)},
             )
         return ranks, kept
 
     return ctx.memo(("ranks", digest, n), n, build)
+
+
+def _presentation_module(variety, n, ctx):
+    """``_module_step`` of the variety's defining identities, writing its
+    ranks to the context's disk cache."""
+    seeds = _seeds(variety.signature, variety.generators, n, ctx)
+    return _module_step(
+        variety.signature, seeds, variety.digest, n, ctx, ctx.cache
+    )
 
 
 def _decode_ranks(stored, n, nblocks):
@@ -313,7 +338,6 @@ def partition_ranks(variety, n, ctx=None) -> list:
             f"ranks by partition need characteristic 0 or above {n}, "
             f"got {ctx.field.characteristic}"
         )
-    generators = tuple(g.convert(ctx.field) for g in variety.generators)
     if ctx.cache is not None:
         ranks = _decode_ranks(
             ctx.cache.get(_ranks_key(variety.digest, ctx.field, n)),
@@ -322,7 +346,7 @@ def partition_ranks(variety, n, ctx=None) -> list:
         )
         if ranks is not None:
             return ranks
-    return _module_step(variety.signature, generators, variety.digest, n, ctx)[0]
+    return _presentation_module(variety, n, ctx)[0]
 
 
 def ideal_dimensions(variety, n, ctx=None):
@@ -337,6 +361,22 @@ def ideal_dimensions(variety, n, ctx=None):
         return comp.ambient_dimension, comp.ideal.dim
     ranks = partition_ranks(variety, n, ctx)
     return basis_layout(variety.signature, n, ctx).ncols, _ideal_dim(n, ranks)
+
+
+def module_generators(variety, n, ctx=None):
+    """(dimension, generators) of the degree-n ideal, the generators
+    spanning it as a k[S_n]-module.  Over the rationals or a prime above n
+    the dimension is Σ d_λ·r_λ and the generators are the kept module
+    generators of ``_module_step``, whose ranks go to the disk cache; no
+    ideal row is built.  Over a smaller prime they are the rank and the
+    rows of the expanded ideal."""
+    ctx = as_context(ctx)
+    ctx.check_degree(n)
+    if not _semisimple(ctx.field, n):
+        ideal = consequences_at_degree(variety, n, ctx).ideal
+        return ideal.dim, ideal.rows
+    ranks, kept = _presentation_module(variety, n, ctx)
+    return _ideal_dim(n, ranks), kept
 
 
 def quotient_dimension(variety, n, ctx=None):

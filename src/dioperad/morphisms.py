@@ -15,6 +15,7 @@ import hashlib
 from typing import NamedTuple
 
 from .dialgebra import (
+    _lift_columns,
     bso_presentation,
     collapse_preimage_dimension,
     di_ideal_at_degree,
@@ -28,8 +29,11 @@ from .context import as_context
 from .fields import QQ
 from .ideals import (
     VarietyPresentation,
+    _ideal_dim,
+    _module_step,
+    _seeds,
     consequences_at_degree,
-    ideal_component,
+    module_generators,
     poly_to_vector,
     vector_to_poly,
 )
@@ -38,6 +42,7 @@ from .terms import (
     Monomial,
     Polynomial,
     apply_permutation,
+    basis_layout,
     compose,
     double_signature,
     format_polynomial,
@@ -295,7 +300,16 @@ def verify_bso_theorem(
     morphism.  Its dimension is reported from
     ``collapse_preimage_dimension`` and the comparison is
     ``is_collapse_preimage`` of the generated ideal over K_m; the preimage
-    is never built.  The comparisons start at degree 2, so d must too."""
+    is never built.  The comparisons start at degree 2, so d must too.
+
+    Only S_m-module generators of K_m are lifted: the source's kept module
+    generators of I_m (``module_generators``) and the rows of S_m.  Lifting
+    is equivariant, σ·lift_k(x) = lift_σ(k)(σ·x), so their lifts to every
+    emphasis generate the same operad ideal as the lifts of all of K_m.
+    The generated ideal is itself counted by partition
+    (``ideals._module_step``), never expanded: the guard d < p makes every
+    k[S_m] semisimple, and its kept generators go to
+    ``is_collapse_preimage``."""
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
     ctx = as_context(ctx)
@@ -309,29 +323,31 @@ def verify_bso_theorem(
     ctx.check_degree(d)
     _check_source_vanishes(mor, source, d, ctx)
     dsig = double_signature(mor.source_signature)
-    gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
+    seeds = _seeds(dsig, zero_identities(mor.source_signature)[1], d, ctx)
     kernels = {}
     for m in range(2, d + 1):
-        source_comp, _, kernels[m] = _morphism_kernel(mor, source, m, ctx)
-        for r in kernels[m].rows:
-            q = vector_to_poly(r, source_comp.layout, field)
-            for k in range(1, m + 1):
-                gens.append(superscript_poly(q, k))
+        _, special, kernels[m] = _morphism_kernel(mor, source, m, ctx)
+        plain = [*module_generators(source, m, ctx)[1], *special.rows]
+        lifts = seeds.setdefault(m, [])
+        for cols in _lift_columns(dsig, m, ctx):
+            lifts.extend({cols[c]: v for c, v in r.items()} for r in plain)
     digest = f"bso-kernel:{mor.digest}"
 
     comparisons = []
     for m, base_kernel in kernels.items():
-        consequence = ideal_component(dsig, tuple(gens), digest, m, ctx)
+        ranks, generators = _module_step(dsig, seeds, digest, m, ctx)
+        ncols = basis_layout(dsig, m, ctx).ncols
+        dim = _ideal_dim(m, ranks)
         comparisons.append(
             DegreeComparison(
                 degree=m,
-                ambient_dimension=consequence.ncols,
+                ambient_dimension=ncols,
                 kernel_dimension=collapse_preimage_dimension(
-                    m, consequence.ncols, base_kernel
+                    m, ncols, base_kernel
                 ),
-                consequence_dimension=consequence.dim,
+                consequence_dimension=dim,
                 equal=is_collapse_preimage(
-                    dsig, m, consequence, base_kernel, ctx
+                    dsig, m, dim, generators, base_kernel, ctx
                 ),
             )
         )

@@ -9,16 +9,36 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from dioperad import dialgebra, morphisms
 from dioperad.context import as_context
-from dioperad.dialgebra import DiPolynomial, _collapse_node, superscript_poly
-from dioperad.ideals import consequences_at_degree, poly_to_vector
+from dioperad.dialgebra import (
+    DialgebraEquivalenceReport,
+    DiPolynomial,
+    _collapse_node,
+    collapse_preimage_dimension,
+    is_collapse_preimage,
+    superscript_poly,
+    zero_identities,
+)
+from dioperad.ideals import (
+    consequences_at_degree,
+    ideal_component,
+    poly_to_vector,
+    vector_to_poly,
+)
 from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
-from dioperad.morphisms import OperadMorphism, evaluate_morphism
+from dioperad.morphisms import (
+    BsoKernelReport,
+    DegreeComparison,
+    OperadMorphism,
+    evaluate_morphism,
+)
 from dioperad.terms import (
     DoubledSignature,
     Monomial,
     Polynomial,
     Signature,
+    double_signature,
     enumerate_monomials,
     relabel_node,
     substitute_at,
@@ -204,6 +224,72 @@ def zeta_preimage(
         rows.append(space.reduce({col: field.one}))
     ker = left_kernel_basis(field, rows, space.ncols)
     return row_reduce(field, len(rows), ker)
+
+
+def row_dialgebra_equivalence(variety, n: int, ctx=None):
+    """``verify_dialgebra_equivalence`` on the expanded doubled ideal: its
+    dimension is the number of its rows, and every row is tested by
+    ``is_collapse_preimage``.  Looks ``bso_presentation`` up at call time,
+    so that a patched presentation is seen here too."""
+    ctx = as_context(ctx)
+    base = consequences_at_degree(variety, n, ctx)
+    divar = dialgebra.bso_presentation(variety)
+    ideal = consequences_at_degree(divar, n, ctx).ideal
+    return DialgebraEquivalenceReport(
+        variety=variety.name,
+        degree=n,
+        field=ctx.field.name,
+        ambient_dimension=ideal.ncols,
+        ideal_dimension=ideal.dim,
+        quotient_dimension=ideal.ncols - ideal.dim,
+        expected_quotient_dimension=n * base.quotient_dimension,
+        equal=is_collapse_preimage(
+            divar.signature, n, ideal.dim, ideal.rows, base.ideal, ctx
+        ),
+    )
+
+
+def row_bso_theorem(mor: OperadMorphism, source, d: int, ctx=None):
+    """``verify_bso_theorem`` the long way, without its guards: every row of
+    every plain kernel turned back into a polynomial and lifted to each
+    emphasis with ``superscript_poly``, the doubled ideal they generate
+    expanded row by row, and each of its rows tested by
+    ``is_collapse_preimage``.  Looks ``_morphism_kernel`` up at call time,
+    so that a patched kernel is seen here too."""
+    ctx = as_context(ctx)
+    field = ctx.field
+    dsig = double_signature(mor.source_signature)
+    gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
+    kernels = {}
+    for m in range(2, d + 1):
+        comp, _, kernels[m] = morphisms._morphism_kernel(mor, source, m, ctx)
+        for r in kernels[m].rows:
+            q = vector_to_poly(r, comp.layout, field)
+            gens.extend(superscript_poly(q, k) for k in range(1, m + 1))
+    digest = f"bso-rows:{mor.digest}"
+    comparisons = []
+    for m, kernel in kernels.items():
+        ideal = ideal_component(dsig, tuple(gens), digest, m, ctx)
+        comparisons.append(
+            DegreeComparison(
+                degree=m,
+                ambient_dimension=ideal.ncols,
+                kernel_dimension=collapse_preimage_dimension(
+                    m, ideal.ncols, kernel
+                ),
+                consequence_dimension=ideal.dim,
+                equal=is_collapse_preimage(
+                    dsig, m, ideal.dim, ideal.rows, kernel, ctx
+                ),
+            )
+        )
+    return BsoKernelReport(
+        morphism=mor.name,
+        degree=d,
+        field=field.name,
+        comparisons=tuple(comparisons),
+        verdict=all(c.equal for c in comparisons),
+    )
 
 
 def to_doubled(dp: DiPolynomial) -> Polynomial:

@@ -438,6 +438,34 @@ def test_verify_di_exits_1_without_a_zero_identity(capsys, monkeypatch):
     assert report["verdict"] is False
 
 
+def test_verify_di_exits_1_with_a_misplaced_zero_identity(capsys, monkeypatch):
+    from dioperad import dialgebra
+    from dioperad.ideals import VarietyPresentation
+    from dioperad.terms import Monomial, substitute_at
+
+    full = dialgebra.bso_presentation
+
+    def misplace_first_zero_identity(variety):
+        # equate the inner superscripts at the slot the outer one points to
+        p = full(variety)
+        outer = Monomial(("mul^1", 1, 2))
+        wrong = substitute_at(outer, 1, Monomial(("mul^1", 1, 2))) - substitute_at(
+            outer, 1, Monomial(("mul^2", 1, 2))
+        )
+        return VarietyPresentation(
+            p.name, p.signature, (wrong,) + p.generators[1:], p.generator_names
+        )
+
+    monkeypatch.setattr(dialgebra, "bso_presentation", misplace_first_zero_identity)
+    args = ["verify-di", "--variety", "builtin:assoc", "--degree", "4"]
+    for field in ("p:1000003", "q"):
+        code, report = run_json(capsys, *args, "--field", field)
+        assert code == 1
+        assert report["verdict"] is False
+        # the dimension matches, so only containment fails
+        assert report["dims"]["quotient"] == report["expected_quotient"]
+
+
 def test_special_reports_empty_kernel_quotient(capsys):
     code, report = run_json(
         capsys,
@@ -616,6 +644,42 @@ def test_warm_dim_reads_the_ranks(capsys, monkeypatch):
     assert cold[0] == 0
 
 
+def test_warm_dim_reads_the_ranks_verify_di_wrote(capsys, monkeypatch):
+    from dioperad import ideals
+
+    argv = ["dim", "--variety", "di:builtin:lie", "--degree", "4"]
+    uncached = run(capsys, *argv, "--no-cache")
+    verify = ["verify-di", "--variety", "builtin:lie", "--degree", "4"]
+    assert run(capsys, *verify)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dim recomputed the ranks verify-di wrote")
+
+    monkeypatch.setattr(ideals, "_module_step", refuse)
+    assert run(capsys, *argv) == uncached
+    assert uncached[0] == 0
+
+
+def _cache_keys(root):
+    return sorted(
+        json.loads(p.read_text(encoding="utf-8"))["key"]
+        for p in root.rglob("*.json")
+    )
+
+
+def test_verify_bso_writes_only_the_source_ranks(capsys, monkeypatch, tmp_path):
+    from dioperad import catalog, ideals
+
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path / "bso"))
+    argv = ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"]
+    assert run(capsys, *argv)[0] == 0
+    # the source's ranks, which dim reads; no entry for the doubled kernel
+    digest = catalog.presentation("lie").digest
+    assert _cache_keys(tmp_path / "bso") == [
+        f"{ideals._RANKS_TAG}:{digest}:p:1000003:{m}" for m in (2, 3, 4)
+    ]
+
+
 def _cache_files(root):
     return sorted(p.name for p in root.rglob("*.json"))
 
@@ -623,7 +687,7 @@ def _cache_files(root):
 ROW_COMMANDS = [
     ["implies", "--variety", "builtin:assoc", "--identity",
      "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))", "--field", "q"],
-    ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
+    ["verify-di", "--variety", "builtin:lie", "--degree", "4", "--field", "p:3"],
     ["special", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
     ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "p:5"],
 ]

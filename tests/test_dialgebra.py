@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from dioperad import Context, catalog, dialgebra
+from dioperad import Context, catalog, dialgebra, ideals
 from dioperad.dialgebra import (
     bso_presentation,
     collapses_into,
@@ -22,6 +23,7 @@ from dioperad.dialgebra import (
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
+    _perm_column_maps,
     consequences_at_degree,
     ideal_component,
     poly_to_vector,
@@ -44,6 +46,8 @@ from oracles import (
     dipolynomial_vector,
     from_doubled,
     morphism_kernel_at_degree,
+    row_bso_theorem,
+    row_dialgebra_equivalence,
     to_doubled,
     unsuperscript,
     zeta_preimage,
@@ -360,6 +364,7 @@ def test_equivalence_fails_on_the_dimension(monkeypatch, field):
     rep = verify_dialgebra_equivalence(ASSOC, 4, ctx)
     assert rep.ideal_dimension < 864
     assert rep.equal is _verdict_via_preimage(ASSOC, 4, ctx) is False
+    assert rep == row_dialgebra_equivalence(ASSOC, 4, Context(field))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
@@ -373,6 +378,77 @@ def test_equivalence_fails_on_containment(monkeypatch, field):
         # the dimension matches the preimage, so only containment can fail
         assert rep.ideal_dimension == preimage_dim
         assert rep.equal is _verdict_via_preimage(ASSOC, n, ctx) is False
+        assert rep == row_dialgebra_equivalence(ASSOC, n, Context(field))
+
+
+@pytest.mark.parametrize(
+    "field", FIELDS + [PrimeField(3)], ids=["q", "p", "p3-rows-at-3-and-4"]
+)
+@pytest.mark.parametrize("name", catalog.presentation_names())
+def test_verify_di_by_module_generators_matches_the_row_path(name, field):
+    variety = catalog.presentation(name)
+    for n in (2, 3, 4):
+        rep = verify_dialgebra_equivalence(variety, n, Context(field))
+        assert rep == row_dialgebra_equivalence(variety, n, Context(field))
+        assert rep.equal
+
+
+@pytest.mark.parametrize(
+    "field, expanded",
+    [(QQ, False), (PrimeField(1000003), False), (PrimeField(3), True)],
+    ids=["q", "p", "p3"],
+)
+def test_verify_di_expands_the_doubled_ideal_only_at_p_up_to_n(
+    monkeypatch, field, expanded
+):
+    doubled = bso_presentation(ASSOC).digest
+    expand = ideals.ideal_component
+    seen = []
+
+    def guarded(signature, generators, digest, n, ctx=None):
+        seen.append(digest)
+        if not expanded:
+            assert digest != doubled, "verify-di expanded the doubled ideal"
+        return expand(signature, generators, digest, n, ctx)
+
+    monkeypatch.setattr(ideals, "ideal_component", guarded)
+    rep = verify_dialgebra_equivalence(ASSOC, 4, Context(field))
+    assert rep.equal and rep.ideal_dimension == 864
+    assert (doubled in seen) is expanded
+
+
+def _random_combination(rows, field, rng):
+    out: dict = {}
+    for row in rng.sample(rows, min(3, len(rows))):
+        c = field.coerce(rng.randrange(1, 50))
+        for col, v in row.items():
+            nv = field.add(out.get(col, field.zero), field.mul(c, v))
+            if nv:
+                out[col] = nv
+            else:
+                out.pop(col, None)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+@pytest.mark.parametrize(
+    "variety, n", [(ASSOC, 3), (LIE, 4), (FREE, 3)], ids=["assoc3", "lie4", "free3"]
+)
+def test_collapse_preimage_is_symmetric_group_stable(variety, n, field):
+    ctx = Context(field)
+    dsig = double_signature(variety.signature)
+    base = consequences_at_degree(variety, n, ctx).ideal
+    preimage = zeta_preimage(dsig, n, di_ideal_at_degree(variety, n, ctx), ctx)
+    colmaps = _perm_column_maps(basis_layout(dsig, n, ctx))
+    rng = random.Random(f"{variety.name}-{n}-{field.name}")
+    for _ in range(20):
+        row = _random_combination(list(preimage.rows), field, rng)
+        assert collapses_into(dsig, n, [row], base, ctx)
+        # a random word in a transposition and an n-cycle
+        for _ in range(rng.randrange(1, 2 * n)):
+            colmap = rng.choice(colmaps)
+            row = {colmap[c]: v for c, v in row.items()}
+            assert collapses_into(dsig, n, [row], base, ctx)
 
 
 def test_collapses_into_rejects_a_row_outside_the_preimage():
@@ -399,7 +475,7 @@ def test_is_collapse_preimage_fails_on_each_condition(field):
     ctx = Context(field)
     base = consequences_at_degree(ASSOC, 3, ctx).ideal
     preimage = zeta_preimage(dsig, 3, di_ideal_at_degree(ASSOC, 3, ctx), ctx)
-    assert is_collapse_preimage(dsig, 3, preimage, base, ctx)
+    assert is_collapse_preimage(dsig, 3, preimage.dim, preimage.rows, base, ctx)
 
     outside = next(
         {c: field.one}
@@ -410,12 +486,21 @@ def test_is_collapse_preimage_fails_on_each_condition(field):
     # right dimension, so only containment can fail
     assert swapped.dim == preimage.dim
     assert not collapses_into(dsig, 3, swapped.rows, base, ctx)
-    assert not is_collapse_preimage(dsig, 3, swapped, base, ctx)
+    assert not is_collapse_preimage(dsig, 3, swapped.dim, swapped.rows, base, ctx)
 
     # every row collapses into the base, so only the dimension can fail
     short = Subspace(field, preimage.ncols, preimage.rows[:-1])
     assert collapses_into(dsig, 3, short.rows, base, ctx)
-    assert not is_collapse_preimage(dsig, 3, short, base, ctx)
+    assert not is_collapse_preimage(dsig, 3, short.dim, short.rows, base, ctx)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_verify_bso_by_module_generators_matches_the_row_path(name, field):
+    entry = catalog.morphism(name)
+    rep = verify_bso_theorem(entry.morphism, entry.source, 4, Context(field))
+    assert rep == row_bso_theorem(entry.morphism, entry.source, 4, Context(field))
+    assert rep.verdict
 
 
 def _stacked_kernel(mor, m, ctx):

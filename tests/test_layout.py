@@ -8,7 +8,7 @@ import pytest
 
 from dioperad import Context, catalog, terms
 from dioperad.cli import main, resolve_variety
-from dioperad.dialgebra import _collapse_columns
+from dioperad.dialgebra import _collapse_columns, _lift_columns, superscript
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import _perm_column_maps, ideal_component, poly_to_vector
 from dioperad.linalg import Subspace
@@ -116,6 +116,15 @@ def test_collapse_columns_match_unsuperscript(sig, n):
         expected.append((leaf - 1) * block + plain_layout[plain.node])
     base = Subspace(QQ, block, [])
     assert _collapse_columns(sig, n, base, BASES) == expected
+
+
+@pytest.mark.parametrize("sig, n", _cases(doubled=True))
+def test_lift_columns_match_superscript(sig, n):
+    doubled = basis_layout(sig, n, BASES)
+    plain = enumerate_monomials(sig.base, n, BASES)
+    assert _lift_columns(sig, n, BASES) == [
+        [doubled[superscript(m, k).node] for m in plain] for k in range(1, n + 1)
+    ]
 
 
 def _variety_cases():

@@ -36,7 +36,12 @@ from dioperad.terms import (
     linearize,
     substitute_at,
 )
-from oracles import from_doubled, morphism_kernel_at_degree, unsuperscript
+from oracles import (
+    from_doubled,
+    morphism_kernel_at_degree,
+    row_bso_theorem,
+    unsuperscript,
+)
 
 BRK = Signature([("b", 2)])
 BIN = Signature([("mul", 2)])
@@ -321,6 +326,7 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
 ):
     drop_last_kernel_row(4)
     rep = verify_bso_theorem(LIE_TO_ASSOC, LIE, 4, Context(field))
+    assert rep == row_bso_theorem(LIE_TO_ASSOC, LIE, 4, Context(field))
     assert not rep.verdict
     assert [c.equal for c in rep.comparisons] == [True, True, False]
     last = rep.comparisons[-1]
@@ -428,7 +434,9 @@ def test_memos_hold_layouts_and_ideal_components_only():
     special_identities(entry.morphism, entry.source, 4, ctx)
     di_special_identities(entry.morphism, entry.source, 4, ctx)
     verify_bso_theorem(entry.morphism, entry.source, 4, ctx)
-    assert {key[0] for key in ctx._memo} == {"layout", "ideal"}
+    # verify-bso counts its doubled ideals by partition: ranks and the
+    # representation tables they are read through
+    assert {key[0] for key in ctx._memo} == {"layout", "ideal", "ranks", "young"}
 
 
 def _special_via_full_kernel(mor, source, d, ctx):
