@@ -48,7 +48,7 @@ def queries():
                     out.append([cmd, "--morphism", f"builtin:{name}",
                                 "--degree", str(d), "--field", field, *extra])
     catalog_reports = [argv + ["--json", "--no-cache"] for argv in out]
-    return catalog_reports + surface_queries()
+    return catalog_reports + surface_queries() + small_prime_queries()
 
 
 def surface_queries():
@@ -92,6 +92,45 @@ def surface_queries():
     helps = [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]
     return ([argv + ["--json", "--no-cache"] for argv in reports + errors]
             + [argv + ["--no-cache"] for argv in text] + helps)
+
+
+def small_prime_queries():
+    """Queries over p:3 and p:5 at degrees n >= p, where k[S_n] is not
+    semisimple: special, implies and verify-di on the expanded-row path,
+    and verify-bso refused by its characteristic guard (one semisimple
+    verify-bso over p:5 beside them)."""
+    reports = []
+    for name, field, d in (
+        ("lie-to-assoc", "p:3", 3), ("jts-to-jordan", "p:3", 3),
+        ("jordan-to-assoc", "p:3", 4), ("free-to-com-assoc", "p:3", 4),
+        ("lie-to-assoc", "p:5", 5), ("jts-to-jordan", "p:5", 5),
+        ("jts-to-assoc", "p:5", 5),
+    ):
+        reports.append(["special", "--morphism", f"builtin:{name}",
+                        "--degree", str(d), "--field", field])
+    for name, field, identity in (
+        ("lie", "p:3", "(bracket (bracket 1 2) 3)"),
+        ("lie", "p:3", "(+ (bracket 1 (bracket 2 3)) (bracket (bracket 2 3) 1))"),
+        ("jordan", "p:3",
+         "(linearize (- (mul (mul (mul 1 1) 2) 1) (mul (mul 1 1) (mul 2 1))))"),
+        ("lie", "p:5",
+         "(bracket (bracket (bracket (bracket 1 2) 3) 4) 5)"),
+        ("lie", "p:5",
+         "(+ (bracket (bracket 1 2) (bracket 3 (bracket 4 5)))"
+         " (bracket (bracket 3 (bracket 4 5)) (bracket 1 2)))"),
+    ):
+        reports.append(["implies", "--variety", f"builtin:{name}",
+                        "--identity", identity, "--field", field])
+    for name, field, d in (("lie", "p:3", 3), ("jordan", "p:3", 4),
+                           ("jts", "p:5", 5)):
+        reports.append(["verify-di", "--variety", f"builtin:{name}",
+                        "--degree", str(d), "--field", field])
+    for name, field, d in (("lie-to-assoc", "p:3", 3),
+                           ("jts-to-jordan", "p:5", 5),
+                           ("lie-to-assoc", "p:5", 4)):
+        reports.append(["verify-bso", "--morphism", f"builtin:{name}",
+                        "--degree", str(d), "--field", field])
+    return [argv + ["--json", "--no-cache"] for argv in reports]
 
 
 def run_query(argv):
