@@ -25,6 +25,7 @@ from .fields import QQ, PrimeField, parse_field
 from .ideals import (
     VarietyPresentation,
     consequences_at_degree,
+    degree_component,
     ideal_dimensions,
     identity_implies,
     partition_ranks,
@@ -72,6 +73,7 @@ __all__ = [
     "compose",
     "consequences_at_degree",
     "default_cache_dir",
+    "degree_component",
     "di_ideal_at_degree",
     "di_morphism",
     "di_special_identities",

@@ -31,7 +31,7 @@ from .cache import DiskCache, default_cache_dir
 from .context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
 from .dialgebra import bso_presentation, verify_dialgebra_equivalence
 from .fields import DEFAULT_PRIME, parse_field
-from .ideals import consequences_at_degree, ideal_dimensions
+from .ideals import degree_component, ideal_dimensions
 from .morphisms import (
     di_special_identities,
     special_identities,
@@ -197,7 +197,7 @@ def _cmd_dim(args, ctx):
 def _cmd_implies(args, ctx):
     variety = resolve_variety(args.variety, ctx)
     p = _parse_identity_text(args.identity, variety.signature, ctx)
-    comp = consequences_at_degree(variety, p.degree, ctx)
+    comp = degree_component(variety, p.degree, ctx)
     names = {"variety": variety.name, "identity": format_polynomial(p)}
     return _report(args, ctx, names, variety.digest, p.degree,
                    _dims(comp.ambient_dimension, comp.ideal.dim),
@@ -236,7 +236,8 @@ def _cmd_special(identities, format_basis, args, ctx):
     """special and special-di, which differ in the library call, the basis
     formatter, and the lift-match verdict that only special-di has."""
     entry = resolve_morphism(args.morphism, ctx)
-    rep = identities(entry.morphism, entry.source, args.degree, ctx)
+    rep = identities(entry.morphism, entry.source, args.degree, ctx,
+                     basis=args.basis)
     listings = {}
     if args.basis:
         listings["basis"] = [format_basis(p) for p in rep.basis]

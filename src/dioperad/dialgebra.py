@@ -20,6 +20,7 @@ from .context import as_context
 from .ideals import (
     VarietyPresentation,
     consequences_at_degree,
+    degree_component,
     module_generators,
 )
 from .linalg import Subspace
@@ -220,10 +221,10 @@ def di_ideal_at_degree(
     )
 
 
-def _collapse_columns(dsig: DoubledSignature, n: int, base: Subspace, ctx):
+def _collapse_columns(dsig: DoubledSignature, n: int, base, ctx):
     """Column of the collapse image, inside n stacked copies of the plain
     basis, of each degree-n doubled basis monomial, in basis order.  The
-    subspace must live in the plain space.
+    plain ideal ``base`` must live in the plain space.
 
     Collapse keeps the leaf word, so each doubled skeleton is stripped once:
     filled with the word 1..n, it gives the plain skeleton's offset and the
@@ -233,7 +234,7 @@ def _collapse_columns(dsig: DoubledSignature, n: int, base: Subspace, ctx):
     block = plain.ncols
     if base.ncols != block:
         raise ValueError(
-            f"subspace has {base.ncols} columns, expected {block}"
+            f"plain ideal has {base.ncols} columns, expected {block}"
         )
     doubled = basis_layout(dsig, n, ctx)
     words = doubled.words
@@ -247,22 +248,37 @@ def _collapse_columns(dsig: DoubledSignature, n: int, base: Subspace, ctx):
     return cols
 
 
-def collapses_into(
-    dsig: DoubledSignature, n: int, rows, base: Subspace, ctx=None
-) -> bool:
+def collapses_into(dsig: DoubledSignature, n: int, rows, base, ctx=None) -> bool:
     """Whether every emphasis component of the collapse image of every
-    given degree-n doubled vector lies in the plain subspace.  The
-    arithmetic is over the subspace's field.  Each row goes through the
-    collapse columns straight into the subspace's membership sums, so
-    doubled terms that collapse onto one plain column add up first."""
+    given degree-n doubled vector lies in the plain ideal ``base``, anything
+    with ncols, field and contains(vec) on the plain columns: a
+    ``Subspace`` or a ``young.ModuleRanks``.  The arithmetic is over the
+    base's field, and doubled terms that collapse onto one plain column add
+    up before any component is tested.  A column outside the doubled space
+    is refused with a ValueError naming it."""
     cols = _collapse_columns(dsig, n, base, as_context(ctx))
-    return all(base.contains(row, cols) for row in rows)
+    field, block, width = base.field, base.ncols, len(cols)
+    for row in rows:
+        image: dict = {}
+        for c, v in row.items():
+            if not 0 <= c < width:
+                raise ValueError(f"column {c} outside 0..{width - 1}")
+            k = cols[c]
+            image[k] = field.add(image.get(k, field.zero), v)
+        parts: list = [{} for _ in range(n)]
+        for c, v in image.items():
+            if v:
+                parts[c // block][c % block] = v
+        if not all(base.contains(part) for part in parts if part):
+            return False
+    return True
 
 
-def collapse_preimage_dimension(n: int, ncols: int, base: Subspace) -> int:
-    """Dimension of the collapse preimage of n copies of the plain subspace
-    inside the ncols doubled columns.  Collapse is onto, so its kernel has
-    dimension ncols - n * base.ncols."""
+def collapse_preimage_dimension(n: int, ncols: int, base) -> int:
+    """Dimension of the collapse preimage of n copies of the plain ideal
+    ``base`` (anything with ncols and dim) inside the ncols doubled
+    columns.  Collapse is onto, so its kernel has dimension
+    ncols - n * base.ncols."""
     return ncols - n * (base.ncols - base.dim)
 
 
@@ -290,12 +306,12 @@ def _lift_columns(dsig: DoubledSignature, n: int, ctx):
 
 
 def is_collapse_preimage(
-    dsig: DoubledSignature, n: int, dim: int, generators, base: Subspace,
-    ctx=None,
+    dsig: DoubledSignature, n: int, dim: int, generators, base, ctx=None
 ) -> bool:
     """Whether the degree-n doubled S_n-submodule of the given dimension,
     spanned as a k[S_n]-module by the given vectors, is the full collapse
-    preimage P_n of n copies of the S_n-stable plain subspace.  The
+    preimage P_n of n copies of the S_n-stable plain ideal ``base`` (a
+    ``Subspace`` or a ``young.ModuleRanks``, see ``collapses_into``).  The
     preimage is never built.
 
     Collapse is S_n-equivariant: σ relabels a doubled monomial's word and
@@ -330,12 +346,13 @@ def verify_dialgebra_equivalence(
 
     The plain ideal is S_n-stable, so P_n is too (``is_collapse_preimage``),
     and I_n = P_n exactly when dim I_n = dim P_n and every S_n-module
-    generator of I_n collapses into the plain ideal.  Both come from
-    ``module_generators``: over the rationals or a prime above n the
-    doubled ideal is never expanded, and over a smaller prime its rows are
-    the generators."""
+    generator of I_n collapses into the plain ideal.  The doubled side
+    comes from ``module_generators`` and the plain side from
+    ``degree_component``: over the rationals or a prime above n neither
+    ideal is expanded, and over a smaller prime the doubled ideal's rows
+    are its generators and the plain ideal is a ``Subspace``."""
     ctx = as_context(ctx)
-    base = consequences_at_degree(variety, n, ctx)
+    base = degree_component(variety, n, ctx)
     divar = bso_presentation(variety)
     dim, generators = module_generators(divar, n, ctx)
     ambient = basis_layout(divar.signature, n, ctx).ncols

@@ -8,9 +8,11 @@ computed layer by layer: one-step substitutions of a single operation into
 (or around) each lower layer, then closure under the symmetric group, kept
 in the run context's memo.  When k[S_n] is semisimple its dimension is
 counted by partition instead, from a few S_n-module generators that are
-not expanded (see ``ideal_dimensions`` and ``module_generators``), and a
+not expanded, and the module of their images answers membership (see
+``ideal_dimensions``, ``module_generators`` and ``degree_component``).  A
 presentation's ranks by partition are the only results written to the
-disk cache.
+disk cache, by ``dim`` and by the commands that ask for module
+generators.
 """
 
 from __future__ import annotations
@@ -107,7 +109,10 @@ def vector_to_poly(vec: dict, layout, field) -> Polynomial:
 
 class DegreeComponent:
     """One multilinear degree of a variety: the column layout of the
-    ambient basis, the ideal on those columns, and the quotient."""
+    ambient basis, the ideal on those columns, and the quotient.  The ideal
+    is a ``Subspace`` of expanded rows or, counted by partition, a
+    ``young.ModuleRanks``; either gives ncols, dim, field and
+    contains(vec)."""
 
     __slots__ = ("layout", "degree", "ideal", "field")
 
@@ -264,9 +269,10 @@ def _ideal_dim(n, ranks) -> int:
 
 def _module_step(signature, seeds, digest, n, ctx, cache=None):
     """The degree-n ideal generated by the seed vectors (``_seeds``) as an
-    S_n-module: its ranks by partition, and the module generators that
-    raised one of them: the ``_candidates`` with each lower degree's kept
-    generators substituted.
+    S_n-module: its ``ModuleRanks``, and the module generators that raised
+    one of its ranks: the ``_candidates`` with each lower degree's kept
+    generators substituted.  Both stay in the memo, so the module answers
+    membership without its generators being inserted again.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates generate the
@@ -286,13 +292,13 @@ def _module_step(signature, seeds, digest, n, ctx, cache=None):
         for vec in _candidates(signature, seeds.get(n, ()), n, ctx, lower):
             if module.insert(vec):
                 kept.append(vec)
-        ranks = module.ranks
+        module.release_indices()
         if cache is not None:
             cache.put(
                 _ranks_key(digest, ctx.field, n),
-                {"ranks": ranks, "dim": _ideal_dim(n, ranks)},
+                {"ranks": module.ranks, "dim": module.dim},
             )
-        return ranks, kept
+        return module, kept
 
     return ctx.memo(("ranks", digest, n), n, build)
 
@@ -346,7 +352,7 @@ def partition_ranks(variety, n, ctx=None) -> list:
         )
         if ranks is not None:
             return ranks
-    return _presentation_module(variety, n, ctx)[0]
+    return _presentation_module(variety, n, ctx)[0].ranks
 
 
 def ideal_dimensions(variety, n, ctx=None):
@@ -375,8 +381,23 @@ def module_generators(variety, n, ctx=None):
     if not _semisimple(ctx.field, n):
         ideal = consequences_at_degree(variety, n, ctx).ideal
         return ideal.dim, ideal.rows
-    ranks, kept = _presentation_module(variety, n, ctx)
-    return _ideal_dim(n, ranks), kept
+    module, kept = _presentation_module(variety, n, ctx)
+    return module.dim, kept
+
+
+def degree_component(variety, n, ctx=None) -> DegreeComponent:
+    """The degree-n component, for its dimensions and membership in its
+    ideal.  Over the rationals or a prime above n the ideal is the
+    S_n-module counted by partition, a ``young.ModuleRanks`` that is never
+    expanded (its ranks are not written to the disk cache); over a smaller
+    prime it is the expanded ideal of ``consequences_at_degree``."""
+    ctx = as_context(ctx)
+    ctx.check_degree(n)
+    if not _semisimple(ctx.field, n):
+        return consequences_at_degree(variety, n, ctx)
+    seeds = _seeds(variety.signature, variety.generators, n, ctx)
+    module = _module_step(variety.signature, seeds, variety.digest, n, ctx)[0]
+    return DegreeComponent(basis_layout(variety.signature, n, ctx), module)
 
 
 def quotient_dimension(variety, n, ctx=None):
@@ -388,4 +409,4 @@ def identity_implies(variety, p: Polynomial, ctx=None) -> bool:
     """Whether p vanishes in every algebra of the variety."""
     for m in p.terms:
         check_in_signature(m, variety.signature)
-    return consequences_at_degree(variety, p.degree, ctx).contains(p)
+    return degree_component(variety, p.degree, ctx).contains(p)

@@ -3,7 +3,7 @@
 Vectors are dicts column -> nonzero scalar.  The engine keeps a fully
 reduced row echelon basis at all times: every pivot column appears in
 exactly one row, so an incoming vector is reduced in a single pass over
-its own support.
+its own support (``_Reducer.reduce``), which inserting it then extends.
 
 Over the rationals the engine eliminates without fractions: it holds each
 row as a primitive vector of Python ints whose pivot entry is positive,
@@ -41,23 +41,33 @@ def _divide_content(vec: dict, pivot: int) -> None:
             vec[c] //= g
 
 
-def _eliminate(vec: dict, col: int, row: dict) -> None:
-    """Clear column col of the int vector vec with the int row whose pivot
-    is col, in place: vec <- (a/g)·vec - (c/g)·row, where a = row[col] > 0,
-    c = vec[col] and g = gcd(a, c)."""
-    a, c = row[col], vec[col]
-    g = gcd(a, c)
-    if a != g:
-        scale = a // g
-        for k in vec:
-            vec[k] *= scale
-    c = -(c // g)
+def _eliminate(vec: dict, col: int, row: dict, p: int) -> list:
+    """Clear column col of the int vector vec with the row whose pivot is
+    col, in place, and return the columns that cancel (col among them).
+    Over a prime field p the row has pivot entry 1 and
+    vec <- vec - c·row mod p, where c = vec[col].  Over the rationals
+    (p = 0) vec <- (a/g)·vec - (c/g)·row, where a = row[col] > 0 and
+    g = gcd(a, c)."""
+    c = vec[col]
+    if not p:
+        a = row[col]
+        g = gcd(a, c)
+        if a != g:
+            scale = a // g
+            for k in vec:
+                vec[k] *= scale
+        c //= g
+    lost = []
     for k, v in row.items():
-        nv = vec.get(k, 0) + c * v
+        nv = vec.get(k, 0) - c * v
+        if p:
+            nv %= p
         if nv:
             vec[k] = nv
         else:
             del vec[k]
+            lost.append(k)
+    return lost
 
 
 class _Reducer:
@@ -72,8 +82,9 @@ class _Reducer:
     def __init__(self, field, rows=()):
         self.field = field
         self.pivot_rows: dict[int, dict[int, object]] = {}
-        # column -> set of pivot columns whose rows touch it
-        self._colindex: dict[int, set[int]] = {}
+        # column -> pivot columns whose rows touch it, for ``insert`` only
+        # (None once released)
+        self._colindex: dict[int, set[int]] | None = {}
         # a pivot-1 row cleared of its denominators is primitive
         for row in rows:
             self._add(
@@ -85,52 +96,82 @@ class _Reducer:
         for c in row:
             self._colindex.setdefault(c, set()).add(pivot)
 
+    def release_index(self) -> None:
+        """Drop the column index, to hold a finished basis in less memory;
+        ``reduce`` does not read it, and the next ``insert`` rebuilds it."""
+        self._colindex = None
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus the combination of rows that clears its pivot columns,
+        as a fresh dict of ints, in one pass; the reducer is left as it is.
+        Over a prime field it is the normal form, entries reduced mod p;
+        over the rationals a nonzero int multiple of it.
+
+        The rows are fully reduced, so no row touches another's pivot
+        column and vec's coefficient at each pivot column is final.  Over
+        a prime field the pass adds plain ints and takes each column mod p
+        once at the end.  Over the rationals vec is cleared of its
+        denominators and scaled once by the lcm of a/gcd(a, v) over the
+        pivots it meets, a being the row's pivot entry and v vec's entry
+        there, so that every multiple subtracted is an int."""
+        rows = self.pivot_rows
+        p = self.field.characteristic
+        ints = vec if p else _cleared(vec)[1]
+        hits = [(c, v) for c, v in ints.items() if c in rows]
+        if not p and hits:
+            scale = lcm(*(a // gcd(a, v) for c, v in hits for a in (rows[c][c],)))
+            if scale != 1:
+                ints = {c: v * scale for c, v in ints.items()}
+                hits = [(c, v * scale) for c, v in hits]
+        acc = dict(ints)
+        get = acc.get
+        for c, v in hits:
+            row = rows[c]
+            if not p:
+                v //= row[c]
+            for k, w in row.items():
+                acc[k] = get(k, 0) - v * w
+        if p:
+            return {k: r for k, x in acc.items() if (r := x % p)}
+        return {k: x for k, x in acc.items() if x}
+
     def insert(self, vec: dict) -> bool:
         """Reduce vec and extend the basis if a new pivot appears."""
+        row = self.reduce(vec)
+        if not row:
+            return False
         f = self.field
-        rational = not f.characteristic
-        if rational:
-            row = _cleared(vec)[1]
-            for col in sorted(c for c in row if c in self.pivot_rows):
-                _eliminate(row, col, self.pivot_rows[col])
-            if not row:
-                return False
-            pivot = min(row)
-            _divide_content(row, pivot)
+        p = f.characteristic
+        if self._colindex is None:
+            rows, self.pivot_rows, self._colindex = self.pivot_rows, {}, {}
+            for c, r in rows.items():
+                self._add(c, r)
+        pivot = min(row)
+        if p:
+            inv = f.inv(row[pivot])
+            row = {c: f.mul(inv, v) for c, v in row.items()}
         else:
-            # Rows are fully reduced, so eliminating a pivot column can only
-            # introduce free columns; one pass over the original support and
-            # its fill-in suffices.
-            red = dict(vec)
-            for col in sorted(c for c in red if c in self.pivot_rows):
-                coeff = red.get(col)
-                if coeff:
-                    f.axpy_into(red, f.neg(coeff), self.pivot_rows[col])
-            if not red:
-                return False
-            pivot = min(red)
-            inv = f.inv(red[pivot])
-            row = {c: f.mul(inv, v) for c, v in red.items()}
-        # back-eliminate the new pivot from existing rows
-        for other in list(self._colindex.get(pivot, ())):
+            _divide_content(row, pivot)
+        # back-eliminate the new pivot from the rows that hold it; a row
+        # gains or loses only columns of the new row, so only their index
+        # entries change: each such column gets every changed row, then
+        # loses those in which it cancelled
+        index = self._colindex
+        changed = list(index.get(pivot, ()))
+        lost = []
+        for other in changed:
             target = self.pivot_rows[other]
-            coeff = target.get(pivot)
-            if not coeff:
-                continue
-            before = set(target)
-            if rational:
-                _eliminate(target, pivot, row)
+            lost.append((other, _eliminate(target, pivot, row, p)))
+            if not p:
                 _divide_content(target, other)
-            else:
-                f.axpy_into(target, f.neg(coeff), row)
-            for c in before.difference(target):
-                owners = self._colindex.get(c)
-                if owners is not None:
-                    owners.discard(other)
-                    if not owners:
-                        del self._colindex[c]
-            for c in target.keys() - before:
-                self._colindex.setdefault(c, set()).add(other)
+        if changed:
+            for c in row:
+                index.setdefault(c, set()).update(changed)
+            for other, cols in lost:
+                for c in cols:
+                    index[c].discard(other)
+        # a fresh set: the emptied one keeps the size of all its owners
+        index[pivot] = set()
         self._add(pivot, row)
         return True
 
@@ -140,7 +181,7 @@ class _Reducer:
         gives up each int row as it converts it and is left empty, so the
         two forms of the basis are never held at once."""
         rows = self.pivot_rows
-        self._colindex.clear()
+        self._colindex = None
         out = []
         for p in sorted(rows):
             row = rows.pop(p)
@@ -212,38 +253,26 @@ class Subspace:
             self._nf, self._scale = nf, scale
         return self._nf
 
-    def _sums(self, vec: dict, cols=None) -> tuple[int, dict]:
+    def _sums(self, vec: dict) -> tuple[int, dict]:
         """The lcm den of vec's denominators (1 over a prime field) and the
         int dot products of den·vec with each scaled z_f, keyed by f.  A sum
-        may be zero, and over a prime field it is not yet taken mod p.
-
-        With cols, vec lives on other columns: its column c stands for
-        column cols[c] of stacked copies of this space, and the sums of
-        copy k are keyed k·ncols + f.  A column outside the space (or
-        outside cols) is refused with a ValueError naming it."""
-        width = self.ncols if cols is None else len(cols)
+        may be zero, and over a prime field it is not yet taken mod p.  A
+        column outside the space is refused with a ValueError naming it."""
+        width = self.ncols
         if vec and (min(vec) < 0 or max(vec) >= width):
             bad = next(c for c in vec if not 0 <= c < width)
             raise ValueError(f"column {bad} outside 0..{width - 1}")
         den, ints = (1, vec) if self.field.characteristic else _cleared(vec)
         nf = self._normal_form()
-        n = self.ncols
         acc: dict[int, int] = {}
         get = acc.get
-        off = 0
         for c, v in ints.items():
-            if cols is not None:
-                c = cols[c]
-                off = c - c % n
-                c -= off
             z = nf.get(c)
             if z is None:
-                k = off + c
-                acc[k] = get(k, 0) + v
+                acc[c] = get(c, 0) + v
             else:
                 for f, w in z.items():
-                    k = off + f
-                    acc[k] = get(k, 0) + v * w
+                    acc[f] = get(f, 0) + v * w
         return den, acc
 
     def reduce(self, vec: dict) -> dict:
@@ -258,10 +287,9 @@ class Subspace:
             f: Fraction(s, den * scale.get(f, 1)) for f, s in sums.items() if s
         }
 
-    def contains(self, vec: dict, cols=None) -> bool:
-        """Whether vec lies in the subspace.  With cols (see ``_sums``),
-        whether each stacked copy's component of vec lies in it."""
-        sums = self._sums(vec, cols)[1].values()
+    def contains(self, vec: dict) -> bool:
+        """Whether vec lies in the subspace."""
+        sums = self._sums(vec)[1].values()
         p = self.field.characteristic
         return not any(s % p for s in sums) if p else not any(sums)
 

@@ -7,6 +7,8 @@ structural substitution.  Composing with the projection onto the target
 variety's quotient gives a linear map in every degree whose kernel holds
 the identities satisfied by the image algebras.  Identities in the kernel
 but outside the ideal of the source presentation are the special ones.
+When k[S_n] is semisimple the kernel is a module counted by partition
+from the images of the source skeletons alone (``_kernel_dimension``).
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .context import as_context
 from .fields import QQ
 from .ideals import (
     VarietyPresentation,
-    _ideal_dim,
     _module_step,
+    _presentation_module,
     _seeds,
+    _semisimple,
     consequences_at_degree,
-    module_generators,
+    degree_component,
     poly_to_vector,
     vector_to_poly,
 )
@@ -47,6 +50,7 @@ from .terms import (
     double_signature,
     format_polynomial,
 )
+from .young import ModuleRanks, dimensions
 
 
 class CharacteristicGuardError(ValueError):
@@ -128,22 +132,50 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-def _check_source_vanishes(mor, source, d, ctx):
+def _check_source_vanishes(mor, source, d, ctx, component=degree_component):
     """Refuse a source presentation that does not match the morphism's
     signature or has an identity of degree at most d whose image is not zero
-    in the target.  Identities above d generate nothing up to degree d."""
+    in the target, by the membership test of the target's ``component``:
+    ``degree_component`` by default, ``consequences_at_degree`` for a
+    caller that expands the target's ideal anyway.  Identities above d
+    generate nothing up to degree d."""
     if source.signature != mor.source_signature:
         raise ValueError("presentation and morphism disagree on the signature")
     for gname, g in zip(source.generator_names, source.generators):
         if g.degree > d:
             continue
-        target_comp = consequences_at_degree(mor.target, g.degree, ctx)
         img = evaluate_morphism(mor, g, ctx.field)
-        if not target_comp.contains(img):
+        if not component(mor.target, g.degree, ctx).contains(img):
             raise ValueError(
                 f"identity {gname!r} of {source.name!r} does not vanish "
                 f"under {mor.name!r}"
             )
+
+
+def _kernel_dimension(mor, d, ctx) -> int:
+    """dim ker(φ) at degree d, counted by partition; k[S_d] must be
+    semisimple.
+
+    φ is a map of left k[S_d]-modules out of the free module on the s
+    source skeletons: a monomial is its skeleton at the identity word
+    relabelled by its leaf word, and φ commutes with relabelling.  Its
+    image in the target quotient is generated by the s images of the
+    skeletons, so it has ranks q_λ, those images' ranks modulo the target
+    ideal (``ModuleRanks.quotient_ranks``).  The kernel then has rank
+    κ_λ = s·d_λ − q_λ and dimension Σ d_λ·κ_λ."""
+    layout = basis_layout(mor.source_signature, d, ctx)
+    target = degree_component(mor.target, d, ctx)
+    # the identity word has rank 0, so each skeleton's block starts with it
+    images = (
+        poly_to_vector(
+            evaluate_morphism(mor, Monomial(layout.node(c)), ctx.field),
+            target.layout,
+        )
+        for c in range(0, layout.ncols, len(layout.words))
+    )
+    s = len(layout.skeletons)
+    ranks = target.ideal.quotient_ranks(images)
+    return sum(dl * (s * dl - q) for dl, q in zip(dimensions(d), ranks))
 
 
 class SpecialIdentitiesReport(NamedTuple):
@@ -189,16 +221,39 @@ def _morphism_kernel(mor, source, d, ctx):
 
 
 def special_identities(
-    mor: OperadMorphism, source: VarietyPresentation, d: int, ctx=None
+    mor: OperadMorphism,
+    source: VarietyPresentation,
+    d: int,
+    ctx=None,
+    basis: bool = True,
 ) -> SpecialIdentitiesReport:
     """Kernel identities of the morphism that are not consequences of the
     source presentation.  Every source identity must die in the target.
 
     The special basis is ker(φ) reduced modulo the source ideal, the kernel
-    on the source quotient's normal monomials (see ``_morphism_kernel``)."""
+    on the source quotient's normal monomials (see ``_morphism_kernel``).
+    Without ``basis``, over the rationals or a prime above d, only the
+    dimensions are counted, by partition: the kernel by
+    ``_kernel_dimension``, the ideal by ``degree_component``, and the
+    special space is their difference, since the ideal lies in the
+    kernel.  No ideal is expanded and the report's basis is None."""
     ctx = as_context(ctx)
     field = ctx.field
-    _check_source_vanishes(mor, source, d, ctx)
+    if not basis and _semisimple(field, d):
+        _check_source_vanishes(mor, source, d, ctx)
+        comp = degree_component(source, d, ctx)
+        kernel = _kernel_dimension(mor, d, ctx)
+        return SpecialIdentitiesReport(
+            morphism=mor.name,
+            degree=d,
+            field=field.name,
+            ambient_dimension=comp.ambient_dimension,
+            kernel_dimension=kernel,
+            ideal_dimension=comp.ideal.dim,
+            special_dimension=kernel - comp.ideal.dim,
+            basis=None,
+        )
+    _check_source_vanishes(mor, source, d, ctx, consequences_at_degree)
     source_comp, special, kernel = _morphism_kernel(mor, source, d, ctx)
     basis = tuple(
         vector_to_poly(r, source_comp.layout, field) for r in special.rows
@@ -228,14 +283,20 @@ class DiSpecialIdentitiesReport(NamedTuple):
 
 
 def di_special_identities(
-    mor: OperadMorphism, source: VarietyPresentation, d: int, ctx=None
+    mor: OperadMorphism,
+    source: VarietyPresentation,
+    d: int,
+    ctx=None,
+    basis: bool = True,
 ) -> DiSpecialIdentitiesReport:
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
-    as emphasized placements of the plain special identities."""
+    as emphasized placements of the plain special identities.  The
+    dimensions come from expanded rows in every characteristic; without
+    ``basis`` the report's basis is None."""
     ctx = as_context(ctx)
     field = ctx.field
-    _check_source_vanishes(mor, source, d, ctx)
+    _check_source_vanishes(mor, source, d, ctx, consequences_at_degree)
     source_comp, base_special, base_kernel = _morphism_kernel(
         mor, source, d, ctx
     )
@@ -247,10 +308,13 @@ def di_special_identities(
 
     reduced = [block_ideal.reduce(r) for r in block_kernel.rows]
     special = row_reduce(field, d * block, reduced)
-    basis = tuple(
-        vector_to_dipolynomial(r, source_comp.layout, field)
-        for r in special.rows
-    )
+    if basis:
+        basis = tuple(
+            vector_to_dipolynomial(r, source_comp.layout, field)
+            for r in special.rows
+        )
+    else:
+        basis = None
 
     lifted = stack_copies(base_special.rows, d, block)
     matches = extend(block_ideal, lifted) == extend(
@@ -268,6 +332,27 @@ def di_special_identities(
         basis=basis,
         matches_lifted=matches,
     )
+
+
+def _kernel_module(mor, source, d, ctx):
+    """The plain kernel K_d = I_d ⊕ S_d as an S_d-module (a
+    ``ModuleRanks``), with module generators of it; k[S_d] must be
+    semisimple and the caller must have run ``_check_source_vanishes``.
+
+    The generators are the source's kept module generators of I_d
+    (``ideals._module_step``).  When the kernel counted by partition
+    (``_kernel_dimension``) is larger than I_d, the rows of S_d from
+    ``_morphism_kernel`` join them in a module of their own, each kept only
+    if it raises a rank: one that does not lies in the module of those
+    before it.  Otherwise K_d = I_d and the source's module is returned as
+    it is."""
+    ideal, kept = _presentation_module(source, d, ctx)
+    if _kernel_dimension(mor, d, ctx) == ideal.dim:
+        return ideal, kept
+    kernel = ModuleRanks(ideal.table, ideal.nblocks)
+    special = _morphism_kernel(mor, source, d, ctx)[1].rows
+    generators = [vec for vec in (*kept, *special) if kernel.insert(vec)]
+    return kernel, generators
 
 
 class DegreeComparison(NamedTuple):
@@ -293,23 +378,24 @@ def verify_bso_theorem(
     generated, as an operad ideal, by the zero identities together with the
     emphasized lifts of the plain kernel.
 
-    The plain kernel K_m = I_m ⊕ S_m comes from the source quotient, as in
-    ``special_identities``, so every source identity must die in the
-    target.  The doubled kernel in degree m is taken as the collapse
-    preimage of m copies of K_m; it is not computed from the doubled
-    morphism.  Its dimension is reported from
-    ``collapse_preimage_dimension`` and the comparison is
-    ``is_collapse_preimage`` of the generated ideal over K_m; the preimage
-    is never built.  The comparisons start at degree 2, so d must too.
+    The plain kernel K_m = I_m ⊕ S_m is counted by partition and held as
+    an S_m-module (``_kernel_module``), so every source identity must die
+    in the target; the guard d < p makes every k[S_m] semisimple.  The
+    doubled kernel in degree m is taken as the collapse preimage of m
+    copies of K_m; it is not computed from the doubled morphism.  Its
+    dimension is reported from ``collapse_preimage_dimension`` and the
+    comparison is ``is_collapse_preimage`` of the generated ideal over
+    K_m's module; the preimage is never built.  The comparisons start at
+    degree 2, so d must too.
 
     Only S_m-module generators of K_m are lifted: the source's kept module
-    generators of I_m (``module_generators``) and the rows of S_m.  Lifting
+    generators of I_m and, when S_m is not zero, the rows of S_m that raise
+    a rank of K_m's module.  Lifting
     is equivariant, σ·lift_k(x) = lift_σ(k)(σ·x), so their lifts to every
     emphasis generate the same operad ideal as the lifts of all of K_m.
     The generated ideal is itself counted by partition
-    (``ideals._module_step``), never expanded: the guard d < p makes every
-    k[S_m] semisimple, and its kept generators go to
-    ``is_collapse_preimage``."""
+    (``ideals._module_step``), never expanded, and its kept generators go
+    to ``is_collapse_preimage``."""
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
     ctx = as_context(ctx)
@@ -326,8 +412,7 @@ def verify_bso_theorem(
     seeds = _seeds(dsig, zero_identities(mor.source_signature)[1], d, ctx)
     kernels = {}
     for m in range(2, d + 1):
-        _, special, kernels[m] = _morphism_kernel(mor, source, m, ctx)
-        plain = [*module_generators(source, m, ctx)[1], *special.rows]
+        kernels[m], plain = _kernel_module(mor, source, m, ctx)
         lifts = seeds.setdefault(m, [])
         for cols in _lift_columns(dsig, m, ctx):
             lifts.extend({cols[c]: v for c, v in r.items()} for r in plain)
@@ -335,9 +420,9 @@ def verify_bso_theorem(
 
     comparisons = []
     for m, base_kernel in kernels.items():
-        ranks, generators = _module_step(dsig, seeds, digest, m, ctx)
+        module, generators = _module_step(dsig, seeds, digest, m, ctx)
         ncols = basis_layout(dsig, m, ctx).ncols
-        dim = _ideal_dim(m, ranks)
+        dim = module.dim
         comparisons.append(
             DegreeComparison(
                 degree=m,

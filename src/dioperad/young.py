@@ -7,7 +7,10 @@ algebras of size d_λ, the number of standard tableaux of shape λ.  A left
 submodule M of k[S_n]^s generated by g_1, g_2, ... is then fixed by the row
 spaces of the stacked d_λ × s·d_λ matrices ρ_λ(g_j), and
 dim M = Σ_λ d_λ·r_λ where r_λ is the rank of that stack (Hentzel,
-*Processing identities by group representation*, 1977).
+*Processing identities by group representation*, 1977).  An element lies
+in M exactly when its own rows raise no r_λ, and the ranks of further
+elements' rows modulo M's are those of the module they generate in the
+quotient by M.
 
 A permutation is a leaf word w = (w_1, ..., w_n), the map j -> w_j, and
 relabelling by σ is left multiplication, the word (σ(w_1), ..., σ(w_n)).
@@ -176,20 +179,35 @@ class WordTable:
 
 class ModuleRanks:
     """The ranks r_λ of the stacked matrices ρ_λ(g) over the elements g of
-    k[S_n]^s inserted so far.  An element is a dict column -> scalar over
+    k[S_n]^s inserted so far: a left submodule of dimension Σ d_λ·r_λ, and
+    a membership test for it.  An element is a dict column -> scalar over
     the table's field, column = block · n! + rank of the leaf word."""
 
-    __slots__ = ("table", "width", "reducers", "ncols")
+    __slots__ = ("table", "nblocks", "width", "reducers", "_sizes")
 
     def __init__(self, table: WordTable, nblocks: int):
         self.table = table
+        self.nblocks = nblocks
         self.width = len(table.words)
         self.reducers = [_Reducer(table.field) for _ in table.dims]
-        self.ncols = [nblocks * d for d in table.dims]
+        # the number of columns of each stack, the largest rank it can have
+        self._sizes = [nblocks * d for d in table.dims]
+
+    @property
+    def field(self):
+        return self.table.field
+
+    @property
+    def ncols(self) -> int:
+        return self.nblocks * self.width
 
     @property
     def ranks(self):
         return [len(r.pivot_rows) for r in self.reducers]
+
+    @property
+    def dim(self) -> int:
+        return sum(map(int.__mul__, self.table.dims, self.ranks))
 
     def _coefficients(self, vec):
         """Per block, the (word rank, integer coefficient) pairs of vec.
@@ -222,35 +240,75 @@ class ModuleRanks:
             blocks.setdefault(b, []).append((r, v))
         return blocks
 
+    def _rows(self, blocks, k):
+        """The nonzero rows of ρ_λ(vec) for the k-th partition λ, from
+        vec's ``_coefficients``: row t holds, at block b's columns
+        b·d_λ .. b·d_λ + d_λ - 1, row t of that block's image."""
+        table = self.table
+        d = table.dims[k]
+        modulus = None if table.scale is not None else table.field.p
+        images = []
+        for b, terms in blocks.items():
+            (r, c), *rest = terms
+            acc = [c * x for x in table.matrix(k, r)]
+            for r, c in rest:
+                acc = [a + c * x for a, x in zip(acc, table.matrix(k, r))]
+            if modulus is not None:
+                acc = [x % modulus for x in acc]
+            images.append((b * d, acc))
+        for t in range(0, d * d, d):
+            row = {
+                base + j: x
+                for base, acc in images
+                for j, x in enumerate(acc[t:t + d])
+                if x
+            }
+            if row:
+                yield row
+
     def insert(self, vec: dict) -> bool:
         """Add ρ_λ(vec)'s rows for every λ; whether any rank went up."""
         if not vec:
             return False
         blocks = self._coefficients(vec)
-        table = self.table
-        modulus = None if table.scale is not None else table.field.p
         raised = False
-        for k, (d, reducer, ncols) in enumerate(
-            zip(table.dims, self.reducers, self.ncols)
-        ):
-            if len(reducer.pivot_rows) == ncols:
-                continue
-            images = []
-            for b, terms in blocks.items():
-                (r, c), *rest = terms
-                acc = [c * x for x in table.matrix(k, r)]
-                for r, c in rest:
-                    acc = [a + c * x for a, x in zip(acc, table.matrix(k, r))]
-                if modulus is not None:
-                    acc = [x % modulus for x in acc]
-                images.append((b * d, acc))
-            for t in range(0, d * d, d):
-                row = {
-                    base + j: x
-                    for base, acc in images
-                    for j, x in enumerate(acc[t:t + d])
-                    if x
-                }
-                if row:
+        for k, (reducer, size) in enumerate(zip(self.reducers, self._sizes)):
+            if len(reducer.pivot_rows) < size:
+                for row in self._rows(blocks, k):
                     raised |= reducer.insert(row)
         return raised
+
+    def release_indices(self) -> None:
+        """Hold the module in less memory once its generators are all in:
+        each reducer drops the column index that only insertion reads."""
+        for reducer in self.reducers:
+            reducer.release_index()
+
+    def contains(self, vec: dict) -> bool:
+        """Whether vec lies in the module: whether inserting it would raise
+        no rank.  The module is left as it is."""
+        if not vec:
+            return True
+        blocks = self._coefficients(vec)
+        return not any(
+            reducer.reduce(row)
+            for k, (reducer, size) in enumerate(zip(self.reducers, self._sizes))
+            if len(reducer.pivot_rows) < size
+            for row in self._rows(blocks, k)
+        )
+
+    def quotient_ranks(self, vecs) -> list:
+        """Per partition λ, the rank of the rows of ρ_λ(v) over the given
+        vectors v, each reduced modulo the module: the ranks r_λ of the
+        image of the module they generate in the quotient by this one.  The
+        module is left as it is."""
+        quotient = [_Reducer(self.field) for _ in self.reducers]
+        for vec in vecs:
+            if not vec:
+                continue
+            blocks = self._coefficients(vec)
+            for k, (reducer, size) in enumerate(zip(self.reducers, self._sizes)):
+                if len(reducer.pivot_rows) + len(quotient[k].pivot_rows) < size:
+                    for row in self._rows(blocks, k):
+                        quotient[k].insert(reducer.reduce(row))
+        return [len(r.pivot_rows) for r in quotient]

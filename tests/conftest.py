@@ -27,10 +27,12 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 @pytest.fixture
 def drop_last_kernel_row(monkeypatch):
-    """Call with a degree to make the kernel routine
-    ``morphisms._morphism_kernel`` lose the last basis row of the kernel at
-    that degree."""
+    """Call with a degree to make the kernel routines lose the last basis
+    row of the kernel at that degree: ``morphisms._morphism_kernel``, which
+    expands the kernel, and ``morphisms._kernel_module``, which holds it as
+    a module and then hands out that short expanded kernel instead."""
     full = morphisms._morphism_kernel
+    full_module = morphisms._kernel_module
 
     def drop(degree):
         def patched(mor, source, d, *args, **kwargs):
@@ -39,6 +41,13 @@ def drop_last_kernel_row(monkeypatch):
                 kernel = Subspace(kernel.field, kernel.ncols, kernel.rows[:-1])
             return comp, special, kernel
 
+        def patched_module(mor, source, d, *args, **kwargs):
+            kernel, generators = full_module(mor, source, d, *args, **kwargs)
+            if d == degree:
+                kernel = patched(mor, source, d, *args, **kwargs)[2]
+            return kernel, generators
+
         monkeypatch.setattr(morphisms, "_morphism_kernel", patched)
+        monkeypatch.setattr(morphisms, "_kernel_module", patched_module)
 
     return drop

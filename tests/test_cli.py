@@ -863,3 +863,98 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "jordan-to-assoc" in proc.stdout
+
+
+LIE_D5 = "(bracket (bracket (bracket (bracket 1 2) 3) 4) 5)"
+# Over q and a prime above the degree these count by partition and test
+# membership through S_n-modules; none expands an ideal row by row.
+PARTITION_COMMANDS = [
+    ["special", "--morphism", "builtin:lie-to-assoc", "--degree", "5"],
+    ["special", "--morphism", "builtin:jts-to-jordan", "--degree", "5"],
+    ["verify-bso", "--morphism", "builtin:jts-to-jordan", "--degree", "5"],
+    ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
+    ["implies", "--variety", "builtin:lie", "--identity", LIE_D5],
+    ["verify-di", "--variety", "builtin:jts", "--degree", "5"],
+    ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
+]
+
+
+class Expanded(Exception):
+    """Raised by a patched ``ideals.ideal_component``."""
+
+
+def _refuse_expansion(monkeypatch):
+    from dioperad import ideals
+
+    def refuse(*args, **kwargs):
+        raise Expanded
+
+    monkeypatch.setattr(ideals, "ideal_component", refuse)
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+@pytest.mark.parametrize("argv", PARTITION_COMMANDS, ids=lambda a: " ".join(a[:3]))
+def test_partition_commands_expand_no_ideal(capsys, monkeypatch, argv, field):
+    expected = run(capsys, *argv, "--field", field, "--json", "--no-cache")
+    assert expected[0] in (0, 1)
+    _refuse_expansion(monkeypatch)
+    assert run(capsys, *argv, "--field", field, "--json", "--no-cache") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in PARTITION_COMMANDS if "5" in a or a[0] == "implies"],
+    ids=lambda a: " ".join(a[:3]),
+)
+def test_small_primes_take_the_row_path(capsys, monkeypatch, argv):
+    _refuse_expansion(monkeypatch)
+    if argv[0] == "verify-bso":
+        # refused by the characteristic guard before any work
+        assert main([*argv, "--field", "p:5", "--no-cache"]) == 2
+        assert "requires characteristic 0 or larger than 5" in (
+            capsys.readouterr().err
+        )
+    else:
+        with pytest.raises(Expanded):
+            main([*argv, "--field", "p:5", "--no-cache"])
+
+
+ANTI_DEFS = """
+(presentation anti
+  (signature (op b 2))
+  (identity antisymmetry (+ (b 1 2) (b 2 1))))
+(morphism anti-to-assoc (source anti) (target assoc)
+  (image b (- (mul 1 2) (mul 2 1))))
+(morphism anti-to-assoc-plus (source anti) (target assoc)
+  (image b (+ (mul 1 2) (mul 2 1))))
+"""
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+def test_special_counts_antisymmetric_bracket_identities(capsys, tmp_path, field):
+    path = tmp_path / "anti.sexp"
+    path.write_text(ANTI_DEFS, encoding="utf-8")
+    for degree, special in (("4", 9), ("5", 81)):
+        argv = ["special", "--morphism", f"{path}:anti-to-assoc",
+                "--degree", degree, "--field", field, "--no-cache"]
+        code, counted = run_json(capsys, *argv)
+        assert code == 0 and counted["special"] == special
+        code, listed = run_json(capsys, *argv, "--basis")
+        assert len(listed.pop("basis")) == special
+        assert listed == counted
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+@pytest.mark.parametrize("command", ["special", "verify-bso"])
+def test_a_perturbed_image_exits_2(capsys, tmp_path, command, field):
+    path = tmp_path / "anti.sexp"
+    path.write_text(ANTI_DEFS, encoding="utf-8")
+    argv = [command, "--morphism", f"{path}:anti-to-assoc-plus",
+            "--degree", "4", "--field", field, "--no-cache"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: identity 'antisymmetry' of 'anti' does not vanish under "
+        "'anti-to-assoc-plus'\n"
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -298,16 +299,18 @@ def probe_vectors(rng, space):
     return probes
 
 
-def random_space(rng, field, n):
+def random_rows(rng, field, n):
     if field.characteristic:
         p = field.characteristic
-        rows = [
+        return [
             {c: rng.randint(1, p - 1) for c in rng.sample(range(n), rng.randint(1, 4))}
             for _ in range(7)
         ]
-    else:
-        rows = random_rational_rows(rng, 7, n)
-    return row_reduce(field, n, rows)
+    return random_rational_rows(rng, 7, n)
+
+
+def random_space(rng, field, n):
+    return row_reduce(field, n, random_rows(rng, field, n))
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
@@ -334,3 +337,47 @@ def test_columns_outside_the_space_are_refused(field):
             space.reduce(vec)
         with pytest.raises(ValueError, match=rf"column {bad} outside 0\.\.2"):
             space.contains(vec)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+@pytest.mark.parametrize("seed", range(12))
+def test_reducer_reduce_matches_elimination_and_changes_nothing(field, seed):
+    rng = random.Random(seed)
+    n = 12
+    rows = random_rows(rng, field, n)
+    space = fraction_row_reduce(field, n, rows)
+    assert 0 < space.dim < n
+    reducer = _Reducer(field)
+    for row in rows:
+        reducer.insert(row)
+    held = copy.deepcopy((reducer.pivot_rows, reducer._colindex))
+    for vec, member in probe_vectors(rng, space):
+        expected = elimination_reduce(space, vec)
+        got = reducer.reduce(vec)
+        assert all(type(v) is int and v for v in got.values())
+        if field.characteristic:
+            assert got == expected
+        else:
+            # a nonzero int multiple of the normal form
+            assert got.keys() == expected.keys()
+            if got:
+                c = min(got)
+                ratio = Fraction(got[c]) / expected[c]
+                assert got == {k: ratio * v for k, v in expected.items()}
+        if member is not None:
+            assert (not got) is member
+    assert (reducer.pivot_rows, reducer._colindex) == held
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+def test_reducer_rebuilds_a_released_index(field):
+    rng = random.Random(3)
+    rows = random_rows(rng, field, 12) + random_rows(rng, field, 12)
+    expected = fraction_row_reduce(field, 12, rows)
+    reducer = _Reducer(field)
+    for row in rows[:7]:
+        reducer.insert(row)
+    reducer.release_index()
+    for row in rows[7:]:
+        reducer.insert(row)
+    assert Subspace(field, 12, reducer) == expected

@@ -522,3 +522,82 @@ def test_kernel_on_the_source_quotient_matches_full_column_oracle(name, field):
         )
         assert kernel == morphism_kernel_at_degree(entry.morphism, d, ctx)
 
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(1000003), PrimeField(7)],
+    ids=["q", "p", "p7"],
+)
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_special_by_partition_matches_the_row_path(name, field):
+    entry = catalog.morphism(name)
+    for d in range(1, 6):
+        counted = special_identities(
+            entry.morphism, entry.source, d, Context(field), basis=False
+        )
+        rows = special_identities(entry.morphism, entry.source, d, Context(field))
+        assert counted.basis is None
+        assert counted._replace(basis=rows.basis) == rows
+
+
+ANTI = VarietyPresentation(
+    "anti", BRK, [poly({("b", 1, 2): 1, ("b", 2, 1): 1})], ["antisymmetry"]
+)
+ANTI_TO_ASSOC = OperadMorphism(
+    "anti-to-assoc", BRK, ASSOC, {"b": LIE_TO_ASSOC.images["b"]}
+)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+def test_special_by_partition_counts_antisymmetric_bracket_identities(field):
+    # antisymmetry alone leaves the Jacobi identity and its consequences
+    # special: 9 of them in degree 4, 81 in degree 5
+    for d, kernel, ideal, special in ((4, 114, 105, 9), (5, 1656, 1575, 81)):
+        rep = special_identities(ANTI_TO_ASSOC, ANTI, d, Context(field), basis=False)
+        assert (rep.kernel_dimension, rep.ideal_dimension) == (kernel, ideal)
+        assert rep.special_dimension == special
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+def test_special_by_partition_at_degenerate_degrees(field):
+    rep = special_identities(LIE_TO_ASSOC, LIE, 1, Context(field), basis=False)
+    # the single leaf maps to itself, outside the target ideal
+    assert rep[3:] == (1, 0, 0, 0, None)
+    for d in (2, 4):
+        # no ternary monomial has an even degree
+        entry = catalog.morphism("jts-to-jordan")
+        rep = special_identities(
+            entry.morphism, entry.source, d, Context(field), basis=False
+        )
+        assert rep[3:] == (0, 0, 0, 0, None)
+
+
+def test_special_by_partition_evaluates_the_skeletons_only(monkeypatch):
+    evaluated = []
+    evaluate = morphisms.evaluate_morphism
+
+    def counting(mor, p, field=None):
+        evaluated.append(p)
+        return evaluate(mor, p, field)
+
+    monkeypatch.setattr(morphisms, "evaluate_morphism", counting)
+    ctx = Context(PrimeField(1000003))
+    rep = special_identities(LIE_TO_ASSOC, LIE, 5, ctx, basis=False)
+    assert rep.ambient_dimension == 1680
+    # the two identities in the vanishing check, then one image for each
+    # of the 14 skeletons at the identity word
+    assert len(evaluated) == 2 + 14
+    assert all(m.leaf_word == (1, 2, 3, 4, 5) for m in evaluated[2:])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+def test_partition_path_refuses_an_image_that_breaks_the_source(field):
+    anticommutator = OperadMorphism(
+        "lie-to-assoc-anticommutator",
+        BRK,
+        ASSOC,
+        {"b": poly({("mul", 1, 2): 1, ("mul", 2, 1): 1})},
+    )
+    with pytest.raises(ValueError, match="antisymmetry"):
+        special_identities(anticommutator, LIE, 4, Context(field), basis=False)
