@@ -19,9 +19,9 @@ from typing import NamedTuple
 from .context import as_context
 from .ideals import (
     VarietyPresentation,
+    _presentation_module,
     consequences_at_degree,
     degree_component,
-    module_generators,
 )
 from .linalg import Subspace
 from .terms import (
@@ -346,15 +346,15 @@ def verify_dialgebra_equivalence(
 
     The plain ideal is S_n-stable, so P_n is too (``is_collapse_preimage``),
     and I_n = P_n exactly when dim I_n = dim P_n and every S_n-module
-    generator of I_n collapses into the plain ideal.  The doubled side
-    comes from ``module_generators`` and the plain side from
-    ``degree_component``: over the rationals or a prime above n neither
-    ideal is expanded, and over a smaller prime the doubled ideal's rows
-    are its generators and the plain ideal is a ``Subspace``."""
+    generator of I_n collapses into the plain ideal.  Both sides are the
+    S_n-modules of ``ideals._module_step``, the doubled one with its kept
+    generators: over the rationals or a prime above n neither ideal is
+    expanded, and over a smaller prime each is a ``Subspace``."""
     ctx = as_context(ctx)
     base = degree_component(variety, n, ctx)
     divar = bso_presentation(variety)
-    dim, generators = module_generators(divar, n, ctx)
+    module, generators = _presentation_module(divar, n, ctx)
+    dim = module.dim
     ambient = basis_layout(divar.signature, n, ctx).ncols
     return DialgebraEquivalenceReport(
         variety=variety.name,

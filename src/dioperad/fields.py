@@ -131,16 +131,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def axpy_into(self, row: dict, c, other: dict) -> None:
-        """row += c * other, in place, dropping entries that cancel."""
-        p = self.p
-        for col, v in other.items():
-            nv = (row.get(col, 0) + c * v) % p
-            if nv:
-                row[col] = nv
-            else:
-                row.pop(col, None)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -1,17 +1,19 @@
 """Varieties of algebras presented by multilinear identities, and the
-degree-by-degree expansion of the operad ideal those identities generate.
+degree-by-degree construction of the operad ideal those identities generate.
 
 The multilinear consequences of a set of identities in degree n form the
 n-th component of the smallest ideal containing them that is closed under
-composition on either side and relabelling of variables.  The component is
-computed layer by layer: one-step substitutions of a single operation into
-(or around) each lower layer, then closure under the symmetric group, kept
-in the run context's memo.  When k[S_n] is semisimple its dimension is
-counted by partition instead, from a few S_n-module generators that are
-not expanded, and the module of their images answers membership (see
-``ideal_dimensions``, ``module_generators`` and ``degree_component``).  A
-presentation's ranks by partition are the only results written to the
-disk cache, by ``dim`` and by the commands that ask for module
+composition on either side and relabelling of variables.  Each component
+is an S_n-module, generated by the given identities of degree n and the
+one-step substitutions of a single operation into (or around) the module
+generators of each lower degree.  ``_module_step`` builds it degree by
+degree in the run context's memo: where k[S_n] is semisimple it counts the
+module by partition (a ``young.ModuleRanks``), never expanded, and
+elsewhere it closes the generators' span under S_n.  Only
+``consequences_at_degree``, for the commands that need rows, expands a
+semisimple degree, and only the degree it is asked for.  A presentation's
+ranks by partition are the only results written to the disk cache, by
+``dim`` and by ``verify-di`` and ``verify-bso``, which take module
 generators.
 """
 
@@ -202,53 +204,26 @@ def _candidates(signature, seeds, n, ctx, lower):
                 yield {colmap[c]: v for c, v in vec.items()}
 
 
-def ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
-    """Degree-n span of the operad ideal generated by the given multilinear
-    polynomials (already over the context's field): the span of the
-    candidates, with every lower component's rows substituted, closed
-    under S_n.  ``digest`` keys the memo; equal digests must mean equal
-    inputs.
-    """
-    ctx = as_context(ctx)
-
-    def build():
-        reducer = _Reducer(ctx.field)
-        queue: list[dict] = []
-
-        def feed(vec):
-            if reducer.insert(vec):
-                queue.append(vec)
-
-        def lower(m):
-            return ideal_component(signature, generators, digest, m, ctx).rows
-
-        layout = basis_layout(signature, n, ctx)
-        seeds = [poly_to_vector(g, layout) for g in generators if g.degree == n]
-        for vec in _candidates(signature, seeds, n, ctx, lower):
-            feed(vec)
-        colmaps = _perm_column_maps(layout)
-        while queue:
-            vec = queue.pop()
-            for colmap in colmaps:
-                feed({colmap[c]: v for c, v in vec.items()})
-        return Subspace(ctx.field, layout.ncols, reducer)
-
-    return ctx.memo(("ideal", digest, n), n, build)
-
-
-def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
-    """The degree-n multilinear component of the variety's defining ideal,
-    inside the free-operad basis of that degree."""
-    ctx = as_context(ctx)
-    ctx.check_degree(n)  # before converting, so the cap error comes first
-    ideal = ideal_component(
-        variety.signature,
-        tuple(g.convert(ctx.field) for g in variety.generators),
-        variety.digest,
-        n,
-        ctx,
-    )
-    return DegreeComponent(basis_layout(variety.signature, n, ctx), ideal)
+def _close(field, layout, candidates):
+    """The span of the candidates closed under S_n, as a ``Subspace``, and
+    the candidates that raised its rank, which generate it as a module.
+    Every vector that raises the rank is queued, and the images of each
+    queued vector under the generating relabelings (``_perm_column_maps``)
+    are fed in turn.  The kept candidates are taken last column first: new
+    pivots then tend to come in descending order, which the fully reduced
+    rows take with little back-elimination (first column first, the same
+    closure can take fifty times as long)."""
+    reducer = _Reducer(field)
+    kept = [vec for vec in candidates if reducer.insert(vec)]
+    queue = sorted(kept, key=min)
+    colmaps = _perm_column_maps(layout)
+    while queue:
+        vec = queue.pop()
+        for colmap in colmaps:
+            image = {colmap[c]: v for c, v in vec.items()}
+            if reducer.insert(image):
+                queue.append(image)
+    return Subspace(field, layout.ncols, reducer), kept
 
 
 _RANKS_TAG = "young-ranks-v1"
@@ -269,29 +244,31 @@ def _ideal_dim(n, ranks) -> int:
 
 def _module_step(signature, seeds, digest, n, ctx, cache=None):
     """The degree-n ideal generated by the seed vectors (``_seeds``) as an
-    S_n-module: its ``ModuleRanks``, and the module generators that raised
-    one of its ranks: the ``_candidates`` with each lower degree's kept
-    generators substituted.  Both stay in the memo, so the module answers
-    membership without its generators being inserted again.
+    S_n-module, and the module generators that raised its rank: the
+    ``_candidates`` with each lower degree's kept generators substituted.
+    Where k[S_n] is semisimple the module is a ``ModuleRanks``, whose ranks
+    are written to the given disk cache, if any; elsewhere it is the
+    ``Subspace`` of the candidates closed under S_n (``_close``).  Both
+    stay in the memo, so the module answers membership without its
+    generators being inserted again.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates generate the
     module.  A candidate that raises no rank already lies in the module of
-    those before it, and so do its substitutions, so it is not kept.  The
-    ranks of each degree are written to the given disk cache, if any."""
+    those before it, and so do its substitutions, so it is not kept."""
 
     def build():
         layout = basis_layout(signature, n, ctx)
-        table = ctx.memo(("young", n), n, lambda: WordTable(layout, ctx.field))
-        module = ModuleRanks(table, len(layout.skeletons))
-        kept = []
 
         def lower(m):
             return _module_step(signature, seeds, digest, m, ctx, cache)[1]
 
-        for vec in _candidates(signature, seeds.get(n, ()), n, ctx, lower):
-            if module.insert(vec):
-                kept.append(vec)
+        candidates = _candidates(signature, seeds.get(n, ()), n, ctx, lower)
+        if not _semisimple(ctx.field, n):
+            return _close(ctx.field, layout, candidates)
+        table = ctx.memo(("young", n), n, lambda: WordTable(layout, ctx.field))
+        module = ModuleRanks(table, len(layout.skeletons))
+        kept = [vec for vec in candidates if module.insert(vec)]
         module.release_indices()
         if cache is not None:
             cache.put(
@@ -303,13 +280,54 @@ def _module_step(signature, seeds, digest, n, ctx, cache=None):
     return ctx.memo(("ranks", digest, n), n, build)
 
 
-def _presentation_module(variety, n, ctx):
-    """``_module_step`` of the variety's defining identities, writing its
-    ranks to the context's disk cache."""
+def _variety_module(variety, n, ctx, cache=None):
+    """``_module_step`` of the variety's defining identities."""
     seeds = _seeds(variety.signature, variety.generators, n, ctx)
-    return _module_step(
-        variety.signature, seeds, variety.digest, n, ctx, ctx.cache
-    )
+    return _module_step(variety.signature, seeds, variety.digest, n, ctx, cache)
+
+
+def _presentation_module(variety, n, ctx):
+    """``_variety_module``, writing the ranks of every degree to the
+    context's disk cache where k[S_n] is semisimple.  The degrees counted
+    by partition on the way to a non-semisimple n are not written."""
+    cache = ctx.cache if _semisimple(ctx.field, n) else None
+    return _variety_module(variety, n, ctx, cache)
+
+
+def degree_component(variety, n, ctx=None) -> DegreeComponent:
+    """The degree-n component, for its dimensions and membership in its
+    ideal, the module of ``_module_step``: where k[S_n] is semisimple a
+    ``young.ModuleRanks`` that is never expanded (its ranks are not written
+    to the disk cache), elsewhere the expanded ``Subspace``."""
+    ctx = as_context(ctx)
+    ctx.check_degree(n)  # before converting, so the cap error comes first
+    module = _variety_module(variety, n, ctx)[0]
+    return DegreeComponent(basis_layout(variety.signature, n, ctx), module)
+
+
+def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
+    """The degree-n multilinear component of the variety's defining ideal,
+    inside the free-operad basis of that degree, with the ideal expanded
+    into a ``Subspace``: where k[S_n] is semisimple, the ``_candidates``
+    with each lower degree's kept module generators (``_module_step``)
+    substituted, closed under S_n; elsewhere the module itself.  No lower
+    degree is expanded."""
+    ctx = as_context(ctx)
+    if not _semisimple(ctx.field, n):
+        return degree_component(variety, n, ctx)
+    ctx.check_degree(n)  # before converting, so the cap error comes first
+    signature, digest = variety.signature, variety.digest
+    layout = basis_layout(signature, n, ctx)
+    seeds = _seeds(signature, variety.generators, n, ctx)
+
+    def lower(m):
+        return _module_step(signature, seeds, digest, m, ctx)[1]
+
+    def build():
+        candidates = _candidates(signature, seeds.get(n, ()), n, ctx, lower)
+        return _close(ctx.field, layout, candidates)[0]
+
+    return DegreeComponent(layout, ctx.memo(("ideal", digest, n), n, build))
 
 
 def _decode_ranks(stored, n, nblocks):
@@ -363,41 +381,10 @@ def ideal_dimensions(variety, n, ctx=None):
     ctx = as_context(ctx)
     ctx.check_degree(n)
     if not _semisimple(ctx.field, n):
-        comp = consequences_at_degree(variety, n, ctx)
+        comp = degree_component(variety, n, ctx)
         return comp.ambient_dimension, comp.ideal.dim
     ranks = partition_ranks(variety, n, ctx)
     return basis_layout(variety.signature, n, ctx).ncols, _ideal_dim(n, ranks)
-
-
-def module_generators(variety, n, ctx=None):
-    """(dimension, generators) of the degree-n ideal, the generators
-    spanning it as a k[S_n]-module.  Over the rationals or a prime above n
-    the dimension is Σ d_λ·r_λ and the generators are the kept module
-    generators of ``_module_step``, whose ranks go to the disk cache; no
-    ideal row is built.  Over a smaller prime they are the rank and the
-    rows of the expanded ideal."""
-    ctx = as_context(ctx)
-    ctx.check_degree(n)
-    if not _semisimple(ctx.field, n):
-        ideal = consequences_at_degree(variety, n, ctx).ideal
-        return ideal.dim, ideal.rows
-    module, kept = _presentation_module(variety, n, ctx)
-    return module.dim, kept
-
-
-def degree_component(variety, n, ctx=None) -> DegreeComponent:
-    """The degree-n component, for its dimensions and membership in its
-    ideal.  Over the rationals or a prime above n the ideal is the
-    S_n-module counted by partition, a ``young.ModuleRanks`` that is never
-    expanded (its ranks are not written to the disk cache); over a smaller
-    prime it is the expanded ideal of ``consequences_at_degree``."""
-    ctx = as_context(ctx)
-    ctx.check_degree(n)
-    if not _semisimple(ctx.field, n):
-        return consequences_at_degree(variety, n, ctx)
-    seeds = _seeds(variety.signature, variety.generators, n, ctx)
-    module = _module_step(variety.signature, seeds, variety.digest, n, ctx)[0]
-    return DegreeComponent(basis_layout(variety.signature, n, ctx), module)
 
 
 def quotient_dimension(variety, n, ctx=None):

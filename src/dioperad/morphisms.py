@@ -132,20 +132,19 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     )
 
 
-def _check_source_vanishes(mor, source, d, ctx, component=degree_component):
+def _check_source_vanishes(mor, source, d, ctx):
     """Refuse a source presentation that does not match the morphism's
     signature or has an identity of degree at most d whose image is not zero
-    in the target, by the membership test of the target's ``component``:
-    ``degree_component`` by default, ``consequences_at_degree`` for a
-    caller that expands the target's ideal anyway.  Identities above d
-    generate nothing up to degree d."""
+    in the target, by the membership test of the target's
+    ``degree_component``.  Identities above d generate nothing up to
+    degree d."""
     if source.signature != mor.source_signature:
         raise ValueError("presentation and morphism disagree on the signature")
     for gname, g in zip(source.generator_names, source.generators):
         if g.degree > d:
             continue
         img = evaluate_morphism(mor, g, ctx.field)
-        if not component(mor.target, g.degree, ctx).contains(img):
+        if not degree_component(mor.target, g.degree, ctx).contains(img):
             raise ValueError(
                 f"identity {gname!r} of {source.name!r} does not vanish "
                 f"under {mor.name!r}"
@@ -253,7 +252,7 @@ def special_identities(
             special_dimension=kernel - comp.ideal.dim,
             basis=None,
         )
-    _check_source_vanishes(mor, source, d, ctx, consequences_at_degree)
+    _check_source_vanishes(mor, source, d, ctx)
     source_comp, special, kernel = _morphism_kernel(mor, source, d, ctx)
     basis = tuple(
         vector_to_poly(r, source_comp.layout, field) for r in special.rows
@@ -296,7 +295,7 @@ def di_special_identities(
     ``basis`` the report's basis is None."""
     ctx = as_context(ctx)
     field = ctx.field
-    _check_source_vanishes(mor, source, d, ctx, consequences_at_degree)
+    _check_source_vanishes(mor, source, d, ctx)
     source_comp, base_special, base_kernel = _morphism_kernel(
         mor, source, d, ctx
     )

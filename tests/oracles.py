@@ -21,8 +21,9 @@ from dioperad.dialgebra import (
     zero_identities,
 )
 from dioperad.ideals import (
+    _candidates,
+    _perm_column_maps,
     consequences_at_degree,
-    ideal_component,
     poly_to_vector,
     vector_to_poly,
 )
@@ -38,6 +39,7 @@ from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
+    basis_layout,
     double_signature,
     enumerate_monomials,
     relabel_node,
@@ -146,11 +148,33 @@ def sorted_monomials(sig: Signature, n: int):
     return sorted(monomials, key=lambda m: sort_key(m, sig))
 
 
+def tree_candidates(sig: Signature, generators, n: int, field, lower):
+    """The candidates of ``ideals._candidates`` built on trees: the
+    degree-n generators, then, one operation at a time, each vector of
+    ``lower(m)`` turned back into a polynomial and substituted into and
+    around the corolla with ``substitute_at``."""
+    index = monomial_index(sig, n)
+    for g in generators:
+        if g.degree == n:
+            yield poly_to_vector(g, index)
+    for op, arity in sig.operations:
+        m = n - arity + 1
+        if m < 2 or m >= n:
+            continue
+        lower_basis = enumerate_monomials(sig, m)
+        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
+        for row in lower(m):
+            p = Polynomial(field, {lower_basis[c]: v for c, v in row.items()}, m)
+            for i in range(1, m + 1):
+                yield poly_to_vector(substitute_at(p, i, corolla), index)
+            for i in range(1, arity + 1):
+                yield poly_to_vector(substitute_at(corolla, i, p), index)
+
+
 def tree_ideal_component(sig: Signature, generators, n: int, field):
-    """The degree-n ideal component built on trees: every lower row turned
-    back into a polynomial, substituted into and around each corolla with
-    ``substitute_at`` and closed under a transposition and an n-cycle with
-    ``relabel_node``, in the package's feeding order."""
+    """The degree-n ideal component built on trees: the ``tree_candidates``
+    of every lower row, closed under a transposition and an n-cycle with
+    ``relabel_node``."""
     basis = enumerate_monomials(sig, n)
     index = monomial_index(sig, n)
     reducer = _Reducer(field)
@@ -160,21 +184,11 @@ def tree_ideal_component(sig: Signature, generators, n: int, field):
         if reducer.insert(vec):
             queue.append(vec)
 
-    for g in generators:
-        if g.degree == n:
-            feed(poly_to_vector(g, index))
-    for op, arity in sig.operations:
-        m = n - arity + 1
-        if m < 2 or m >= n:
-            continue
-        lower_basis = enumerate_monomials(sig, m)
-        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
-        for row in tree_ideal_component(sig, generators, m, field).rows:
-            p = Polynomial(field, {lower_basis[c]: v for c, v in row.items()}, m)
-            for i in range(1, m + 1):
-                feed(poly_to_vector(substitute_at(p, i, corolla), index))
-            for i in range(1, arity + 1):
-                feed(poly_to_vector(substitute_at(corolla, i, p), index))
+    def lower(m):
+        return tree_ideal_component(sig, generators, m, field).rows
+
+    for vec in tree_candidates(sig, generators, n, field, lower):
+        feed(vec)
     perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
@@ -187,6 +201,39 @@ def tree_ideal_component(sig: Signature, generators, n: int, field):
         for colmap in colmaps:
             feed({colmap[c]: v for c, v in vec.items()})
     return Subspace(field, len(basis), reducer)
+
+
+def row_ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
+    """Degree-n span of the operad ideal generated by the given multilinear
+    polynomials (already over the context's field), on columns: every row
+    of every lower degree substituted (``ideals._candidates``), then the
+    span closed under S_n.  Memoised in the context under its own key;
+    ``digest`` must name the generators."""
+    ctx = as_context(ctx)
+
+    def build():
+        reducer = _Reducer(ctx.field)
+        queue: list[dict] = []
+
+        def feed(vec):
+            if reducer.insert(vec):
+                queue.append(vec)
+
+        def lower(m):
+            return row_ideal_component(signature, generators, digest, m, ctx).rows
+
+        layout = basis_layout(signature, n, ctx)
+        seeds = [poly_to_vector(g, layout) for g in generators if g.degree == n]
+        for vec in _candidates(signature, seeds, n, ctx, lower):
+            feed(vec)
+        colmaps = _perm_column_maps(layout)
+        while queue:
+            vec = queue.pop()
+            for colmap in colmaps:
+                feed({colmap[c]: v for c, v in vec.items()})
+        return Subspace(ctx.field, layout.ncols, reducer)
+
+    return ctx.memo(("row-ideal", digest, n), n, build)
 
 
 def morphism_kernel_at_degree(
@@ -269,7 +316,7 @@ def row_bso_theorem(mor: OperadMorphism, source, d: int, ctx=None):
     digest = f"bso-rows:{mor.digest}"
     comparisons = []
     for m, kernel in kernels.items():
-        ideal = ideal_component(dsig, tuple(gens), digest, m, ctx)
+        ideal = row_ideal_component(dsig, tuple(gens), digest, m, ctx)
         comparisons.append(
             DegreeComparison(
                 degree=m,

@@ -880,7 +880,7 @@ PARTITION_COMMANDS = [
 
 
 class Expanded(Exception):
-    """Raised by a patched ``ideals.ideal_component``."""
+    """Raised by a patched ``ideals._close``."""
 
 
 def _refuse_expansion(monkeypatch):
@@ -889,7 +889,7 @@ def _refuse_expansion(monkeypatch):
     def refuse(*args, **kwargs):
         raise Expanded
 
-    monkeypatch.setattr(ideals, "ideal_component", refuse)
+    monkeypatch.setattr(ideals, "_close", refuse)
 
 
 @pytest.mark.parametrize("field", ["q", "p:1000003"])

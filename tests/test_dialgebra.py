@@ -25,7 +25,6 @@ from dioperad.ideals import (
     VarietyPresentation,
     _perm_column_maps,
     consequences_at_degree,
-    ideal_component,
     poly_to_vector,
     vector_to_poly,
 )
@@ -48,6 +47,7 @@ from oracles import (
     morphism_kernel_at_degree,
     row_bso_theorem,
     row_dialgebra_equivalence,
+    row_ideal_component,
     to_doubled,
     unsuperscript,
     zeta_preimage,
@@ -395,26 +395,29 @@ def test_verify_di_by_module_generators_matches_the_row_path(name, field):
 
 @pytest.mark.parametrize(
     "field, expanded",
-    [(QQ, False), (PrimeField(1000003), False), (PrimeField(3), True)],
+    [(QQ, []), (PrimeField(1000003), []), (PrimeField(3), [3, 4])],
     ids=["q", "p", "p3"],
 )
 def test_verify_di_expands_the_doubled_ideal_only_at_p_up_to_n(
     monkeypatch, field, expanded
 ):
-    doubled = bso_presentation(ASSOC).digest
-    expand = ideals.ideal_component
+    ctx = Context(field)
+    doubled = {
+        basis_layout(double_signature(ASSOC.signature), n, ctx).ncols: n
+        for n in range(2, 5)
+    }
+    close = ideals._close
     seen = []
 
-    def guarded(signature, generators, digest, n, ctx=None):
-        seen.append(digest)
-        if not expanded:
-            assert digest != doubled, "verify-di expanded the doubled ideal"
-        return expand(signature, generators, digest, n, ctx)
+    def counted(field, layout, candidates):
+        if layout.ncols in doubled:
+            seen.append(doubled[layout.ncols])
+        return close(field, layout, candidates)
 
-    monkeypatch.setattr(ideals, "ideal_component", guarded)
-    rep = verify_dialgebra_equivalence(ASSOC, 4, Context(field))
+    monkeypatch.setattr(ideals, "_close", counted)
+    rep = verify_dialgebra_equivalence(ASSOC, 4, ctx)
     assert rep.equal and rep.ideal_dimension == 864
-    assert (doubled in seen) is expanded
+    assert sorted(seen) == expanded
 
 
 def _random_combination(rows, field, rng):
@@ -532,7 +535,7 @@ def _bso_consequence(mor, m, ctx):
             q = vector_to_poly(r, layout, field)
             gens.extend(superscript_poly(q, k) for k in range(1, j + 1))
     digest = f"bso-oracle:{mor.digest}"
-    return ideal_component(dsig, tuple(gens), digest, m, ctx)
+    return row_ideal_component(dsig, tuple(gens), digest, m, ctx)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["q", "p"])

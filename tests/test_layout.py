@@ -10,7 +10,14 @@ from dioperad import Context, catalog, terms
 from dioperad.cli import main, resolve_variety
 from dioperad.dialgebra import _collapse_columns, _lift_columns, superscript
 from dioperad.fields import QQ, PrimeField
-from dioperad.ideals import _perm_column_maps, ideal_component, poly_to_vector
+from dioperad.ideals import (
+    _candidates,
+    _perm_column_maps,
+    _seeds,
+    _variety_module,
+    consequences_at_degree,
+    poly_to_vector,
+)
 from dioperad.linalg import Subspace
 from dioperad.terms import (
     DoubledSignature,
@@ -25,7 +32,12 @@ from dioperad.terms import (
     substitution_column_maps,
 )
 
-from oracles import sorted_monomials, tree_ideal_component, unsuperscript
+from oracles import (
+    sorted_monomials,
+    tree_candidates,
+    tree_ideal_component,
+    unsuperscript,
+)
 
 FIELDS = [QQ, PrimeField(1000003)]
 # the built-in signatures: mul:2, bracket:2 and the ternary t:3 of jts
@@ -140,16 +152,19 @@ def _variety_cases():
 def test_ideal_rows_match_the_tree_construction(spec, n, field):
     variety = resolve_variety(spec)
     gens = tuple(g.convert(field) for g in variety.generators)
-    space = ideal_component(
-        variety.signature, gens, variety.digest, n, Context(field)
-    )
+    ctx = Context(field)
     oracle = tree_ideal_component(variety.signature, gens, n, field)
-    assert space == oracle
-    # the same vectors reached the reducer in the same order, so even the
-    # key order of each row agrees
-    assert [list(r.items()) for r in space.rows] == [
-        list(r.items()) for r in oracle.rows
-    ]
+    assert consequences_at_degree(variety, n, ctx).ideal == oracle
+
+    # the candidates are the tree substitutions of the same lower vectors,
+    # in the same order
+    def lower(m):
+        return _variety_module(variety, m, ctx)[1]
+
+    seeds = _seeds(variety.signature, variety.generators, n, ctx).get(n, ())
+    assert list(_candidates(variety.signature, seeds, n, ctx, lower)) == list(
+        tree_candidates(variety.signature, gens, n, field, lower)
+    )
 
 
 def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):

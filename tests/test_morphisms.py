@@ -12,7 +12,7 @@ from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
     consequences_at_degree,
-    ideal_component,
+    degree_component,
     vector_to_poly,
 )
 from dioperad.linalg import row_reduce
@@ -389,14 +389,13 @@ def test_verify_bso_checks_the_degree_cap_first(monkeypatch):
 
 
 def test_degree_cap_holds_after_another_context_computed_the_degree():
-    gens = tuple(LIE.generators)
     wide = Context(QQ, 4)
-    assert ideal_component(BRK, gens, LIE.digest, 4, wide).dim == 114
+    assert consequences_at_degree(LIE, 4, wide).ideal.dim == 114
     assert basis_layout(BRK, 4, wide).ncols == 120
     capped = Context(QQ, 3)
-    assert ideal_component(BRK, gens, LIE.digest, 3, capped).dim == 10
+    assert consequences_at_degree(LIE, 3, capped).ideal.dim == 10
     with pytest.raises(DegreeCapError):
-        ideal_component(BRK, gens, LIE.digest, 4, capped)
+        degree_component(LIE, 4, capped)
     with pytest.raises(DegreeCapError):
         basis_layout(BRK, 4, capped)
     with pytest.raises(DegreeCapError):

@@ -16,6 +16,7 @@ from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
     consequences_at_degree,
+    degree_component,
     ideal_dimensions,
     partition_ranks,
 )
@@ -28,7 +29,10 @@ from dioperad.young import (
     standard_tableaux,
 )
 
+from oracles import row_ideal_component
+
 P = PrimeField(1000003)
+P5 = PrimeField(5)
 P7 = PrimeField(7)
 BUILTINS = ("assoc", "com-assoc", "perm", "free-binary", "lie", "jordan", "jts")
 
@@ -114,37 +118,49 @@ def test_known_quotient_multiplicities(field):
         )
 
 
-def _agree(variety, n, ctx):
+def _agree(variety, n, field):
+    """The expanded ideal equals the one built from every lower row, and
+    every path gives its dimension: a module generator wrongly dropped
+    shows up here."""
+    ctx = Context(field)
+    gens = tuple(g.convert(field) for g in variety.generators)
+    rows = row_ideal_component(
+        variety.signature, gens, variety.digest, n, Context(field)
+    )
     comp = consequences_at_degree(variety, n, ctx)
-    assert ideal_dimensions(variety, n, ctx) == (
-        comp.ambient_dimension,
-        comp.ideal.dim,
-    ), (variety.name, n, ctx.field)
+    assert comp.ideal == rows, (variety.name, n, field)
+    assert degree_component(variety, n, ctx).ideal.dim == rows.dim
+    assert ideal_dimensions(variety, n, ctx) == (rows.ncols, rows.dim)
 
 
-@pytest.mark.parametrize("field", [QQ, P], ids=["q", "p"])
+@pytest.mark.parametrize("field", [QQ, P, P5], ids=["q", "p", "p5"])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_partition_path_equals_row_path(name, field):
-    ctx = Context(field)
     variety = catalog.presentation(name)
     for n in range(2, 6):
-        _agree(variety, n, ctx)
+        _agree(variety, n, field)
     doubled = bso_presentation(variety)
     for n in range(2, 5):
-        _agree(doubled, n, ctx)
+        _agree(doubled, n, field)
 
 
 @pytest.mark.parametrize("name", ["lie", "jordan"])
 def test_partition_path_equals_row_path_over_p7(name):
     # the seminormal denominators 2, 3 and 4 are nontrivial mod 7
-    _agree(catalog.presentation(name), 5, Context(P7))
+    _agree(catalog.presentation(name), 5, P7)
 
 
-def _forbid_rows(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the partition path expanded an ideal")
+def _closed_degrees(monkeypatch):
+    """The degrees whose span is closed under S_n, one entry per closure."""
+    close = ideals._close
+    degrees = []
 
-    monkeypatch.setattr(ideals, "ideal_component", refuse)
+    def counted(field, layout, candidates):
+        degrees.append(layout.degree)
+        return close(field, layout, candidates)
+
+    monkeypatch.setattr(ideals, "_close", counted)
+    return degrees
 
 
 @pytest.mark.parametrize(
@@ -152,9 +168,10 @@ def _forbid_rows(monkeypatch):
     [("lie", 6, P), ("assoc", 5, QQ), ("jordan", 5, P7), ("jts", 5, QQ)],
 )
 def test_dim_above_the_characteristic_expands_no_ideal(monkeypatch, name, n, field):
-    _forbid_rows(monkeypatch)
+    closed = _closed_degrees(monkeypatch)
     ambient, ideal = ideal_dimensions(catalog.presentation(name), n, Context(field))
     assert ambient > ideal > 0
+    assert closed == []
 
 
 @pytest.mark.parametrize(
@@ -167,24 +184,14 @@ def test_dim_above_the_characteristic_expands_no_ideal(monkeypatch, name, n, fie
         ("jordan", 4, 3, 109),
     ],
 )
-def test_dim_at_or_below_the_characteristic_takes_the_row_path(
+def test_dim_at_or_below_the_characteristic_expands_only_degrees_from_p(
     monkeypatch, name, n, p, ideal
 ):
-    calls = []
-    expand = ideals.ideal_component
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return expand(*args, **kwargs)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("ranks by partition need a semisimple k[S_n]")
-
-    monkeypatch.setattr(ideals, "ideal_component", counted)
-    monkeypatch.setattr(ideals, "_module_step", refuse)
+    closed = _closed_degrees(monkeypatch)
     dims = ideal_dimensions(catalog.presentation(name), n, Context(PrimeField(p)))
     assert dims[1] == ideal
-    assert n in calls
+    # the degrees below p are counted by partition, each degree once
+    assert sorted(closed) == list(range(p, n + 1))
     with pytest.raises(ValueError, match="characteristic"):
         partition_ranks(catalog.presentation(name), n, Context(PrimeField(p)))
 
@@ -223,7 +230,7 @@ def test_a_wrong_presentation_changes_the_partition_dimension(field, base, keep)
     assert wrong.digest != right.digest
     # a rescaled associator still spans the associator's module in degree 3
     assert ideal_dimensions(wrong, 4, ctx) != ideal_dimensions(right, 4, ctx)
-    _agree(wrong, 4, ctx)
+    _agree(wrong, 4, field)
 
 
 def test_a_generator_that_vanishes_mod_p_adds_nothing():
@@ -233,5 +240,5 @@ def test_a_generator_that_vanishes_mod_p_adds_nothing():
         "seven", assoc.signature, [assoc.generators[0].scale(7)]
     )
     for n in (2, 3, 4):
-        _agree(seven, n, Context(P7))
+        _agree(seven, n, P7)
         assert ideal_dimensions(seven, n, Context(P7))[1] == 0
