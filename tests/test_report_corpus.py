@@ -48,7 +48,8 @@ def queries():
                     out.append([cmd, "--morphism", f"builtin:{name}",
                                 "--degree", str(d), "--field", field, *extra])
     catalog_reports = [argv + ["--json", "--no-cache"] for argv in out]
-    return catalog_reports + surface_queries() + small_prime_queries()
+    return (catalog_reports + surface_queries() + small_prime_queries()
+            + partition_queries())
 
 
 def surface_queries():
@@ -131,6 +132,18 @@ def small_prime_queries():
         reports.append(["verify-bso", "--morphism", f"builtin:{name}",
                         "--degree", str(d), "--field", field])
     return [argv + ["--json", "--no-cache"] for argv in reports]
+
+
+def partition_queries():
+    """``dim`` at degrees 5 and 6 over both fields for the presentations
+    whose binary operation is commutative or anticommutative modulo its
+    degree-2 identity, where the partition path counts over association
+    types."""
+    return [["dim", "--variety", f"builtin:{name}", "--degree", str(d),
+             "--field", field, "--json", "--no-cache"]
+            for name in ("lie", "jordan", "com-assoc")
+            for field in FIELDS
+            for d in (5, 6)]
 
 
 def run_query(argv):
