@@ -7,9 +7,12 @@ composition on either side and relabelling of variables.  Each component
 is an S_n-module, generated by the given identities of degree n and the
 one-step substitutions of a single operation into (or around) the module
 generators of each lower degree.  ``_module_step`` builds it degree by
-degree in the run context's memo: where k[S_n] is semisimple it counts the
-module by partition (a ``young.ModuleRanks``), never expanded, and
-elsewhere it closes the generators' span under S_n.  Only
+degree in the run context's memo, over the association types of the
+binary operations that the degree-2 identities make commutative or
+anticommutative (``_symmetries``, ``terms.AssociationFold``): where
+k[S_n] is semisimple it counts the module by partition (a
+``young.ModuleRanks``), never expanded, and elsewhere it closes the
+generators' span under S_n.  Only
 ``consequences_at_degree``, for the commands that need rows, expands a
 semisimple degree, and only the degree it is asked for.  A presentation's
 ranks by partition are the only results written to the disk cache, by
@@ -23,8 +26,9 @@ import hashlib
 
 from .context import as_context
 from .fields import QQ
-from .linalg import Subspace, _Reducer
+from .linalg import Subspace, _Reducer, row_reduce
 from .terms import (
+    AssociationFold,
     Monomial,
     Polynomial,
     basis_layout,
@@ -207,6 +211,8 @@ def _candidates(signature, seeds, n, ctx, lower):
 def _close(field, layout, candidates):
     """The span of the candidates closed under S_n, as a ``Subspace``, and
     the candidates that raised its rank, which generate it as a module.
+    The columns are those of the layout: a ``BasisLayout``, or the type
+    columns of an ``AssociationFold``.
     Every vector that raises the rank is queued, and the images of each
     queued vector under the generating relabelings (``_perm_column_maps``)
     are fed in turn.  The kept candidates are taken last column first: new
@@ -226,6 +232,35 @@ def _close(field, layout, candidates):
     return Subspace(field, layout.ncols, reducer), kept
 
 
+def _expand(fold, candidates):
+    """The span of the candidates and of the fold's symmetric ideal closed
+    under S_n, as a ``Subspace`` on the skeleton columns, and the
+    candidates, folded and read back on the types' own skeletons, that
+    raised its rank.  The candidates are folded and closed with the fold's
+    relations on the type columns (``_close``); the closure is then lifted
+    back beside the fold's kernel, one row (T, w) − ε^k·(T', w∘π) for each
+    column of a skeleton T that is not a type.  The kernel rows go in
+    first: each has two terms, and the type columns they share stay
+    sparse."""
+    field, width = fold.field, len(fold.words)
+    folded, kept = _close(
+        field, fold, [*fold.relations, *map(fold.fold, candidates)]
+    )
+    kept = [fold.lift(vec) for vec in kept]
+    if fold.ntypes == fold.nblocks:
+        return folded, kept
+    reducer = _Reducer(field)
+    types = set(fold.types)
+    for b in range(fold.nblocks):
+        if b not in types:
+            for c in range(b * width, (b + 1) * width):
+                ((image, x),) = fold.lift(fold.fold({c: field.one})).items()
+                reducer.insert({c: field.one, image: field.neg(x)})
+    for row in folded.rows:
+        reducer.insert(fold.lift(row))
+    return Subspace(field, fold.layout.ncols, reducer), kept
+
+
 _RANKS_TAG = "young-ranks-v1"
 
 
@@ -242,32 +277,89 @@ def _ideal_dim(n, ranks) -> int:
     return sum(map(int.__mul__, dimensions(n), ranks))
 
 
+def _symmetries(signature, seeds, ctx) -> dict:
+    """The binary operations that the degree-2 ideal makes commutative or
+    anticommutative, each with its sign: o -> ε when o(1, 2) − ε·o(2, 1)
+    lies in the span of the degree-2 seed vectors closed under S_2, which
+    is the whole degree-2 ideal, as no lower degree composes into it.  The
+    test is one of membership, so it sees through relabelled and scaled
+    identities.  In characteristic 2 the two signs agree, and ε = 1 is
+    found."""
+    found: dict = {}
+    if not seeds.get(2):
+        return found
+    field = ctx.field
+    layout = basis_layout(signature, 2, ctx)
+    # S_2 is generated by its transposition
+    (swap,) = _perm_column_maps(layout)
+    ideal = row_reduce(field, layout.ncols, [
+        *seeds[2], *({swap[c]: v for c, v in vec.items()} for vec in seeds[2])
+    ])
+    for op, arity in signature.operations:
+        if arity == 2:
+            # o(2, 1) has the word of rank 1, next to o(1, 2)
+            col = layout[(op, 1, 2)]
+            for eps in (1, -1):
+                if ideal.contains({col: field.one, col + 1: field.coerce(-eps)}):
+                    found[op] = eps
+                    break
+    return found
+
+
 def _module_step(signature, seeds, digest, n, ctx, cache=None):
     """The degree-n ideal generated by the seed vectors (``_seeds``) as an
-    S_n-module, and the module generators that raised its rank: the
-    ``_candidates`` with each lower degree's kept generators substituted.
-    Where k[S_n] is semisimple the module is a ``ModuleRanks``, whose ranks
-    are written to the given disk cache, if any; elsewhere it is the
-    ``Subspace`` of the candidates closed under S_n (``_close``).  Both
-    stay in the memo, so the module answers membership without its
-    generators being inserted again.
+    S_n-module, and module generators of it: the generators of the fold's
+    symmetric ideal (``AssociationFold.generators``), then the candidates
+    kept by ``_kept_module``.  The module stays in the memo, so it answers
+    membership without its generators being inserted again."""
+    module, _, generators = _kept_module(signature, seeds, digest, n, ctx, cache)
+    return module, generators
+
+
+def _folded_candidates(signature, seeds, digest, n, ctx, cache=None):
+    """The fold of the degree-n layout onto the association types of the
+    operations that ``_symmetries`` finds, and the degree's
+    ``_candidates``, made from the lower degrees' kept candidates."""
+    fold = AssociationFold(
+        basis_layout(signature, n, ctx),
+        _symmetries(signature, seeds, ctx),
+        ctx.field,
+    )
+
+    def lower(m):
+        return _kept_module(signature, seeds, digest, m, ctx, cache)[1]
+
+    return fold, _candidates(signature, seeds.get(n, ()), n, ctx, lower)
+
+
+def _kept_module(signature, seeds, digest, n, ctx, cache=None):
+    """The memoised (module, kept candidates, generators) of
+    ``_module_step``.  The degree is folded onto the association types of
+    the operations that ``_symmetries`` finds (``terms.AssociationFold``).
+    Where k[S_n] is semisimple the module is a ``ModuleRanks`` over that
+    fold, whose ranks are written to the given disk cache, if any;
+    elsewhere it is the ``Subspace`` of ``_expand``.
 
     By equivariance a substitution of a relabelled element is a relabelling
-    of a substitution at another slot, so the candidates generate the
-    module.  A candidate that raises no rank already lies in the module of
-    those before it, and so do its substitutions, so it is not kept."""
+    of a substitution at another slot, so the candidates made from each
+    lower degree's module generators generate the module.  A candidate
+    that raises no rank already lies in the module of those before it, and
+    so do its substitutions, so it is not kept.  The candidates substitute
+    only the lower degrees' kept candidates: the other generators generate
+    the symmetric ideal, whose substitutions stay in it, and the fold holds
+    the symmetric ideal already."""
 
     def build():
-        layout = basis_layout(signature, n, ctx)
-
-        def lower(m):
-            return _module_step(signature, seeds, digest, m, ctx, cache)[1]
-
-        candidates = _candidates(signature, seeds.get(n, ()), n, ctx, lower)
+        fold, candidates = _folded_candidates(
+            signature, seeds, digest, n, ctx, cache
+        )
         if not _semisimple(ctx.field, n):
-            return _close(ctx.field, layout, candidates)
-        table = ctx.memo(("young", n), n, lambda: WordTable(layout, ctx.field))
-        module = ModuleRanks(table, len(layout.skeletons))
+            module, kept = _expand(fold, candidates)
+            return module, kept, fold.generators + kept
+        table = ctx.memo(
+            ("young", n), n, lambda: WordTable(fold.layout, ctx.field)
+        )
+        module = ModuleRanks(table, fold)
         kept = [vec for vec in candidates if module.insert(vec)]
         module.release_indices()
         if cache is not None:
@@ -275,7 +367,7 @@ def _module_step(signature, seeds, digest, n, ctx, cache=None):
                 _ranks_key(digest, ctx.field, n),
                 {"ranks": module.ranks, "dim": module.dim},
             )
-        return module, kept
+        return module, kept, fold.generators + kept
 
     return ctx.memo(("ranks", digest, n), n, build)
 
@@ -308,26 +400,22 @@ def degree_component(variety, n, ctx=None) -> DegreeComponent:
 def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
     """The degree-n multilinear component of the variety's defining ideal,
     inside the free-operad basis of that degree, with the ideal expanded
-    into a ``Subspace``: where k[S_n] is semisimple, the ``_candidates``
-    with each lower degree's kept module generators (``_module_step``)
-    substituted, closed under S_n; elsewhere the module itself.  No lower
-    degree is expanded."""
+    into a ``Subspace``: where k[S_n] is semisimple, the ``_expand`` of
+    the degree's folded candidates; elsewhere the module itself, which is
+    that already.  No lower degree is expanded."""
     ctx = as_context(ctx)
     if not _semisimple(ctx.field, n):
         return degree_component(variety, n, ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     signature, digest = variety.signature, variety.digest
-    layout = basis_layout(signature, n, ctx)
     seeds = _seeds(signature, variety.generators, n, ctx)
 
-    def lower(m):
-        return _module_step(signature, seeds, digest, m, ctx)[1]
-
     def build():
-        candidates = _candidates(signature, seeds.get(n, ()), n, ctx, lower)
-        return _close(ctx.field, layout, candidates)[0]
+        return _expand(*_folded_candidates(signature, seeds, digest, n, ctx))[0]
 
-    return DegreeComponent(layout, ctx.memo(("ideal", digest, n), n, build))
+    return DegreeComponent(
+        basis_layout(signature, n, ctx), ctx.memo(("ideal", digest, n), n, build)
+    )
 
 
 def _decode_ranks(stored, n, nblocks):

@@ -293,15 +293,6 @@ class Subspace:
         p = self.field.characteristic
         return not any(s % p for s in sums) if p else not any(sums)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ncols == other.ncols
-            and self.pivots == other.pivots
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ncols={self.ncols})"
 

@@ -161,8 +161,12 @@ def _kernel_dimension(mor, d, ctx) -> int:
     image in the target quotient is generated by the s images of the
     skeletons, so it has ranks q_λ, those images' ranks modulo the target
     ideal (``ModuleRanks.quotient_ranks``).  The kernel then has rank
-    κ_λ = s·d_λ − q_λ and dimension Σ d_λ·κ_λ."""
+    κ_λ = s·d_λ − q_λ and dimension Σ d_λ·κ_λ.  A source without degree-d
+    skeletons (jts at even degrees) has the zero kernel, which is returned
+    before the target's module is built."""
     layout = basis_layout(mor.source_signature, d, ctx)
+    if not layout.skeletons:
+        return 0
     target = degree_component(mor.target, d, ctx)
     # the identity word has rank 0, so each skeleton's block starts with it
     images = (
@@ -315,9 +319,12 @@ def di_special_identities(
     else:
         basis = None
 
+    # the lifts lie in the stacked kernel, so the two spans are equal
+    # exactly when their dimensions are
     lifted = stack_copies(base_special.rows, d, block)
-    matches = extend(block_ideal, lifted) == extend(
-        block_ideal, block_kernel.rows
+    matches = (
+        extend(block_ideal, lifted).dim
+        == extend(block_ideal, block_kernel.rows).dim
     )
 
     return DiSpecialIdentitiesReport(
@@ -341,17 +348,19 @@ def _kernel_module(mor, source, d, ctx):
     The generators are the source's kept module generators of I_d
     (``ideals._module_step``).  When the kernel counted by partition
     (``_kernel_dimension``) is larger than I_d, the rows of S_d from
-    ``_morphism_kernel`` join them in a module of their own, each kept only
-    if it raises a rank: one that does not lies in the module of those
-    before it.  Otherwise K_d = I_d and the source's module is returned as
-    it is."""
+    ``_morphism_kernel`` join them in a module of their own, over I_d's
+    fold, each kept only if it raises a rank: one that does not lies in the
+    module of those before it.  The fold's generators, which raise none,
+    lead them, so that they generate K_d on their own.  Otherwise K_d = I_d
+    and the source's module is returned as it is."""
     ideal, kept = _presentation_module(source, d, ctx)
     if _kernel_dimension(mor, d, ctx) == ideal.dim:
         return ideal, kept
-    kernel = ModuleRanks(ideal.table, ideal.nblocks)
+    # K_d contains I_d, and so the kernel of I_d's fold
+    kernel = ModuleRanks(ideal.table, ideal.fold)
     special = _morphism_kernel(mor, source, d, ctx)[1].rows
     generators = [vec for vec in (*kept, *special) if kernel.insert(vec)]
-    return kernel, generators
+    return kernel, kernel.fold.generators + generators
 
 
 class DegreeComparison(NamedTuple):

@@ -11,6 +11,7 @@ with bare ints for leaves.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -408,6 +409,159 @@ def basis_layout(sig: Signature, n: int, ctx=None) -> BasisLayout:
     return as_context(ctx).memo(
         ("layout", sig, n), n, lambda: BasisLayout(sig, n)
     )
+
+
+def _shape_key(skel):
+    """A fixed total order on skeletons: a leaf first, then by operation
+    name and the children's keys in turn."""
+    if skel is _LEAF:
+        return ()
+    return (skel[0],) + tuple(_shape_key(c) for c in skel[1:])
+
+
+def _canonical(skel, symmetric, first=0):
+    """(type, positions, sign) of a skeleton whose leftmost leaf sits at
+    position first: the type orders the two children of each symmetric
+    node by ``_shape_key``, innermost nodes first; positions lists, for
+    each leaf of the type in turn, the position in skel it came from; sign
+    is the product of ε over the nodes swapped."""
+    if skel is _LEAF:
+        return _LEAF, (first,), 1
+    parts = []
+    for child in skel[1:]:
+        parts.append(_canonical(child, symmetric, first))
+        first += len(parts[-1][1])
+    sign = math.prod(s for _, _, s in parts)
+    eps = symmetric.get(skel[0])
+    if eps is not None and _shape_key(parts[1][0]) < _shape_key(parts[0][0]):
+        parts.reverse()
+        sign *= eps
+    return (
+        (skel[0],) + tuple(t for t, _, _ in parts),
+        tuple(p for _, pos, _ in parts for p in pos),
+        sign,
+    )
+
+
+def _size(skel) -> int:
+    """The number of leaves of a skeleton."""
+    return 1 if skel is _LEAF else sum(map(_size, skel[1:]))
+
+
+def _equal_swaps(skel, symmetric, n, first=0):
+    """(ε, word) for each symmetric node of skel whose two children are
+    equal, skel's leftmost leaf sitting at position first of n: the word is
+    the identity with the leaf blocks of the two children exchanged."""
+    if skel is _LEAF:
+        return
+    starts = [first]
+    for child in skel[1:]:
+        yield from _equal_swaps(child, symmetric, n, starts[-1])
+        starts.append(starts[-1] + _size(child))
+    if skel[0] in symmetric and skel[1] == skel[2]:
+        a, b, end = starts
+        order = (*range(a), *range(b, end), *range(a, b), *range(end, n))
+        yield symmetric[skel[0]], tuple(p + 1 for p in order)
+
+
+class AssociationFold:
+    """The degree-n basis folded onto association types, for binary
+    operations that are commutative (ε = 1) or anticommutative (ε = -1)
+    modulo an ideal: o(x, y) ≡ ε·o(y, x).
+
+    Each skeleton T has a type T' (``_canonical``), itself a skeleton of
+    the layout, and the monomial on T with leaf word w is ε^k times the
+    monomial on T' with the word w∘π, π being the type's leaf positions in
+    T.  ``fold`` maps a vector onto the t types, column = type · n! + rank
+    of the word.  It is an onto map of S_n-modules, and each monomial is
+    congruent to its image, read on the type's own skeleton, modulo the
+    symmetric ideal J that the o(1, 2) − ε·o(2, 1) generate; so the fold's
+    kernel lies in J.  Each symmetric node of a type whose children are
+    equal gives a relation (T', id) − ε·(T', swap) in type coordinates
+    (``relations``), and they generate the fold of J.  So J is generated
+    by the fold's ``generators`` on the skeleton columns: (T, id) −
+    ε^k·(T', π) for each skeleton that is not a type, then the relations.
+    With no symmetric operation the fold is the identity.
+
+    The type columns form a layout of their own for ``ideals._close``:
+    degree, words, rank and ncols, with ``types`` giving each type's
+    skeleton block."""
+
+    __slots__ = ("layout", "field", "nblocks", "ntypes", "types", "_moves",
+                 "relations", "generators")
+
+    def __init__(self, layout, symmetric, field):
+        self.layout, self.field = layout, field
+        n, width, rank = layout.degree, len(layout.words), layout.rank
+        canonical = [_canonical(s, symmetric) for s in layout.skeletons]
+        self.types = types = [
+            b for b, s in enumerate(layout.skeletons) if canonical[b][0] == s
+        ]
+        index = {layout.skeletons[b]: t for t, b in enumerate(types)}
+        self.nblocks, self.ntypes = len(layout.skeletons), len(types)
+        one = field.one
+        # per skeleton: the type, the leaf positions (None if in order), ±
+        self._moves = []
+        self.generators = []
+        for b, (skel, positions, sign) in enumerate(canonical):
+            t = index[skel]
+            moved = None if positions == tuple(range(n)) else positions
+            self._moves.append((t, moved, sign < 0))
+            if types[t] != b:
+                word = tuple(p + 1 for p in positions)
+                self.generators.append({
+                    b * width: one,
+                    types[t] * width + rank[word]: field.coerce(-sign),
+                })
+        self.relations = []
+        for t, b in enumerate(types):
+            for eps, word in _equal_swaps(layout.skeletons[b], symmetric, n):
+                r, x = rank[word], field.coerce(-eps)
+                self.relations.append({t * width: one, t * width + r: x})
+                self.generators.append({b * width: one, b * width + r: x})
+
+    @property
+    def degree(self) -> int:
+        return self.layout.degree
+
+    @property
+    def words(self):
+        return self.layout.words
+
+    @property
+    def rank(self):
+        return self.layout.rank
+
+    @property
+    def ncols(self) -> int:
+        return self.ntypes * len(self.layout.words)
+
+    def lift(self, vec: dict) -> dict:
+        """A vector on the type columns, read on each type's own skeleton."""
+        width = len(self.layout.words)
+        types = self.types
+        return {types[c // width] * width + c % width: v for c, v in vec.items()}
+
+    def fold(self, vec: dict) -> dict:
+        """The vector on the type columns, terms that meet adding up."""
+        if self.ntypes == self.nblocks:
+            return vec
+        field, width = self.field, len(self.layout.words)
+        words, rank = self.layout.words, self.layout.rank
+        out: dict = {}
+        for c, v in vec.items():
+            b, r = divmod(c, width)
+            t, positions, negate = self._moves[b]
+            if positions is not None:
+                word = words[r]
+                r = rank[tuple([word[p] for p in positions])]
+            c = t * width + r
+            if negate:
+                v = field.neg(v)
+            if c in out:
+                v = field.add(out[c], v)
+            out[c] = v
+        return {c: v for c, v in out.items() if v}
 
 
 def enumerate_monomials(sig: Signature, n: int, ctx=None):

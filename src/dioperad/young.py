@@ -181,17 +181,27 @@ class ModuleRanks:
     """The ranks r_λ of the stacked matrices ρ_λ(g) over the elements g of
     k[S_n]^s inserted so far: a left submodule of dimension Σ d_λ·r_λ, and
     a membership test for it.  An element is a dict column -> scalar over
-    the table's field, column = block · n! + rank of the leaf word."""
+    the table's field, column = block · n! + rank of the leaf word.
 
-    __slots__ = ("table", "nblocks", "width", "reducers", "_sizes")
+    The module is held through a ``terms.AssociationFold`` f of the s
+    skeleton blocks onto t type blocks, whose kernel lies in the module:
+    the stacks have t blocks, start from the fold's relations, and every
+    element is folded on its way in.  As f is onto and splits, the module
+    is the preimage of its fold, with r_λ = the folded rank + (s − t)·d_λ;
+    an element lies in it exactly when its fold lies in the folded module,
+    and the quotients by the two agree."""
 
-    def __init__(self, table: WordTable, nblocks: int):
+    __slots__ = ("table", "fold", "width", "reducers", "_sizes")
+
+    def __init__(self, table: WordTable, fold):
         self.table = table
-        self.nblocks = nblocks
+        self.fold = fold
         self.width = len(table.words)
         self.reducers = [_Reducer(table.field) for _ in table.dims]
         # the number of columns of each stack, the largest rank it can have
-        self._sizes = [nblocks * d for d in table.dims]
+        self._sizes = [fold.ntypes * d for d in table.dims]
+        for vec in fold.relations:
+            self._insert(vec)
 
     @property
     def field(self):
@@ -199,11 +209,15 @@ class ModuleRanks:
 
     @property
     def ncols(self) -> int:
-        return self.nblocks * self.width
+        return self.fold.nblocks * self.width
 
     @property
     def ranks(self):
-        return [len(r.pivot_rows) for r in self.reducers]
+        folded = self.fold.nblocks - self.fold.ntypes
+        return [
+            len(r.pivot_rows) + folded * d
+            for r, d in zip(self.reducers, self.table.dims)
+        ]
 
     @property
     def dim(self) -> int:
@@ -268,6 +282,10 @@ class ModuleRanks:
 
     def insert(self, vec: dict) -> bool:
         """Add ρ_λ(vec)'s rows for every λ; whether any rank went up."""
+        return self._insert(self.fold.fold(vec))
+
+    def _insert(self, vec: dict) -> bool:
+        """``insert`` of a vector on the type columns."""
         if not vec:
             return False
         blocks = self._coefficients(vec)
@@ -287,6 +305,7 @@ class ModuleRanks:
     def contains(self, vec: dict) -> bool:
         """Whether vec lies in the module: whether inserting it would raise
         no rank.  The module is left as it is."""
+        vec = self.fold.fold(vec)
         if not vec:
             return True
         blocks = self._coefficients(vec)
@@ -303,7 +322,7 @@ class ModuleRanks:
         image of the module they generate in the quotient by this one.  The
         module is left as it is."""
         quotient = [_Reducer(self.field) for _ in self.reducers]
-        for vec in vecs:
+        for vec in map(self.fold.fold, vecs):
             if not vec:
                 continue
             blocks = self._coefficients(vec)

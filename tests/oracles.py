@@ -47,6 +47,17 @@ from dioperad.terms import (
 )
 
 
+def same_subspace(a: Subspace, b: Subspace) -> bool:
+    """Whether two subspaces are equal: the same field and width, and the
+    same canonical reduced basis."""
+    return (
+        a.field == b.field
+        and a.ncols == b.ncols
+        and a.pivots == b.pivots
+        and a.rows == b.rows
+    )
+
+
 def monomial_index(sig: Signature, n: int, ctx=None) -> dict:
     """The degree-n basis as a dict from raw tree node to column, in the
     order of ``enumerate_monomials``."""

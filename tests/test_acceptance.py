@@ -8,6 +8,7 @@ DIOPERAD_STRETCH=1.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
@@ -17,6 +18,7 @@ import conftest
 import pytest
 
 from dioperad import Context, catalog
+from dioperad.cli import main
 from dioperad.dialgebra import (
     bso_presentation,
     superscript,
@@ -115,6 +117,24 @@ def _diassociative_axioms():
         poly({(right, (left, 1, 2), 3): 1, (right, (right, 1, 2), 3): -1}),
         poly({(right, (right, 1, 2), 3): 1, (right, 1, (right, 2, 3)): -1}),
     ]
+
+
+@stretch
+@needs_stretch
+def test_criterion_1_stretch_lie_degree_seven(capsys):
+    start = time.monotonic()
+    code = main(["dim", "--variety", "builtin:lie", "--degree", "7",
+                 "--max-degree", "7", "--field", "p:1000003", "--json",
+                 "--no-cache"])
+    elapsed = time.monotonic() - start
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    ok = code == 0 and dims["quotient"] == math.factorial(6) and elapsed < 15
+    announce(
+        "1 (stretch)",
+        ok,
+        f"lie degree 7 has quotient {dims['quotient']} = 6! over p:1000003, "
+        f"counted over association types in {elapsed:.1f}s",
+    )
 
 
 def test_criterion_2_bso_of_associativity_is_diassociative():

@@ -30,6 +30,8 @@ from dioperad.terms import (
 )
 from dioperad.young import dimensions
 
+from oracles import same_subspace
+
 
 def symmetric_orbit(p: Polynomial):
     """All relabelings of a multilinear polynomial."""
@@ -129,7 +131,7 @@ def _compositions(total, parts):
 def test_layer_engine_matches_naive_spanning_set(variety, n, field):
     fast = consequences_at_degree(variety, n, Context(field)).ideal
     slow = naive_component(variety, n, field)
-    assert fast == slow
+    assert same_subspace(fast, slow)
 
 
 def test_associative_quotient_dimensions_are_factorials():
