@@ -49,7 +49,7 @@ def queries():
                                 "--degree", str(d), "--field", field, *extra])
     catalog_reports = [argv + ["--json", "--no-cache"] for argv in out]
     return (catalog_reports + surface_queries() + small_prime_queries()
-            + partition_queries())
+            + partition_queries() + special_di_queries())
 
 
 def surface_queries():
@@ -144,6 +144,20 @@ def partition_queries():
             for name in ("lie", "jordan", "com-assoc")
             for field in FIELDS
             for d in (5, 6)]
+
+
+def special_di_queries():
+    """``special-di`` without ``--basis``: every built-in morphism at
+    degree 5 over both fields, where k[S_5] is semisimple, and at degree 4
+    over p:3, where it is not and the kernel comes from expanded rows, and
+    over p:5 beside it."""
+    reports = [(name, field, 5)
+               for name in catalog.morphism_names() for field in FIELDS]
+    reports += [(name, field, 4)
+                for name in catalog.morphism_names() for field in ("p:3", "p:5")]
+    return [["special-di", "--morphism", f"builtin:{name}", "--degree", str(d),
+             "--field", field, "--json", "--no-cache"]
+            for name, field, d in reports]
 
 
 def run_query(argv):
