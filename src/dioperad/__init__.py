@@ -14,7 +14,6 @@ from .context import Context, DegreeCapError
 from .dialgebra import (
     DiPolynomial,
     bso_presentation,
-    di_ideal_at_degree,
     is_collapse_preimage,
     superscript,
     superscript_poly,
@@ -74,7 +73,6 @@ __all__ = [
     "consequences_at_degree",
     "default_cache_dir",
     "degree_component",
-    "di_ideal_at_degree",
     "di_morphism",
     "di_special_identities",
     "double_signature",

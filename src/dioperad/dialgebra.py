@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .context import as_context
-from .ideals import (
-    VarietyPresentation,
-    _presentation_module,
-    consequences_at_degree,
-    degree_component,
-)
-from .linalg import Subspace
+from .ideals import VarietyPresentation, _presentation_module, degree_component
 from .terms import (
     DoubledSignature,
     Monomial,
@@ -184,40 +178,6 @@ def bso_presentation(variety: VarietyPresentation) -> VarietyPresentation:
             polys.append(superscript_poly(g, k))
     return VarietyPresentation(
         f"di-{variety.name}", dsig, polys, names
-    )
-
-
-def vector_to_dipolynomial(vec: dict, layout, field) -> DiPolynomial:
-    """Decode a coordinate vector over n stacked copies of the degree-n
-    plain layout; monomials are built for the vector's support only."""
-    n, block = layout.degree, layout.ncols
-    buckets: list[dict] = [dict() for _ in range(n)]
-    for col, v in vec.items():
-        k, c = divmod(col, block)
-        buckets[k][Monomial(layout.node(c))] = v
-    return DiPolynomial(
-        field, n, [Polynomial(field, b, degree=n) for b in buckets]
-    )
-
-
-def stack_copies(rows, n: int, block: int) -> list:
-    """Each plain vector placed in each of n stacked copies of a space with
-    the given number of columns, copy by copy."""
-    return [
-        {k * block + c: v for c, v in r.items()} for k in range(n) for r in rows
-    ]
-
-
-def di_ideal_at_degree(
-    variety: VarietyPresentation, n: int, ctx=None
-) -> Subspace:
-    """The emphasized elements all of whose components lie in the plain
-    ideal: the block sum of one copy of the degree-n consequences per
-    emphasis position."""
-    comp = consequences_at_degree(variety, n, ctx)
-    block = comp.ambient_dimension
-    return Subspace(
-        comp.field, n * block, stack_copies(comp.ideal.rows, n, block)
     )
 
 

@@ -71,25 +71,19 @@ def _eliminate(vec: dict, col: int, row: dict, p: int) -> list:
 
 
 class _Reducer:
-    """Incremental fully-reduced row echelon form, empty or started from
-    the rows of a fully reduced echelon basis (each row's pivot is its
-    least column; the rows are copied).  Over a prime field each row has
-    pivot entry 1; over the rationals it is a primitive int vector with a
-    positive pivot entry (see the module docstring)."""
+    """Incremental fully-reduced row echelon form, started empty.  Over a
+    prime field each row has pivot entry 1; over the rationals it is a
+    primitive int vector with a positive pivot entry (see the module
+    docstring)."""
 
     __slots__ = ("field", "pivot_rows", "_colindex")
 
-    def __init__(self, field, rows=()):
+    def __init__(self, field):
         self.field = field
         self.pivot_rows: dict[int, dict[int, object]] = {}
         # column -> pivot columns whose rows touch it, for ``insert`` only
         # (None once released)
         self._colindex: dict[int, set[int]] | None = {}
-        # a pivot-1 row cleared of its denominators is primitive
-        for row in rows:
-            self._add(
-                min(row), dict(row) if field.characteristic else _cleared(row)[1]
-            )
 
     def _add(self, pivot: int, row: dict) -> None:
         self.pivot_rows[pivot] = row
@@ -303,14 +297,6 @@ def row_reduce(field, ncols, rows) -> Subspace:
     for row in rows:
         r.insert(row)
     return Subspace(field, ncols, r)
-
-
-def extend(space: Subspace, extra_rows) -> Subspace:
-    """The span of a subspace together with additional vectors."""
-    r = _Reducer(space.field, space.rows)
-    for row in extra_rows:
-        r.insert(row)
-    return Subspace(space.field, space.ncols, r)
 
 
 def transpose(rows, ncols) -> list[dict]:

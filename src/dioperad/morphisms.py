@@ -17,14 +17,12 @@ import hashlib
 from typing import NamedTuple
 
 from .dialgebra import (
+    DiPolynomial,
     _lift_columns,
     bso_presentation,
     collapse_preimage_dimension,
-    di_ideal_at_degree,
     is_collapse_preimage,
-    stack_copies,
     superscript_poly,
-    vector_to_dipolynomial,
     zero_identities,
 )
 from .context import as_context
@@ -40,7 +38,7 @@ from .ideals import (
     poly_to_vector,
     vector_to_poly,
 )
-from .linalg import Subspace, extend, left_kernel_basis, row_reduce
+from .linalg import left_kernel_basis, row_reduce
 from .terms import (
     Monomial,
     Polynomial,
@@ -193,16 +191,17 @@ class SpecialIdentitiesReport(NamedTuple):
 
 
 def _morphism_kernel(mor, source, d, ctx):
-    """The source component at degree d, the special space S and the
-    kernel ker(φ) = I ⊕ S, where I is the source ideal.  The caller must
-    have run ``_check_source_vanishes``.
+    """The source component at degree d and the special space S, where
+    ker(φ) = I ⊕ S and I is the source ideal.  The caller must have run
+    ``_check_source_vanishes``.
 
     S is the left kernel of the images of the normal monomials (the
     non-pivot columns of I), each reduced modulo the target ideal.  Once the
     vanishing check has passed, I ⊆ ker(φ), because ker(φ) is an operad
     ideal.  Every kernel vector is then an element of I plus its reduction
     modulo I, and that reduction lies in ker(φ) on the normal columns.  So
-    S is exactly ker(φ) reduced modulo I."""
+    S is exactly ker(φ) reduced modulo I, and since it lies on the normal
+    columns it meets I in 0: dim ker(φ) = dim I + dim S."""
     field = ctx.field
     source_comp = consequences_at_degree(source, d, ctx)
     target_comp = consequences_at_degree(mor.target, d, ctx)
@@ -220,7 +219,7 @@ def _morphism_kernel(mor, source, d, ctx):
         source_comp.ambient_dimension,
         ({normal[j]: v for j, v in u.items()} for u in ker),
     )
-    return source_comp, special, extend(source_comp.ideal, special.rows)
+    return source_comp, special
 
 
 def special_identities(
@@ -242,8 +241,8 @@ def special_identities(
     kernel.  No ideal is expanded and the report's basis is None."""
     ctx = as_context(ctx)
     field = ctx.field
+    _check_source_vanishes(mor, source, d, ctx)
     if not basis and _semisimple(field, d):
-        _check_source_vanishes(mor, source, d, ctx)
         comp = degree_component(source, d, ctx)
         kernel = _kernel_dimension(mor, d, ctx)
         return SpecialIdentitiesReport(
@@ -256,8 +255,7 @@ def special_identities(
             special_dimension=kernel - comp.ideal.dim,
             basis=None,
         )
-    _check_source_vanishes(mor, source, d, ctx)
-    source_comp, special, kernel = _morphism_kernel(mor, source, d, ctx)
+    source_comp, special = _morphism_kernel(mor, source, d, ctx)
     basis = tuple(
         vector_to_poly(r, source_comp.layout, field) for r in special.rows
     )
@@ -266,7 +264,7 @@ def special_identities(
         degree=d,
         field=field.name,
         ambient_dimension=source_comp.ambient_dimension,
-        kernel_dimension=kernel.dim,
+        kernel_dimension=source_comp.ideal.dim + special.dim,
         ideal_dimension=source_comp.ideal.dim,
         special_dimension=special.dim,
         basis=basis,
@@ -294,49 +292,36 @@ def di_special_identities(
 ) -> DiSpecialIdentitiesReport:
     """Emphasized identities killed componentwise by the morphism, modulo
     the block ideal of the source presentation, and whether they all arise
-    as emphasized placements of the plain special identities.  The
-    dimensions come from expanded rows in every characteristic; without
+    as emphasized placements of the plain special identities.
+
+    In collapse coordinates the emphasized space, the componentwise kernel
+    and the block ideal are d copies of their plain counterparts, one per
+    emphasis, so the report is ``special_identities`` placed at each
+    emphasis: every dimension times d, and as basis each plain basis
+    polynomial at emphasis 1, then each at emphasis 2, and so on, the
+    canonical reduced basis of the copies.  So ``matches_lifted`` is True;
+    the kernel of the doubled morphism itself is not computed.  Without
     ``basis`` the report's basis is None."""
     ctx = as_context(ctx)
-    field = ctx.field
-    _check_source_vanishes(mor, source, d, ctx)
-    source_comp, base_special, base_kernel = _morphism_kernel(
-        mor, source, d, ctx
-    )
-    block = source_comp.ambient_dimension
-    block_kernel = Subspace(
-        field, d * block, stack_copies(base_kernel.rows, d, block)
-    )
-    block_ideal = di_ideal_at_degree(source, d, ctx)
-
-    reduced = [block_ideal.reduce(r) for r in block_kernel.rows]
-    special = row_reduce(field, d * block, reduced)
+    plain = special_identities(mor, source, d, ctx, basis)
+    zero = Polynomial(ctx.field, {}, degree=d)
+    placed = None
     if basis:
-        basis = tuple(
-            vector_to_dipolynomial(r, source_comp.layout, field)
-            for r in special.rows
+        placed = tuple(
+            DiPolynomial(ctx.field, d, [p if j == k else zero for j in range(d)])
+            for k in range(d)
+            for p in plain.basis
         )
-    else:
-        basis = None
-
-    # the lifts lie in the stacked kernel, so the two spans are equal
-    # exactly when their dimensions are
-    lifted = stack_copies(base_special.rows, d, block)
-    matches = (
-        extend(block_ideal, lifted).dim
-        == extend(block_ideal, block_kernel.rows).dim
-    )
-
     return DiSpecialIdentitiesReport(
         morphism=f"di-{mor.name}",
         degree=d,
-        field=field.name,
-        ambient_dimension=d * block,
-        kernel_dimension=block_kernel.dim,
-        ideal_dimension=block_ideal.dim,
-        special_dimension=special.dim,
-        basis=basis,
-        matches_lifted=matches,
+        field=plain.field,
+        ambient_dimension=d * plain.ambient_dimension,
+        kernel_dimension=d * plain.kernel_dimension,
+        ideal_dimension=d * plain.ideal_dimension,
+        special_dimension=d * plain.special_dimension,
+        basis=placed,
+        matches_lifted=True,
     )
 
 

@@ -11,6 +11,8 @@ import pytest
 from dioperad import morphisms
 from dioperad.linalg import Subspace
 
+import oracles
+
 _verdicts: list = []
 
 
@@ -27,27 +29,27 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 @pytest.fixture
 def drop_last_kernel_row(monkeypatch):
-    """Call with a degree to make the kernel routines lose the last basis
-    row of the kernel at that degree: ``morphisms._morphism_kernel``, which
-    expands the kernel, and ``morphisms._kernel_module``, which holds it as
-    a module and then hands out that short expanded kernel instead."""
-    full = morphisms._morphism_kernel
+    """Call with a degree to make the plain kernel K = I ⊕ S at that degree
+    lose the last row of its basis: in ``oracles.morphism_kernel``, which
+    expands it, and in ``morphisms._kernel_module``, which holds it as a
+    module and then hands out that short expanded kernel instead."""
+    full = oracles.morphism_kernel
     full_module = morphisms._kernel_module
 
     def drop(degree):
         def patched(mor, source, d, *args, **kwargs):
-            comp, special, kernel = full(mor, source, d, *args, **kwargs)
+            comp, kernel = full(mor, source, d, *args, **kwargs)
             if d == degree:
                 kernel = Subspace(kernel.field, kernel.ncols, kernel.rows[:-1])
-            return comp, special, kernel
+            return comp, kernel
 
         def patched_module(mor, source, d, *args, **kwargs):
             kernel, generators = full_module(mor, source, d, *args, **kwargs)
             if d == degree:
-                kernel = patched(mor, source, d, *args, **kwargs)[2]
+                kernel = patched(mor, source, d, *args, **kwargs)[1]
             return kernel, generators
 
-        monkeypatch.setattr(morphisms, "_morphism_kernel", patched)
+        monkeypatch.setattr(oracles, "morphism_kernel", patched)
         monkeypatch.setattr(morphisms, "_kernel_module", patched_module)
 
     return drop

@@ -105,6 +105,33 @@ def dipolynomial_vector(dp: DiPolynomial, layout) -> dict:
     }
 
 
+def vector_to_dipolynomial(vec: dict, layout, field) -> DiPolynomial:
+    """Decode a coordinate vector over n stacked copies of the degree-n
+    plain layout; monomials are built for the vector's support only."""
+    n, block = layout.degree, layout.ncols
+    buckets: list[dict] = [dict() for _ in range(n)]
+    for col, v in vec.items():
+        k, c = divmod(col, block)
+        buckets[k][Monomial(layout.node(c))] = v
+    return DiPolynomial(
+        field, n, [Polynomial(field, b, degree=n) for b in buckets]
+    )
+
+
+def di_ideal_at_degree(variety, n: int, ctx=None) -> Subspace:
+    """The emphasized elements all of whose components lie in the plain
+    ideal: the block sum of one copy of the degree-n consequences per
+    emphasis position, over n stacked copies of the plain columns."""
+    comp = consequences_at_degree(variety, n, ctx)
+    block = comp.ambient_dimension
+    rows = [
+        {k * block + c: v for c, v in r.items()}
+        for k in range(n)
+        for r in comp.ideal.rows
+    ]
+    return Subspace(comp.field, n * block, rows)
+
+
 def _skeleton_key(node, sig):
     if isinstance(node, int):
         return (1,)
@@ -247,6 +274,23 @@ def row_ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
     return ctx.memo(("row-ideal", digest, n), n, build)
 
 
+def extend(space: Subspace, extra_rows) -> Subspace:
+    """The span of a subspace together with additional vectors."""
+    reducer = _Reducer(space.field)
+    for row in itertools.chain(space.rows, extra_rows):
+        reducer.insert(row)
+    return Subspace(space.field, space.ncols, reducer)
+
+
+def morphism_kernel(mor: OperadMorphism, source, d: int, ctx=None):
+    """The source component at degree d and the kernel K = I ⊕ S of the
+    morphism, built from the ideal I and the special space S of
+    ``morphisms._morphism_kernel``, which it looks up at call time."""
+    ctx = as_context(ctx)
+    comp, special = morphisms._morphism_kernel(mor, source, d, ctx)
+    return comp, extend(comp.ideal, special.rows)
+
+
 def morphism_kernel_at_degree(
     mor: OperadMorphism, d: int, ctx=None
 ) -> Subspace:
@@ -312,7 +356,7 @@ def row_bso_theorem(mor: OperadMorphism, source, d: int, ctx=None):
     every plain kernel turned back into a polynomial and lifted to each
     emphasis with ``superscript_poly``, the doubled ideal they generate
     expanded row by row, and each of its rows tested by
-    ``is_collapse_preimage``.  Looks ``_morphism_kernel`` up at call time,
+    ``is_collapse_preimage``.  Looks ``morphism_kernel`` up at call time,
     so that a patched kernel is seen here too."""
     ctx = as_context(ctx)
     field = ctx.field
@@ -320,7 +364,7 @@ def row_bso_theorem(mor: OperadMorphism, source, d: int, ctx=None):
     gens = [q.convert(field) for q in zero_identities(mor.source_signature)[1]]
     kernels = {}
     for m in range(2, d + 1):
-        comp, _, kernels[m] = morphisms._morphism_kernel(mor, source, m, ctx)
+        comp, kernels[m] = morphism_kernel(mor, source, m, ctx)
         for r in kernels[m].rows:
             q = vector_to_poly(r, comp.layout, field)
             gens.extend(superscript_poly(q, k) for k in range(1, m + 1))

@@ -871,6 +871,8 @@ LIE_D5 = "(bracket (bracket (bracket (bracket 1 2) 3) 4) 5)"
 PARTITION_COMMANDS = [
     ["special", "--morphism", "builtin:lie-to-assoc", "--degree", "5"],
     ["special", "--morphism", "builtin:jts-to-jordan", "--degree", "5"],
+    ["special-di", "--morphism", "builtin:jts-to-assoc", "--degree", "5"],
+    ["special-di", "--morphism", "builtin:lie-to-assoc", "--degree", "5"],
     ["verify-bso", "--morphism", "builtin:jts-to-jordan", "--degree", "5"],
     ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
     ["implies", "--variety", "builtin:lie", "--identity", LIE_D5],
@@ -931,12 +933,18 @@ ANTI_DEFS = """
 
 
 @pytest.mark.parametrize("field", ["q", "p:1000003"])
-def test_special_counts_antisymmetric_bracket_identities(capsys, tmp_path, field):
+@pytest.mark.parametrize("command", ["special", "special-di"])
+def test_special_counts_antisymmetric_bracket_identities(
+    capsys, tmp_path, field, command
+):
     path = tmp_path / "anti.sexp"
     path.write_text(ANTI_DEFS, encoding="utf-8")
-    for degree, special in (("4", 9), ("5", 81)):
-        argv = ["special", "--morphism", f"{path}:anti-to-assoc",
-                "--degree", degree, "--field", field, "--no-cache"]
+    for degree, special in ((4, 9), (5, 81)):
+        if command == "special-di":
+            # each plain identity placed at each of the d emphases
+            special *= degree
+        argv = [command, "--morphism", f"{path}:anti-to-assoc",
+                "--degree", str(degree), "--field", field, "--no-cache"]
         code, counted = run_json(capsys, *argv)
         assert code == 0 and counted["special"] == special
         code, listed = run_json(capsys, *argv, "--basis")

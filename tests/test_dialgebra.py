@@ -12,11 +12,9 @@ from dioperad import Context, catalog, dialgebra, ideals
 from dioperad.dialgebra import (
     bso_presentation,
     collapses_into,
-    di_ideal_at_degree,
     is_collapse_preimage,
     superscript,
     superscript_poly,
-    vector_to_dipolynomial,
     verify_dialgebra_equivalence,
     zero_identities,
 )
@@ -42,6 +40,7 @@ from dioperad.terms import (
 )
 from oracles import (
     EmphasizedMonomial,
+    di_ideal_at_degree,
     dipolynomial_vector,
     from_doubled,
     morphism_kernel_at_degree,
@@ -51,6 +50,7 @@ from oracles import (
     same_subspace,
     to_doubled,
     unsuperscript,
+    vector_to_dipolynomial,
     zeta_preimage,
 )
 

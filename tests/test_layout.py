@@ -1,11 +1,16 @@
 """The skeleton-by-word basis layout against the tree constructions it
 replaced: enumeration order, relabelling, substitution, collapse, and the
-ideal components built on columns."""
+ideal components built on columns.  Also the layout of the package
+itself: every top-level definition is used by the package or exported."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import dioperad
 from dioperad import Context, catalog, terms
 from dioperad.cli import main, resolve_variety
 from dioperad.dialgebra import _collapse_columns, _lift_columns, superscript
@@ -180,3 +185,42 @@ def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
         argv = ["dim", "--variety", "builtin:assoc", "--degree", "4", "--json"]
         assert main(argv) == 0
         assert '"quotient": 24' in capsys.readouterr().out
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    """A top-level function or class of ``src/dioperad`` that no other
+    package code names (outside its own body) and that ``__all__`` does not
+    export is a helper only tests use; it belongs in ``tests/``."""
+    package = pathlib.Path(dioperad.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+
+    modules = {name.removesuffix(".py") for name in trees}
+
+    def names(node):
+        """Bare names, and attributes of a package module (``ideals.f``);
+        not other attributes, which may be methods of the same name."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)
+                  and sub.value.id in modules):
+                yield sub.attr
+
+    unused = []
+    for module, tree in trees.items():
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if defn.name in dioperad.__all__:
+                continue
+            used = any(
+                defn.name in names(node)
+                for other, other_tree in trees.items()
+                for node in other_tree.body
+                if not (other == module and node is defn)
+            )
+            if not used:
+                unused.append(f"{module}:{defn.name}")
+    assert unused == []

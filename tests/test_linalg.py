@@ -14,14 +14,18 @@ from dioperad.fields import QQ, PrimeField
 from dioperad.linalg import (
     Subspace,
     _Reducer,
-    extend,
     kernel_basis,
     left_kernel_basis,
     row_reduce,
     transpose,
 )
 
-from oracles import elimination_reduce, fraction_row_reduce, same_subspace
+from oracles import (
+    elimination_reduce,
+    extend,
+    fraction_row_reduce,
+    same_subspace,
+)
 
 F7 = PrimeField(7)
 
@@ -227,8 +231,8 @@ def test_integer_reducer_matches_fraction_oracle(seed):
     half = len(rows) // 2
     base = row_reduce(QQ, n, rows[:half])
     assert same_subspace(base, fraction_row_reduce(QQ, n, rows[:half]))
-    reducer = _Reducer(QQ, base.rows)
-    for row in rows[half:]:
+    reducer = _Reducer(QQ)
+    for row in base.rows + tuple(rows[half:]):
         reducer.insert(row)
     assert_primitive_echelon(reducer, expected)
     assert same_subspace(extend(base, rows[half:]), expected)

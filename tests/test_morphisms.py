@@ -37,6 +37,7 @@ from dioperad.terms import (
     substitute_at,
 )
 from oracles import (
+    extend,
     from_doubled,
     morphism_kernel_at_degree,
     row_bso_theorem,
@@ -517,11 +518,14 @@ def test_kernel_on_the_source_quotient_matches_full_column_oracle(name, field):
     entry = catalog.morphism(name)
     ctx = Context(field)
     for d in (2, 3, 4):
-        _, _, kernel = morphisms._morphism_kernel(
+        comp, special = morphisms._morphism_kernel(
             entry.morphism, entry.source, d, ctx
         )
+        kernel = extend(comp.ideal, special.rows)
         oracle = morphism_kernel_at_degree(entry.morphism, d, ctx)
         assert same_subspace(kernel, oracle)
+        rep = special_identities(entry.morphism, entry.source, d, ctx)
+        assert rep.kernel_dimension == kernel.dim
 
 
 
@@ -540,6 +544,44 @@ def test_special_by_partition_matches_the_row_path(name, field):
         rows = special_identities(entry.morphism, entry.source, d, Context(field))
         assert counted.basis is None
         assert counted._replace(basis=rows.basis) == rows
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(1000003), PrimeField(3)], ids=["q", "p", "p3"]
+)
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_di_special_identities_place_the_plain_report_at_each_emphasis(
+    name, field
+):
+    entry = catalog.morphism(name)
+    ctx = Context(field)
+    for d in range(1, 5):
+        plain = special_identities(entry.morphism, entry.source, d, ctx)
+        rep = di_special_identities(entry.morphism, entry.source, d, ctx)
+        zero = Polynomial(field, {}, degree=d)
+        assert rep.basis == tuple(
+            DiPolynomial(field, d, [zero] * (k - 1) + [p] + [zero] * (d - k))
+            for k in range(1, d + 1)
+            for p in plain.basis
+        )
+        assert (
+            rep.ambient_dimension,
+            rep.kernel_dimension,
+            rep.ideal_dimension,
+            rep.special_dimension,
+        ) == tuple(
+            d * n
+            for n in (
+                plain.ambient_dimension,
+                plain.kernel_dimension,
+                plain.ideal_dimension,
+                plain.special_dimension,
+            )
+        )
+        counted = di_special_identities(
+            entry.morphism, entry.source, d, ctx, basis=False
+        )
+        assert counted == rep._replace(basis=None)
 
 
 ANTI = VarietyPresentation(
