@@ -31,6 +31,7 @@ from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
 from dioperad.morphisms import (
     BsoKernelReport,
     DegreeComparison,
+    DiSpecialIdentitiesReport,
     OperadMorphism,
     evaluate_morphism,
 )
@@ -289,6 +290,46 @@ def morphism_kernel(mor: OperadMorphism, source, d: int, ctx=None):
     ctx = as_context(ctx)
     comp, special = morphisms._morphism_kernel(mor, source, d, ctx)
     return comp, extend(comp.ideal, special.rows)
+
+
+def stacked_di_special_identities(mor: OperadMorphism, source, d: int, ctx=None):
+    """``di_special_identities`` on stacked rows: d copies of the plain
+    kernel reduced modulo d copies of the plain ideal
+    (``di_ideal_at_degree``), and the lift match decided by comparing the
+    spans of the ideal with the stacked kernel and with the stacked
+    special rows."""
+    ctx = as_context(ctx)
+    field = ctx.field
+    comp, special = morphisms._morphism_kernel(mor, source, d, ctx)
+    kernel = extend(comp.ideal, special.rows)
+    block = comp.ambient_dimension
+    ideal = di_ideal_at_degree(source, d, ctx)
+
+    def stacked(rows):
+        return [
+            {k * block + c: v for c, v in r.items()}
+            for k in range(d)
+            for r in rows
+        ]
+
+    block_kernel = Subspace(field, d * block, stacked(kernel.rows))
+    reduced = [ideal.reduce(r) for r in block_kernel.rows]
+    di_special = row_reduce(field, d * block, reduced)
+    return DiSpecialIdentitiesReport(
+        morphism=f"di-{mor.name}",
+        degree=d,
+        field=field.name,
+        ambient_dimension=d * block,
+        kernel_dimension=block_kernel.dim,
+        ideal_dimension=ideal.dim,
+        special_dimension=di_special.dim,
+        basis=tuple(
+            vector_to_dipolynomial(r, comp.layout, field)
+            for r in di_special.rows
+        ),
+        matches_lifted=extend(ideal, stacked(special.rows)).dim
+        == extend(ideal, block_kernel.rows).dim,
+    )
 
 
 def morphism_kernel_at_degree(

@@ -42,6 +42,7 @@ from oracles import (
     morphism_kernel_at_degree,
     row_bso_theorem,
     same_subspace,
+    stacked_di_special_identities,
     unsuperscript,
 )
 
@@ -550,33 +551,13 @@ def test_special_by_partition_matches_the_row_path(name, field):
     "field", [QQ, PrimeField(1000003), PrimeField(3)], ids=["q", "p", "p3"]
 )
 @pytest.mark.parametrize("name", catalog.morphism_names())
-def test_di_special_identities_place_the_plain_report_at_each_emphasis(
-    name, field
-):
+def test_di_special_identities_match_the_stacked_oracle(name, field):
     entry = catalog.morphism(name)
     ctx = Context(field)
     for d in range(1, 5):
-        plain = special_identities(entry.morphism, entry.source, d, ctx)
         rep = di_special_identities(entry.morphism, entry.source, d, ctx)
-        zero = Polynomial(field, {}, degree=d)
-        assert rep.basis == tuple(
-            DiPolynomial(field, d, [zero] * (k - 1) + [p] + [zero] * (d - k))
-            for k in range(1, d + 1)
-            for p in plain.basis
-        )
-        assert (
-            rep.ambient_dimension,
-            rep.kernel_dimension,
-            rep.ideal_dimension,
-            rep.special_dimension,
-        ) == tuple(
-            d * n
-            for n in (
-                plain.ambient_dimension,
-                plain.kernel_dimension,
-                plain.ideal_dimension,
-                plain.special_dimension,
-            )
+        assert rep == stacked_di_special_identities(
+            entry.morphism, entry.source, d, ctx
         )
         counted = di_special_identities(
             entry.morphism, entry.source, d, ctx, basis=False
