@@ -25,22 +25,17 @@ from .terms import (
     Signature,
     basis_layout,
     double_signature,
+    doubled_name,
     format_node,
+    split_doubled_name,
     substitute_at,
 )
-
-
-def _split_name(name: str) -> tuple[str, int]:
-    base, sep, sup = name.rpartition("^")
-    if not sep or not sup.isdigit():
-        raise ValueError(f"{name!r} is not a doubled operation name")
-    return base, int(sup)
 
 
 def _strip(node):
     if isinstance(node, int):
         return node
-    base, _ = _split_name(node[0])
+    base, _ = split_doubled_name(node[0])
     return (base,) + tuple(_strip(c) for c in node[1:])
 
 
@@ -48,7 +43,7 @@ def _collapse_node(node):
     """The plain tree and the emphasized leaf of a raw doubled tree node."""
     top = node
     while not isinstance(node, int):
-        _, k = _split_name(node[0])
+        _, k = split_doubled_name(node[0])
         if not 1 <= k <= len(node) - 1:
             raise ValueError(
                 f"superscript {k} out of range in {format_node(top)}"
@@ -79,7 +74,7 @@ def _lift_node(node, k):
         if k in leaves:
             sup = i
         kids.append(_lift_node(c, k))
-    return (f"{node[0]}^{sup}",) + tuple(kids)
+    return (doubled_name(node[0], sup),) + tuple(kids)
 
 
 def superscript(m: Monomial, k: int) -> Monomial:
@@ -144,22 +139,19 @@ def zero_identities(sig: Signature):
     names, polys = [], []
     for f, af in sig.operations:
         for k in range(1, af + 1):
-            outer = Monomial((f"{f}^{k}",) + tuple(range(1, af + 1)))
+            outer = Monomial((doubled_name(f, k),) + tuple(range(1, af + 1)))
             for j in range(1, af + 1):
                 if j == k:
                     continue
                 for g, ag in sig.operations:
+                    leaves = tuple(range(1, ag + 1))
                     for low in range(1, ag + 1):
                         for high in range(low + 1, ag + 1):
                             a = substitute_at(
-                                outer,
-                                j,
-                                Monomial((f"{g}^{low}",) + tuple(range(1, ag + 1))),
+                                outer, j, Monomial((doubled_name(g, low),) + leaves)
                             )
                             b = substitute_at(
-                                outer,
-                                j,
-                                Monomial((f"{g}^{high}",) + tuple(range(1, ag + 1))),
+                                outer, j, Monomial((doubled_name(g, high),) + leaves)
                             )
                             names.append(f"zero-{f}{k}-s{j}-{g}{low}{high}")
                             polys.append(a - b)

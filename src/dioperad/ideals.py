@@ -209,8 +209,9 @@ def _candidates(signature, seeds, n, ctx, lower):
 
 
 def _close(field, layout, candidates):
-    """The span of the candidates closed under S_n, as a ``Subspace``, and
-    the candidates that raised its rank, which generate it as a module.
+    """The span of the candidates closed under S_n, as a finished
+    ``_Reducer`` without its column index, and the candidates that raised
+    its rank, which generate it as a module.
     The columns are those of the layout: a ``BasisLayout``, or the type
     columns of an ``AssociationFold``.
     Every vector that raises the rank is queued, and the images of each
@@ -229,7 +230,8 @@ def _close(field, layout, candidates):
             image = {colmap[c]: v for c, v in vec.items()}
             if reducer.insert(image):
                 queue.append(image)
-    return Subspace(field, layout.ncols, reducer), kept
+    reducer.release_index()
+    return reducer, kept
 
 
 def _expand(fold, candidates):
@@ -241,14 +243,15 @@ def _expand(fold, candidates):
     back beside the fold's kernel, one row (T, w) − ε^k·(T', w∘π) for each
     column of a skeleton T that is not a type.  The kernel rows go in
     first: each has two terms, and the type columns they share stay
-    sparse."""
+    sparse.  Each closure row is given up as it is lifted, so the two
+    bases are not held at once."""
     field, width = fold.field, len(fold.words)
     folded, kept = _close(
         field, fold, [*fold.relations, *map(fold.fold, candidates)]
     )
     kept = [fold.lift(vec) for vec in kept]
     if fold.ntypes == fold.nblocks:
-        return folded, kept
+        return Subspace(field, fold.ncols, folded), kept
     reducer = _Reducer(field)
     types = set(fold.types)
     for b in range(fold.nblocks):
@@ -256,8 +259,9 @@ def _expand(fold, candidates):
             for c in range(b * width, (b + 1) * width):
                 ((image, x),) = fold.lift(fold.fold({c: field.one})).items()
                 reducer.insert({c: field.one, image: field.neg(x)})
-    for row in folded.rows:
-        reducer.insert(fold.lift(row))
+    rows = folded.pivot_rows
+    for p in sorted(rows):
+        reducer.insert(fold.lift(rows.pop(p)))
     return Subspace(field, fold.layout.ncols, reducer), kept
 
 

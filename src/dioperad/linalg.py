@@ -4,17 +4,16 @@ Vectors are dicts column -> nonzero scalar.  The engine keeps a fully
 reduced row echelon basis at all times: every pivot column appears in
 exactly one row, so an incoming vector is reduced in a single pass over
 its own support (``_Reducer.reduce``), which inserting it then extends.
+That pass is the one way to reduce: a finished basis, a ``Subspace``,
+answers membership and normal forms with it, and a kernel is read off the
+same elimination run on tag columns (``morphisms._morphism_kernel``).
 
 Over the rationals the engine eliminates without fractions: it holds each
 row as a primitive vector of Python ints whose pivot entry is positive,
-the fully reduced row with its denominators cleared, and a ``Subspace``
-divides each by its pivot entry once, giving the canonical ``Fraction``
-rows of the reduced echelon form.
-
-Membership and normal forms take integer dot products with one map per
-``Subspace``, built on first use (see its docstring): no vector is
-eliminated row by row, and over the rationals the only ``Fraction`` values
-made are the entries of a normal form.
+the fully reduced row with its denominators cleared.  A ``Subspace``
+divides each row by its pivot entry when it is read, giving the canonical
+``Fraction`` rows of the reduced echelon form, and a normal form by the
+multiplier that the pass scaled the vector by.
 """
 
 from __future__ import annotations
@@ -99,7 +98,12 @@ class _Reducer:
         """vec minus the combination of rows that clears its pivot columns,
         as a fresh dict of ints, in one pass; the reducer is left as it is.
         Over a prime field it is the normal form, entries reduced mod p;
-        over the rationals a nonzero int multiple of it.
+        over the rationals a nonzero int multiple of it (``scaled_reduce``)."""
+        return self.scaled_reduce(vec)[1]
+
+    def scaled_reduce(self, vec: dict) -> tuple[int, dict]:
+        """``reduce``, with the multiplier m of the normal form that it
+        returns: 1 over a prime field.
 
         The rows are fully reduced, so no row touches another's pivot
         column and vec's coefficient at each pivot column is final.  Over
@@ -107,14 +111,16 @@ class _Reducer:
         once at the end.  Over the rationals vec is cleared of its
         denominators and scaled once by the lcm of a/gcd(a, v) over the
         pivots it meets, a being the row's pivot entry and v vec's entry
-        there, so that every multiple subtracted is an int."""
+        there, so that every multiple subtracted is an int; m is the
+        product of the two."""
         rows = self.pivot_rows
         p = self.field.characteristic
-        ints = vec if p else _cleared(vec)[1]
+        mult, ints = (1, vec) if p else _cleared(vec)
         hits = [(c, v) for c, v in ints.items() if c in rows]
         if not p and hits:
             scale = lcm(*(a // gcd(a, v) for c, v in hits for a in (rows[c][c],)))
             if scale != 1:
+                mult *= scale
                 ints = {c: v * scale for c, v in ints.items()}
                 hits = [(c, v * scale) for c, v in hits]
         acc = dict(ints)
@@ -126,8 +132,8 @@ class _Reducer:
             for k, w in row.items():
                 acc[k] = get(k, 0) - v * w
         if p:
-            return {k: r for k, x in acc.items() if (r := x % p)}
-        return {k: x for k, x in acc.items() if x}
+            return 1, {k: r for k, x in acc.items() if (r := x % p)}
+        return mult, {k: x for k, x in acc.items() if x}
 
     def insert(self, vec: dict) -> bool:
         """Reduce vec and extend the basis if a new pivot appears."""
@@ -169,123 +175,64 @@ class _Reducer:
         self._add(pivot, row)
         return True
 
-    def take_canonical_rows(self) -> list:
-        """Over the rationals: (pivot, row) in pivot order, each row divided
-        by its pivot entry into its canonical Fraction form.  The reducer
-        gives up each int row as it converts it and is left empty, so the
-        two forms of the basis are never held at once."""
-        rows = self.pivot_rows
-        self._colindex = None
-        out = []
-        for p in sorted(rows):
-            row = rows.pop(p)
-            a = row[p]
-            out.append((p, {c: Fraction(v, a) for c, v in row.items()}))
-        return out
-
 
 class Subspace:
-    """A subspace of a coordinate space, held as a canonical reduced basis,
-    built from trusted canonical rows or from a ``_Reducer``; a reducer
-    over the rationals is left empty.
+    """A subspace of a coordinate space: a view over the finished
+    ``_Reducer`` it was built from, whose column index it releases.
 
-    Membership and normal forms go through one integer map, built on first
-    use.  Each free (non-pivot) column f has the kernel vector
-    z_f = e_f - sum_p row_p[f]·e_p, and reduce(v)[f] = v·z_f, so v lies in
-    the subspace exactly when every v·z_f vanishes.  The map holds each z_f
-    scaled to ints, by the lcm of the denominators in column f over the
-    rationals, and by column: c -> {f: scaled z_f[c]}.  A free column that
-    no row touches has z_f = e_f and no entry."""
+    Its basis is the canonical reduced one, read off the reducer on access
+    in pivot order: over the rationals each int row divided by its pivot
+    entry.  Membership and normal forms are the reducer's one-pass
+    ``reduce``; a column outside the space is refused with a ValueError
+    naming it."""
 
-    __slots__ = ("field", "ncols", "rows", "pivots", "_nf", "_scale")
+    __slots__ = ("field", "ncols", "reducer")
 
-    def __init__(self, field, ncols, reducer_or_rows):
+    def __init__(self, field, ncols, reducer: _Reducer):
+        reducer.release_index()
         self.field = field
         self.ncols = ncols
-        if isinstance(reducer_or_rows, _Reducer):
-            if field.characteristic:
-                items = sorted(reducer_or_rows.pivot_rows.items())
-            else:
-                items = reducer_or_rows.take_canonical_rows()
-        else:
-            items = sorted(
-                ((min(r), dict(r)) for r in reducer_or_rows),
-                key=lambda t: t[0],
-            )
-        self.pivots = tuple(p for p, _ in items)
-        self.rows = tuple(r for _, r in items)
-        if len(set(self.pivots)) != len(self.rows):
-            raise ValueError("rows do not have distinct pivots")
-        self._nf = None
-        self._scale = None
+        self.reducer = reducer
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.reducer.pivot_rows)
 
-    def _normal_form(self) -> dict:
-        """The integer map column -> {free column: entry}, built once."""
-        if self._nf is None:
-            scale: dict[int, int] = {}
-            nf: dict[int, dict[int, int]] = {}
-            if self.field.characteristic:
-                for p, row in zip(self.pivots, self.rows):
-                    nf[p] = {c: -v for c, v in row.items() if c != p}
-            else:
-                for row in self.rows:
-                    for c, v in row.items():
-                        if v.denominator != 1:
-                            scale[c] = lcm(scale.get(c, 1), v.denominator)
-                for p, row in zip(self.pivots, self.rows):
-                    nf[p] = {
-                        c: -v.numerator * (scale.get(c, 1) // v.denominator)
-                        for c, v in row.items()
-                        if c != p
-                    }
-                for f, s in scale.items():
-                    nf[f] = {f: s}
-            self._nf, self._scale = nf, scale
-        return self._nf
+    @property
+    def pivots(self) -> tuple:
+        return tuple(sorted(self.reducer.pivot_rows))
 
-    def _sums(self, vec: dict) -> tuple[int, dict]:
-        """The lcm den of vec's denominators (1 over a prime field) and the
-        int dot products of den·vec with each scaled z_f, keyed by f.  A sum
-        may be zero, and over a prime field it is not yet taken mod p.  A
-        column outside the space is refused with a ValueError naming it."""
+    @property
+    def rows(self) -> tuple:
+        rows = self.reducer.pivot_rows
+        if self.field.characteristic:
+            return tuple(rows[p] for p in sorted(rows))
+        out = []
+        for p in sorted(rows):
+            row = rows[p]
+            a = row[p]
+            out.append({c: Fraction(v, a) for c, v in row.items()})
+        return tuple(out)
+
+    def _check_columns(self, vec: dict) -> None:
         width = self.ncols
         if vec and (min(vec) < 0 or max(vec) >= width):
             bad = next(c for c in vec if not 0 <= c < width)
             raise ValueError(f"column {bad} outside 0..{width - 1}")
-        den, ints = (1, vec) if self.field.characteristic else _cleared(vec)
-        nf = self._normal_form()
-        acc: dict[int, int] = {}
-        get = acc.get
-        for c, v in ints.items():
-            z = nf.get(c)
-            if z is None:
-                acc[c] = get(c, 0) + v
-            else:
-                for f, w in z.items():
-                    acc[f] = get(f, 0) + v * w
-        return den, acc
 
     def reduce(self, vec: dict) -> dict:
         """The normal form of vec: vec minus the combination of rows that
         clears its pivot columns, supported on free columns."""
-        den, sums = self._sums(vec)
-        p = self.field.characteristic
-        if p:
-            return {f: r for f, s in sums.items() if (r := s % p)}
-        scale = self._scale
-        return {
-            f: Fraction(s, den * scale.get(f, 1)) for f, s in sums.items() if s
-        }
+        self._check_columns(vec)
+        mult, ints = self.reducer.scaled_reduce(vec)
+        if self.field.characteristic:
+            return ints
+        return {c: Fraction(v, mult) for c, v in ints.items()}
 
     def contains(self, vec: dict) -> bool:
         """Whether vec lies in the subspace."""
-        sums = self._sums(vec)[1].values()
-        p = self.field.characteristic
-        return not any(s % p for s in sums) if p else not any(sums)
+        self._check_columns(vec)
+        return not self.reducer.reduce(vec)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ncols={self.ncols})"
@@ -297,30 +244,3 @@ def row_reduce(field, ncols, rows) -> Subspace:
     for row in rows:
         r.insert(row)
     return Subspace(field, ncols, r)
-
-
-def transpose(rows, ncols) -> list[dict]:
-    cols: list[dict] = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][i] = v
-    return cols
-
-
-def kernel_basis(field, ncols, rows) -> list[dict]:
-    """Basis of the right null space, one vector per free column, ascending."""
-    space = row_reduce(field, ncols, rows)
-    pivots = set(space.pivots)
-    out = {free: {free: field.one} for free in range(ncols) if free not in pivots}
-    # Rows are fully reduced, so every entry off a row's own pivot sits in a
-    # free column; ascending pivots keep each vector's keys in order.
-    for p, row in zip(space.pivots, space.rows):
-        for c, v in row.items():
-            if c != p:
-                out[c][p] = field.neg(v)
-    return list(out.values())
-
-
-def left_kernel_basis(field, rows, ncols) -> list[dict]:
-    """Coefficient vectors u with sum_i u[i] * rows[i] = 0."""
-    return kernel_basis(field, len(rows), transpose(rows, ncols))

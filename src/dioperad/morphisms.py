@@ -8,7 +8,8 @@ variety's quotient gives a linear map in every degree whose kernel holds
 the identities satisfied by the image algebras.  Identities in the kernel
 but outside the ideal of the source presentation are the special ones.
 When k[S_n] is semisimple the kernel is a module counted by partition
-from the images of the source skeletons alone (``_kernel_dimension``).
+from the images of the source's association types alone
+(``_kernel_dimension``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .ideals import (
     poly_to_vector,
     vector_to_poly,
 )
-from .linalg import left_kernel_basis, row_reduce
+from .linalg import _Reducer, row_reduce
 from .terms import (
     Monomial,
     Polynomial,
@@ -46,6 +47,7 @@ from .terms import (
     basis_layout,
     compose,
     double_signature,
+    doubled_name,
     format_polynomial,
 )
 from .young import ModuleRanks, dimensions
@@ -121,7 +123,7 @@ def di_morphism(mor: OperadMorphism) -> OperadMorphism:
     images = {}
     for op, arity in mor.source_signature.operations:
         for k in range(1, arity + 1):
-            images[f"{op}^{k}"] = superscript_poly(mor.images[op], k)
+            images[doubled_name(op, k)] = superscript_poly(mor.images[op], k)
     return OperadMorphism(
         f"di-{mor.name}",
         double_signature(mor.source_signature),
@@ -149,34 +151,39 @@ def _check_source_vanishes(mor, source, d, ctx):
             )
 
 
-def _kernel_dimension(mor, d, ctx) -> int:
-    """dim ker(φ) at degree d, counted by partition; k[S_d] must be
-    semisimple.
+def _kernel_dimension(mor, fold, ctx) -> int:
+    """dim ker(φ) at the degree d of the source module's association fold
+    (``terms.AssociationFold``), counted by partition; k[S_d] must be
+    semisimple and the caller must have run ``_check_source_vanishes``.
 
     φ is a map of left k[S_d]-modules out of the free module on the s
     source skeletons: a monomial is its skeleton at the identity word
     relabelled by its leaf word, and φ commutes with relabelling.  Its
     image in the target quotient is generated by the s images of the
-    skeletons, so it has ranks q_λ, those images' ranks modulo the target
-    ideal (``ModuleRanks.quotient_ranks``).  The kernel then has rank
+    skeletons.  Modulo the source's symmetric ideal, which lies in ker(φ),
+    a skeleton that is not a type is ± a relabelling of its type, so its
+    image is ± a relabelled image of its type's modulo the target ideal,
+    and the t type images generate the image alone.  It has ranks q_λ,
+    those images' ranks modulo the target ideal
+    (``ModuleRanks.quotient_ranks``).  The kernel then has rank
     κ_λ = s·d_λ − q_λ and dimension Σ d_λ·κ_λ.  A source without degree-d
     skeletons (jts at even degrees) has the zero kernel, which is returned
     before the target's module is built."""
-    layout = basis_layout(mor.source_signature, d, ctx)
+    layout, d = fold.layout, fold.degree
     if not layout.skeletons:
         return 0
     target = degree_component(mor.target, d, ctx)
+    width = len(layout.words)
     # the identity word has rank 0, so each skeleton's block starts with it
     images = (
         poly_to_vector(
-            evaluate_morphism(mor, Monomial(layout.node(c)), ctx.field),
+            evaluate_morphism(mor, Monomial(layout.node(b * width)), ctx.field),
             target.layout,
         )
-        for c in range(0, layout.ncols, len(layout.words))
+        for b in fold.types
     )
-    s = len(layout.skeletons)
     ranks = target.ideal.quotient_ranks(images)
-    return sum(dl * (s * dl - q) for dl, q in zip(dimensions(d), ranks))
+    return sum(dl * (fold.nblocks * dl - q) for dl, q in zip(dimensions(d), ranks))
 
 
 class SpecialIdentitiesReport(NamedTuple):
@@ -201,23 +208,40 @@ def _morphism_kernel(mor, source, d, ctx):
     ideal.  Every kernel vector is then an element of I plus its reduction
     modulo I, and that reduction lies in ker(φ) on the normal columns.  So
     S is exactly ker(φ) reduced modulo I, and since it lies on the normal
-    columns it meets I in 0: dim ker(φ) = dim I + dim S."""
+    columns it meets I in 0: dim ker(φ) = dim I + dim S.
+
+    The left kernel comes from one elimination: the j-th reduced image goes
+    in with entry one at tag column w + j, w being the target's width.  A
+    reduced row whose pivot is a tag column is zero on the target columns,
+    so its tag entries are the coefficients of a vanishing combination of
+    the images; such rows span the kernel, and each tag column is read back
+    as its normal monomial."""
     field = ctx.field
     source_comp = consequences_at_degree(source, d, ctx)
     target_comp = consequences_at_degree(mor.target, d, ctx)
     pivots = set(source_comp.ideal.pivots)
     normal = [i for i in range(source_comp.ambient_dimension) if i not in pivots]
     layout = source_comp.layout
-    rows = []
-    for i in normal:
-        img = evaluate_morphism(mor, Monomial(layout.node(i)), field)
-        vec = poly_to_vector(img, target_comp.layout)
-        rows.append(target_comp.ideal.reduce(vec))
-    ker = left_kernel_basis(field, rows, target_comp.ambient_dimension)
+    width = target_comp.ambient_dimension
+    reducer = _Reducer(field)
+    # last monomial first: a kernel row then tends to take a pivot below
+    # those of the rows before it, which fully reduced rows take with little
+    # back-elimination (as in ``ideals._close``); in column order the 1679
+    # kernel rows of free-to-com-assoc at degree 5 cost 1.4 million row
+    # operations, against 1717 in this order
+    for j in reversed(range(len(normal))):
+        img = evaluate_morphism(mor, Monomial(layout.node(normal[j])), field)
+        vec = target_comp.ideal.reduce(poly_to_vector(img, target_comp.layout))
+        vec[width + j] = field.one
+        reducer.insert(vec)
     special = row_reduce(
         field,
         source_comp.ambient_dimension,
-        ({normal[j]: v for j, v in u.items()} for u in ker),
+        (
+            {normal[c - width]: v for c, v in row.items()}
+            for p, row in reducer.pivot_rows.items()
+            if p >= width
+        ),
     )
     return source_comp, special
 
@@ -244,7 +268,7 @@ def special_identities(
     _check_source_vanishes(mor, source, d, ctx)
     if not basis and _semisimple(field, d):
         comp = degree_component(source, d, ctx)
-        kernel = _kernel_dimension(mor, d, ctx)
+        kernel = _kernel_dimension(mor, comp.ideal.fold, ctx)
         return SpecialIdentitiesReport(
             morphism=mor.name,
             degree=d,
@@ -339,7 +363,7 @@ def _kernel_module(mor, source, d, ctx):
     lead them, so that they generate K_d on their own.  Otherwise K_d = I_d
     and the source's module is returned as it is."""
     ideal, kept = _presentation_module(source, d, ctx)
-    if _kernel_dimension(mor, d, ctx) == ideal.dim:
+    if _kernel_dimension(mor, ideal.fold, ctx) == ideal.dim:
         return ideal, kept
     # K_d contains I_d, and so the kernel of I_d's fold
     kernel = ModuleRanks(ideal.table, ideal.fold)

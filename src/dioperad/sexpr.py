@@ -32,6 +32,7 @@ from .terms import (
     Monomial,
     Polynomial,
     Signature,
+    doubled_name,
     format_polynomial,
     linearize,
 )
@@ -137,7 +138,7 @@ def operation_aliases(sig: Signature) -> dict:
         base_ops = sig.base.operations
         if len(base_ops) == 1 and base_ops[0][1] == 2:
             name = base_ops[0][0]
-            return {"dashv": f"{name}^1", "vdash": f"{name}^2"}
+            return {"dashv": doubled_name(name, 1), "vdash": doubled_name(name, 2)}
     return {}
 
 

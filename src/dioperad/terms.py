@@ -75,7 +75,7 @@ class DoubledSignature(Signature):
 
     def __init__(self, base: Signature):
         ops = [
-            (f"{name}^{k}", arity)
+            (doubled_name(name, k), arity)
             for name, arity in base.operations
             for k in range(1, arity + 1)
         ]
@@ -84,6 +84,21 @@ class DoubledSignature(Signature):
 
     def __repr__(self):
         return f"DoubledSignature({self.base!r})"
+
+
+def doubled_name(op: str, k: int) -> str:
+    """The name of the doubled operation op^k, whose superscript k marks
+    the argument slot that carries the emphasized variable."""
+    return f"{op}^{k}"
+
+
+def split_doubled_name(name: str) -> tuple[str, int]:
+    """The operation and superscript of a doubled operation name, the
+    inverse of ``doubled_name``."""
+    base, sep, sup = name.rpartition("^")
+    if not sep or not sup.isdigit():
+        raise ValueError(f"{name!r} is not a doubled operation name")
+    return base, int(sup)
 
 
 def double_signature(sig: Signature) -> DoubledSignature:

@@ -7,6 +7,7 @@ the package's shortcuts against it.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from dioperad import dialgebra, morphisms
@@ -27,7 +28,7 @@ from dioperad.ideals import (
     poly_to_vector,
     vector_to_poly,
 )
-from dioperad.linalg import Subspace, _Reducer, left_kernel_basis, row_reduce
+from dioperad.linalg import Subspace, _Reducer, row_reduce
 from dioperad.morphisms import (
     BsoKernelReport,
     DegreeComparison,
@@ -46,6 +47,51 @@ from dioperad.terms import (
     relabel_node,
     substitute_at,
 )
+
+
+def trusted_subspace(field, ncols, rows) -> Subspace:
+    """The subspace whose canonical reduced basis is the given rows, in any
+    order.  Each row is placed into a ``_Reducer`` as it is, in the form
+    the reducer holds (over the rationals a primitive int vector), without
+    ``insert``: the oracles built on it stay independent of the elimination
+    they check.  Rows that do not have distinct pivots are refused."""
+    reducer = _Reducer(field)
+    for row in rows:
+        pivot = min(row)
+        if pivot in reducer.pivot_rows:
+            raise ValueError("rows do not have distinct pivots")
+        if not field.characteristic:
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        reducer.pivot_rows[pivot] = dict(row)
+    return Subspace(field, ncols, reducer)
+
+
+def transpose(rows, ncols) -> list[dict]:
+    cols: list[dict] = [dict() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][i] = v
+    return cols
+
+
+def kernel_basis(field, ncols, rows) -> list[dict]:
+    """Basis of the right null space, one vector per free column, ascending."""
+    space = row_reduce(field, ncols, rows)
+    pivots = set(space.pivots)
+    out = {free: {free: field.one} for free in range(ncols) if free not in pivots}
+    # Rows are fully reduced, so every entry off a row's own pivot sits in a
+    # free column; ascending pivots keep each vector's keys in order.
+    for p, row in zip(space.pivots, space.rows):
+        for c, v in row.items():
+            if c != p:
+                out[c][p] = field.neg(v)
+    return list(out.values())
+
+
+def left_kernel_basis(field, rows, ncols) -> list[dict]:
+    """Coefficient vectors u with sum_i u[i] * rows[i] = 0."""
+    return kernel_basis(field, len(rows), transpose(rows, ncols))
 
 
 def same_subspace(a: Subspace, b: Subspace) -> bool:
@@ -130,7 +176,7 @@ def di_ideal_at_degree(variety, n: int, ctx=None) -> Subspace:
         for k in range(n)
         for r in comp.ideal.rows
     ]
-    return Subspace(comp.field, n * block, rows)
+    return trusted_subspace(comp.field, n * block, rows)
 
 
 def _skeleton_key(node, sig):
@@ -312,7 +358,7 @@ def stacked_di_special_identities(mor: OperadMorphism, source, d: int, ctx=None)
             for r in rows
         ]
 
-    block_kernel = Subspace(field, d * block, stacked(kernel.rows))
+    block_kernel = trusted_subspace(field, d * block, stacked(kernel.rows))
     reduced = [ideal.reduce(r) for r in block_kernel.rows]
     di_special = row_reduce(field, d * block, reduced)
     return DiSpecialIdentitiesReport(
@@ -458,8 +504,8 @@ def axpy_into(field, row: dict, c, other: dict) -> None:
 def elimination_reduce(space: Subspace, vec: dict) -> dict:
     """vec reduced against the subspace's fully reduced rows, one pivot
     column at a time in the field's own arithmetic: the reference for
-    ``Subspace.reduce``, which takes integer dot products with the
-    subspace's normal-form map instead."""
+    ``Subspace.reduce``, which reduces in one pass over the vector's
+    support, on the integer rows of its ``_Reducer``."""
     f = space.field
     pivot_rows = dict(zip(space.pivots, space.rows))
     out = dict(vec)
@@ -526,4 +572,4 @@ def fraction_row_reduce(field, ncols, rows, seed=None) -> Subspace:
     reducer = FractionReducer(field, seed.rows if seed is not None else ())
     for row in rows:
         reducer.insert(row)
-    return Subspace(field, ncols, list(reducer.pivot_rows.values()))
+    return trusted_subspace(field, ncols, reducer.pivot_rows.values())

@@ -26,7 +26,7 @@ from dioperad.ideals import (
     poly_to_vector,
     vector_to_poly,
 )
-from dioperad.linalg import Subspace, row_reduce
+from dioperad.linalg import row_reduce
 from dioperad.morphisms import verify_bso_theorem
 from dioperad.terms import (
     Monomial,
@@ -49,6 +49,7 @@ from oracles import (
     row_ideal_component,
     same_subspace,
     to_doubled,
+    trusted_subspace,
     unsuperscript,
     vector_to_dipolynomial,
     zeta_preimage,
@@ -494,7 +495,7 @@ def test_is_collapse_preimage_fails_on_each_condition(field):
     assert not is_collapse_preimage(dsig, 3, swapped.dim, swapped.rows, base, ctx)
 
     # every row collapses into the base, so only the dimension can fail
-    short = Subspace(field, preimage.ncols, preimage.rows[:-1])
+    short = trusted_subspace(field, preimage.ncols, preimage.rows[:-1])
     assert collapses_into(dsig, 3, short.rows, base, ctx)
     assert not is_collapse_preimage(dsig, 3, short.dim, short.rows, base, ctx)
 
@@ -551,7 +552,7 @@ def test_verify_bso_matches_stacked_kernel_oracle(name, field):
     assert [c.degree for c in rep.comparisons] == [2, 3, 4]
     for c in rep.comparisons:
         stacked, kernel = _stacked_kernel(mor, c.degree, ctx)
-        block = Subspace(
+        block = trusted_subspace(
             field,
             c.degree * kernel.ncols,
             [
@@ -604,7 +605,7 @@ def test_collapse_sums_twin_terms_before_testing_membership(field, coeffs, chang
 def test_collapses_into_refuses_columns_outside_the_doubled_space(field):
     dsig = double_signature(BIN)
     ncols = basis_layout(dsig, 3).ncols
-    base = Subspace(field, basis_layout(BIN, 3).ncols, [])
+    base = row_reduce(field, basis_layout(BIN, 3).ncols, [])
     for bad in (ncols, -1):
         with pytest.raises(
             ValueError, match=rf"column {bad} outside 0\.\.{ncols - 1}"

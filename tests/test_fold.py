@@ -1,7 +1,7 @@
 """The association-type fold of the partition path: detection of
 (anti)commutative operations from the degree-2 ideal, the fold against the
 symmetric ideal it stands for, the module generators it adds, and the
-ranks with and without it."""
+ranks and morphism kernels with and without it."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from dioperad.ideals import (
     ideal_dimensions,
     partition_ranks,
 )
+from dioperad.morphisms import special_identities, verify_bso_theorem
 from dioperad.terms import (
     AssociationFold,
     Monomial,
@@ -192,3 +193,22 @@ def test_folded_ranks_equal_unfolded_ones_at_degree_6(monkeypatch, name, field):
     folded = _ranks(variety, [6], field)
     _unfolded(monkeypatch)
     assert _ranks(variety, [6], field) == folded
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", catalog.morphism_names())
+def test_folded_kernels_equal_unfolded_ones(monkeypatch, name, field):
+    """The kernel counted from the images of the source's association types
+    alone reports what the images of every skeleton give."""
+    entry = catalog.morphism(name)
+
+    def reports():
+        ctx = Context(field)
+        return [
+            special_identities(entry.morphism, entry.source, d, ctx, basis=False)
+            for d in range(2, 6)
+        ] + [verify_bso_theorem(entry.morphism, entry.source, 5, ctx)]
+
+    folded = reports()
+    _unfolded(monkeypatch)
+    assert reports() == folded

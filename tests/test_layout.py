@@ -6,6 +6,7 @@ itself: every top-level definition is used by the package or exported."""
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -23,7 +24,7 @@ from dioperad.ideals import (
     consequences_at_degree,
     poly_to_vector,
 )
-from dioperad.linalg import Subspace
+from dioperad.linalg import row_reduce
 from dioperad.terms import (
     DoubledSignature,
     Monomial,
@@ -132,7 +133,7 @@ def test_collapse_columns_match_unsuperscript(sig, n):
     for m in enumerate_monomials(sig, n, BASES):
         plain, leaf = unsuperscript(m)
         expected.append((leaf - 1) * block + plain_layout[plain.node])
-    base = Subspace(QQ, block, [])
+    base = row_reduce(QQ, block, [])
     assert _collapse_columns(sig, n, base, BASES) == expected
 
 
@@ -190,7 +191,10 @@ def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
 def test_every_top_level_definition_is_used_or_exported():
     """A top-level function or class of ``src/dioperad`` that no other
     package code names (outside its own body) and that ``__all__`` does not
-    export is a helper only tests use; it belongs in ``tests/``."""
+    export is a helper only tests use; it belongs in ``tests/``.  So is a
+    method or property of a package class, dunders aside, whose name no
+    package code mentions outside its own body, as a bare name or as an
+    attribute of anything."""
     package = pathlib.Path(dioperad.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -223,4 +227,24 @@ def test_every_top_level_definition_is_used_or_exported():
             )
             if not used:
                 unused.append(f"{module}:{defn.name}")
+
+    def mentions(node):
+        """How often each bare name and each attribute name occurs."""
+        return collections.Counter(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum(map(mentions, trees.values()), collections.Counter())
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for defn in cls.body:
+                if (isinstance(defn, ast.FunctionDef)
+                        and not (defn.name.startswith("__")
+                                 and defn.name.endswith("__"))
+                        and everywhere[defn.name] == mentions(defn)[defn.name]):
+                    unused.append(f"{module}:{cls.name}.{defn.name}")
     assert unused == []

@@ -11,20 +11,17 @@ from fractions import Fraction
 import pytest
 
 from dioperad.fields import QQ, PrimeField
-from dioperad.linalg import (
-    Subspace,
-    _Reducer,
-    kernel_basis,
-    left_kernel_basis,
-    row_reduce,
-    transpose,
-)
+from dioperad.linalg import Subspace, _Reducer, row_reduce
 
 from oracles import (
     elimination_reduce,
     extend,
     fraction_row_reduce,
+    kernel_basis,
+    left_kernel_basis,
     same_subspace,
+    transpose,
+    trusted_subspace,
 )
 
 F7 = PrimeField(7)
@@ -138,10 +135,10 @@ def test_subspace_equality_and_containment():
 
 def test_trusted_constructor_sorts_and_validates():
     rows = [{2: Fraction(1)}, {0: Fraction(1), 1: Fraction(4)}]
-    s = Subspace(QQ, 3, rows)
+    s = trusted_subspace(QQ, 3, rows)
     assert s.pivots == (0, 2)
     with pytest.raises(ValueError):
-        Subspace(QQ, 3, [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}])
+        trusted_subspace(QQ, 3, [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}])
 
 
 def test_rref_agrees_with_dense_elimination():
@@ -225,8 +222,9 @@ def test_integer_reducer_matches_fraction_oracle(seed):
         for row in order:
             reducer.insert(row)
         assert_primitive_echelon(reducer, expected)
-        assert same_subspace(Subspace(QQ, n, reducer), expected)
-        assert not reducer.pivot_rows  # handed over, not copied
+        space = Subspace(QQ, n, reducer)
+        assert same_subspace(space, expected)
+        assert space.reducer is reducer  # handed over, not copied
         assert same_subspace(row_reduce(QQ, n, order), expected)
     half = len(rows) // 2
     base = row_reduce(QQ, n, rows[:half])
