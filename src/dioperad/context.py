@@ -1,6 +1,6 @@
 """The settings and memos of one run: the scalar field, the degree cap, the
 optional disk cache of ranks by partition, and the memoised basis layouts,
-ideal components, representation tables and ranks by partition.
+ideal components, representation tables and S_n-modules.
 
 Every computation that enumerates a degree takes a context.  A context
 holds one field, so its memo keys carry no field name, and nothing is

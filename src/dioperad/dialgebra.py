@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .context import as_context
-from .ideals import VarietyPresentation, _presentation_module, degree_component
+from .ideals import VarietyPresentation, _variety_module, degree_component
 from .terms import (
     DoubledSignature,
     Monomial,
@@ -299,13 +299,13 @@ def verify_dialgebra_equivalence(
     The plain ideal is S_n-stable, so P_n is too (``is_collapse_preimage``),
     and I_n = P_n exactly when dim I_n = dim P_n and every S_n-module
     generator of I_n collapses into the plain ideal.  Both sides are the
-    S_n-modules of ``ideals._module_step``, the doubled one with its kept
+    S_n-modules of ``ideals._variety_module``, the doubled one with its
     generators: over the rationals or a prime above n neither ideal is
     expanded, and over a smaller prime each is a ``Subspace``."""
     ctx = as_context(ctx)
     base = degree_component(variety, n, ctx)
     divar = bso_presentation(variety)
-    module, generators = _presentation_module(divar, n, ctx)
+    module, _, generators = _variety_module(divar, n, ctx)
     dim = module.dim
     ambient = basis_layout(divar.signature, n, ctx).ncols
     return DialgebraEquivalenceReport(

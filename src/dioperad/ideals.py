@@ -14,10 +14,9 @@ k[S_n] is semisimple it counts the module by partition (a
 ``young.ModuleRanks``), never expanded, and elsewhere it closes the
 generators' span under S_n.  Only
 ``consequences_at_degree``, for the commands that need rows, expands a
-semisimple degree, and only the degree it is asked for.  A presentation's
-ranks by partition are the only results written to the disk cache, by
-``dim`` and by ``verify-di`` and ``verify-bso``, which take module
-generators.
+semisimple degree, and only the degree it is asked for.  The disk cache
+holds what ``dim`` prints: ``partition_ranks`` alone reads and writes it,
+one entry of ranks by partition for the degree it is asked for.
 """
 
 from __future__ import annotations
@@ -310,17 +309,7 @@ def _symmetries(signature, seeds, ctx) -> dict:
     return found
 
 
-def _module_step(signature, seeds, digest, n, ctx, cache=None):
-    """The degree-n ideal generated by the seed vectors (``_seeds``) as an
-    S_n-module, and module generators of it: the generators of the fold's
-    symmetric ideal (``AssociationFold.generators``), then the candidates
-    kept by ``_kept_module``.  The module stays in the memo, so it answers
-    membership without its generators being inserted again."""
-    module, _, generators = _kept_module(signature, seeds, digest, n, ctx, cache)
-    return module, generators
-
-
-def _folded_candidates(signature, seeds, digest, n, ctx, cache=None):
+def _folded_candidates(signature, seeds, digest, n, ctx):
     """The fold of the degree-n layout onto the association types of the
     operations that ``_symmetries`` finds, and the degree's
     ``_candidates``, made from the lower degrees' kept candidates."""
@@ -331,18 +320,21 @@ def _folded_candidates(signature, seeds, digest, n, ctx, cache=None):
     )
 
     def lower(m):
-        return _kept_module(signature, seeds, digest, m, ctx, cache)[1]
+        return _module_step(signature, seeds, digest, m, ctx)[1]
 
     return fold, _candidates(signature, seeds.get(n, ()), n, ctx, lower)
 
 
-def _kept_module(signature, seeds, digest, n, ctx, cache=None):
-    """The memoised (module, kept candidates, generators) of
-    ``_module_step``.  The degree is folded onto the association types of
-    the operations that ``_symmetries`` finds (``terms.AssociationFold``).
-    Where k[S_n] is semisimple the module is a ``ModuleRanks`` over that
-    fold, whose ranks are written to the given disk cache, if any;
-    elsewhere it is the ``Subspace`` of ``_expand``.
+def _module_step(signature, seeds, digest, n, ctx):
+    """The degree-n ideal generated by the seed vectors (``_seeds``) as an
+    S_n-module, memoised as (module, kept candidates, generators).  The
+    degree is folded onto the association types of the operations that
+    ``_symmetries`` finds (``terms.AssociationFold``).  Where k[S_n] is
+    semisimple the module is a ``ModuleRanks`` over that fold; elsewhere
+    it is the ``Subspace`` of ``_expand``.  The generators are those of
+    the fold's symmetric ideal (``AssociationFold.generators``), then the
+    kept candidates.  The module stays in the memo, so it answers
+    membership without its generators being inserted again.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates made from each
@@ -354,9 +346,7 @@ def _kept_module(signature, seeds, digest, n, ctx, cache=None):
     the symmetric ideal already."""
 
     def build():
-        fold, candidates = _folded_candidates(
-            signature, seeds, digest, n, ctx, cache
-        )
+        fold, candidates = _folded_candidates(signature, seeds, digest, n, ctx)
         if not _semisimple(ctx.field, n):
             module, kept = _expand(fold, candidates)
             return module, kept, fold.generators + kept
@@ -366,35 +356,22 @@ def _kept_module(signature, seeds, digest, n, ctx, cache=None):
         module = ModuleRanks(table, fold)
         kept = [vec for vec in candidates if module.insert(vec)]
         module.release_indices()
-        if cache is not None:
-            cache.put(
-                _ranks_key(digest, ctx.field, n),
-                {"ranks": module.ranks, "dim": module.dim},
-            )
         return module, kept, fold.generators + kept
 
-    return ctx.memo(("ranks", digest, n), n, build)
+    return ctx.memo(("module", digest, n), n, build)
 
 
-def _variety_module(variety, n, ctx, cache=None):
+def _variety_module(variety, n, ctx):
     """``_module_step`` of the variety's defining identities."""
     seeds = _seeds(variety.signature, variety.generators, n, ctx)
-    return _module_step(variety.signature, seeds, variety.digest, n, ctx, cache)
-
-
-def _presentation_module(variety, n, ctx):
-    """``_variety_module``, writing the ranks of every degree to the
-    context's disk cache where k[S_n] is semisimple.  The degrees counted
-    by partition on the way to a non-semisimple n are not written."""
-    cache = ctx.cache if _semisimple(ctx.field, n) else None
-    return _variety_module(variety, n, ctx, cache)
+    return _module_step(variety.signature, seeds, variety.digest, n, ctx)
 
 
 def degree_component(variety, n, ctx=None) -> DegreeComponent:
     """The degree-n component, for its dimensions and membership in its
     ideal, the module of ``_module_step``: where k[S_n] is semisimple a
-    ``young.ModuleRanks`` that is never expanded (its ranks are not written
-    to the disk cache), elsewhere the expanded ``Subspace``."""
+    ``young.ModuleRanks`` that is never expanded, elsewhere the expanded
+    ``Subspace``.  Nothing is read from or written to the disk cache."""
     ctx = as_context(ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     module = _variety_module(variety, n, ctx)[0]
@@ -443,10 +420,11 @@ def _decode_ranks(stored, n, nblocks):
 
 def partition_ranks(variety, n, ctx=None) -> list:
     """The ranks r_λ of the degree-n ideal, one per partition of n in the
-    order of ``young.partitions``, read from the disk cache if it holds
-    them.  The field's characteristic must be 0 or above n.  The ideal has
-    dimension Σ d_λ·r_λ, and λ has multiplicity s·d_λ − r_λ in the
-    quotient, s being the number of skeletons."""
+    order of ``young.partitions``.  The field's characteristic must be 0
+    or above n.  The ideal has dimension Σ d_λ·r_λ, and λ has multiplicity
+    s·d_λ − r_λ in the quotient, s being the number of skeletons.  This is
+    the only reader and writer of the disk cache: it reads the entry for
+    degree n, and on a miss writes the memoised module's ranks there."""
     ctx = as_context(ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     if not _semisimple(ctx.field, n):
@@ -454,15 +432,19 @@ def partition_ranks(variety, n, ctx=None) -> list:
             f"ranks by partition need characteristic 0 or above {n}, "
             f"got {ctx.field.characteristic}"
         )
+    key = _ranks_key(variety.digest, ctx.field, n)
     if ctx.cache is not None:
         ranks = _decode_ranks(
-            ctx.cache.get(_ranks_key(variety.digest, ctx.field, n)),
+            ctx.cache.get(key),
             n,
             len(basis_layout(variety.signature, n, ctx).skeletons),
         )
         if ranks is not None:
             return ranks
-    return _presentation_module(variety, n, ctx)[0].ranks
+    module = _variety_module(variety, n, ctx)[0]
+    if ctx.cache is not None:
+        ctx.cache.put(key, {"ranks": module.ranks, "dim": module.dim})
+    return module.ranks
 
 
 def ideal_dimensions(variety, n, ctx=None):

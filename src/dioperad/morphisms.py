@@ -31,9 +31,9 @@ from .fields import QQ
 from .ideals import (
     VarietyPresentation,
     _module_step,
-    _presentation_module,
     _seeds,
     _semisimple,
+    _variety_module,
     consequences_at_degree,
     degree_component,
     poly_to_vector,
@@ -269,28 +269,19 @@ def special_identities(
     if not basis and _semisimple(field, d):
         comp = degree_component(source, d, ctx)
         kernel = _kernel_dimension(mor, comp.ideal.fold, ctx)
-        return SpecialIdentitiesReport(
-            morphism=mor.name,
-            degree=d,
-            field=field.name,
-            ambient_dimension=comp.ambient_dimension,
-            kernel_dimension=kernel,
-            ideal_dimension=comp.ideal.dim,
-            special_dimension=kernel - comp.ideal.dim,
-            basis=None,
-        )
-    source_comp, special = _morphism_kernel(mor, source, d, ctx)
-    basis = tuple(
-        vector_to_poly(r, source_comp.layout, field) for r in special.rows
-    )
+        basis = None
+    else:
+        comp, special = _morphism_kernel(mor, source, d, ctx)
+        kernel = comp.ideal.dim + special.dim
+        basis = tuple(vector_to_poly(r, comp.layout, field) for r in special.rows)
     return SpecialIdentitiesReport(
         morphism=mor.name,
         degree=d,
         field=field.name,
-        ambient_dimension=source_comp.ambient_dimension,
-        kernel_dimension=source_comp.ideal.dim + special.dim,
-        ideal_dimension=source_comp.ideal.dim,
-        special_dimension=special.dim,
+        ambient_dimension=comp.ambient_dimension,
+        kernel_dimension=kernel,
+        ideal_dimension=comp.ideal.dim,
+        special_dimension=kernel - comp.ideal.dim,
         basis=basis,
     )
 
@@ -354,21 +345,21 @@ def _kernel_module(mor, source, d, ctx):
     ``ModuleRanks``), with module generators of it; k[S_d] must be
     semisimple and the caller must have run ``_check_source_vanishes``.
 
-    The generators are the source's kept module generators of I_d
-    (``ideals._module_step``).  When the kernel counted by partition
+    The generators are the source's module generators of I_d
+    (``ideals._variety_module``).  When the kernel counted by partition
     (``_kernel_dimension``) is larger than I_d, the rows of S_d from
     ``_morphism_kernel`` join them in a module of their own, over I_d's
     fold, each kept only if it raises a rank: one that does not lies in the
     module of those before it.  The fold's generators, which raise none,
     lead them, so that they generate K_d on their own.  Otherwise K_d = I_d
     and the source's module is returned as it is."""
-    ideal, kept = _presentation_module(source, d, ctx)
+    ideal, _, generators = _variety_module(source, d, ctx)
     if _kernel_dimension(mor, ideal.fold, ctx) == ideal.dim:
-        return ideal, kept
+        return ideal, generators
     # K_d contains I_d, and so the kernel of I_d's fold
     kernel = ModuleRanks(ideal.table, ideal.fold)
     special = _morphism_kernel(mor, source, d, ctx)[1].rows
-    generators = [vec for vec in (*kept, *special) if kernel.insert(vec)]
+    generators = [vec for vec in (*generators, *special) if kernel.insert(vec)]
     return kernel, kernel.fold.generators + generators
 
 
@@ -417,11 +408,10 @@ def verify_bso_theorem(
         raise ValueError(f"degree must be at least 2, got {d}")
     ctx = as_context(ctx)
     field = ctx.field
-    p = field.characteristic
-    if p and d >= p:
+    if not _semisimple(field, d):
         raise CharacteristicGuardError(
             f"degree {d} requires characteristic 0 or larger than {d}, "
-            f"got {p}"
+            f"got {field.characteristic}"
         )
     ctx.check_degree(d)
     _check_source_vanishes(mor, source, d, ctx)
@@ -437,7 +427,7 @@ def verify_bso_theorem(
 
     comparisons = []
     for m, base_kernel in kernels.items():
-        module, generators = _module_step(dsig, seeds, digest, m, ctx)
+        module, _, generators = _module_step(dsig, seeds, digest, m, ctx)
         ncols = basis_layout(dsig, m, ctx).ncols
         dim = module.dim
         comparisons.append(

@@ -547,6 +547,7 @@ def test_reports_byte_identical_and_cache_transparent(capsys):
         ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"],
         ["dim", "--variety", "builtin:jordan", "--degree", "5"],
         ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "p:5"],
+        ["dim", "--variety", "di:builtin:lie", "--degree", "4"],
         ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
         ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
     ):
@@ -554,7 +555,7 @@ def test_reports_byte_identical_and_cache_transparent(capsys):
         for extra in ([], [], ["--no-cache"]):
             # each run has its own memos: a warm dim on the partition path
             # reads back the ranks the cold run wrote to the disk cache,
-            # and every row command recomputes
+            # and every other command recomputes
             runs.append(run(capsys, *argv, *extra))
         first, warm, uncached = runs
         assert first == warm == uncached
@@ -644,22 +645,6 @@ def test_warm_dim_reads_the_ranks(capsys, monkeypatch):
     assert cold[0] == 0
 
 
-def test_warm_dim_reads_the_ranks_verify_di_wrote(capsys, monkeypatch):
-    from dioperad import ideals
-
-    argv = ["dim", "--variety", "di:builtin:lie", "--degree", "4"]
-    uncached = run(capsys, *argv, "--no-cache")
-    verify = ["verify-di", "--variety", "builtin:lie", "--degree", "4"]
-    assert run(capsys, *verify)[0] == 0
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dim recomputed the ranks verify-di wrote")
-
-    monkeypatch.setattr(ideals, "_module_step", refuse)
-    assert run(capsys, *argv) == uncached
-    assert uncached[0] == 0
-
-
 def _cache_keys(root):
     return sorted(
         json.loads(p.read_text(encoding="utf-8"))["key"]
@@ -667,47 +652,42 @@ def _cache_keys(root):
     )
 
 
-def test_verify_bso_writes_only_the_source_ranks(capsys, monkeypatch, tmp_path):
-    from dioperad import catalog, ideals
-
-    monkeypatch.setenv("CACHE_DIR", str(tmp_path / "bso"))
-    argv = ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"]
-    assert run(capsys, *argv)[0] == 0
-    # the source's ranks, which dim reads; no entry for the doubled kernel
-    digest = catalog.presentation("lie").digest
-    assert _cache_keys(tmp_path / "bso") == [
-        f"{ideals._RANKS_TAG}:{digest}:p:1000003:{m}" for m in (2, 3, 4)
-    ]
-
-
 def _cache_files(root):
     return sorted(p.name for p in root.rglob("*.json"))
 
 
-ROW_COMMANDS = [
+# every command but dim on the partition path keeps its modules and rows
+# in the memo and writes nothing to disk
+UNCACHED_COMMANDS = [
     ["implies", "--variety", "builtin:assoc", "--identity",
      "(- (mul (mul 1 2) 3) (mul 1 (mul 2 3)))", "--field", "q"],
     ["verify-di", "--variety", "builtin:lie", "--degree", "4", "--field", "p:3"],
     ["special", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
     ["dim", "--variety", "builtin:jordan", "--degree", "5", "--field", "p:5"],
+    ["verify-di", "--variety", "builtin:lie", "--degree", "4"],
+    ["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "4"],
+    ["special-di", "--morphism", "builtin:jts-to-assoc", "--degree", "4"],
 ]
 
 
 def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
+    from dioperad import catalog, ideals
+    from dioperad.fields import QQ
+
     argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
     written = []
     for name in ("first", "second"):
         monkeypatch.setenv("CACHE_DIR", str(tmp_path / name))
         assert run(capsys, *argv)[0] == 0
         written.append(_cache_files(tmp_path / name))
-    # the rank entries of degrees 2, 3 and 4
-    assert len(written[0]) == 3
+    # the rank entry of degree 4 alone, not those of the degrees below
+    digest = catalog.presentation("lie").digest
+    assert _cache_keys(tmp_path / "first") == [ideals._ranks_key(digest, QQ, 4)]
     assert written[1] == written[0]
-    # the row path, dim at p <= n included, keeps its layers in the memo
-    for i, row_argv in enumerate(ROW_COMMANDS):
-        monkeypatch.setenv("CACHE_DIR", str(tmp_path / f"rows{i}"))
-        assert run(capsys, *row_argv)[0] == 0
-        assert _cache_files(tmp_path / f"rows{i}") == [], row_argv
+    for i, other in enumerate(UNCACHED_COMMANDS):
+        monkeypatch.setenv("CACHE_DIR", str(tmp_path / f"other{i}"))
+        assert run(capsys, *other)[0] == 0
+        assert _cache_files(tmp_path / f"other{i}") == [], other
 
 
 @pytest.mark.parametrize(

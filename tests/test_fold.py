@@ -159,7 +159,7 @@ def test_module_generators_generate_the_ideal_on_their_own(name, field):
     variety = catalog.presentation(name)
     ctx = Context(field)
     for n in range(2, 6):
-        module, generators = _variety_module(variety, n, ctx)
+        module, _, generators = _variety_module(variety, n, ctx)
         plain = ModuleRanks(
             module.table, AssociationFold(module.fold.layout, {}, field)
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -332,3 +333,21 @@ def test_decode_ranks_rejects_each_malformed_entry(tmp_path, source, case):
     assert ideals._decode_ranks(stored, n, skeletons) == ranks
     bad = _corrupted_ranks(stored, n, skeletons, case)
     assert ideals._decode_ranks(bad, n, skeletons) is None
+
+
+def test_partition_ranks_writes_its_entry_after_a_memo_hit(tmp_path):
+    """``partition_ranks`` writes the entry of its degree, and no other,
+    whether or not the context's memo already holds the module."""
+    lie = catalog.presentation("lie")
+    entries = []
+    for name in ("fresh", "memoised"):
+        ctx = Context(QQ, cache=DiskCache(tmp_path / name))
+        if name == "memoised":
+            ideals.degree_component(lie, 4, ctx)
+        ideals.partition_ranks(lie, 4, ctx)
+        files = sorted((tmp_path / name).rglob("*.json"))
+        entries.append([f.read_text(encoding="utf-8") for f in files])
+    assert entries[1] == entries[0]
+    assert [json.loads(e)["key"] for e in entries[0]] == [
+        ideals._ranks_key(lie.digest, QQ, 4)
+    ]

@@ -167,7 +167,7 @@ def test_ideal_rows_match_the_tree_construction(spec, n, field):
     # the candidates are the tree substitutions of the same lower vectors,
     # in the same order
     def lower(m):
-        return _variety_module(variety, m, ctx)[1]
+        return _variety_module(variety, m, ctx)[2]
 
     seeds = _seeds(variety.signature, variety.generators, n, ctx).get(n, ())
     assert list(_candidates(variety.signature, seeds, n, ctx, lower)) == list(
@@ -186,6 +186,32 @@ def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
         argv = ["dim", "--variety", "builtin:assoc", "--degree", "4", "--json"]
         assert main(argv) == 0
         assert '"quotient": 24' in capsys.readouterr().out
+
+
+def test_only_partition_ranks_touches_the_disk_cache():
+    """The disk cache holds what ``dim`` prints: the only package function
+    that calls ``get`` or ``put`` on a cache (``cache`` or ``ctx.cache``)
+    is ``ideals.partition_ranks``.  A call in a nested function counts
+    for the function or method around it."""
+    package = pathlib.Path(dioperad.__file__).parent
+
+    def is_cache(node):
+        return (isinstance(node, ast.Name) and node.id == "cache"
+                or isinstance(node, ast.Attribute) and node.attr == "cache")
+
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for defn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                for sub in ast.walk(defn):
+                    if (isinstance(sub, ast.Call)
+                            and isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr in ("get", "put")
+                            and is_cache(sub.func.value)):
+                        name = getattr(defn, "name", "<module>")
+                        callers.add(f"{path.stem}:{name}")
+    assert callers == {"ideals:partition_ranks"}
 
 
 def test_every_top_level_definition_is_used_or_exported():

@@ -436,9 +436,9 @@ def test_memos_hold_layouts_and_ideal_components_only():
     special_identities(entry.morphism, entry.source, 4, ctx)
     di_special_identities(entry.morphism, entry.source, 4, ctx)
     verify_bso_theorem(entry.morphism, entry.source, 4, ctx)
-    # verify-bso counts its doubled ideals by partition: ranks and the
+    # verify-bso counts its doubled ideals by partition: modules and the
     # representation tables they are read through
-    assert {key[0] for key in ctx._memo} == {"layout", "ideal", "ranks", "young"}
+    assert {key[0] for key in ctx._memo} == {"layout", "ideal", "module", "young"}
 
 
 def _special_via_full_kernel(mor, source, d, ctx):
