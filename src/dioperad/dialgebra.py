@@ -23,6 +23,7 @@ from .terms import (
     Monomial,
     Polynomial,
     Signature,
+    _scan,
     basis_layout,
     double_signature,
     doubled_name,
@@ -52,14 +53,6 @@ def _collapse_node(node):
     return _strip(top), node
 
 
-def _leaf_set(node, out):
-    if isinstance(node, int):
-        out.add(node)
-    else:
-        for c in node[1:]:
-            _leaf_set(c, out)
-
-
 def _lift_node(node, k):
     """The raw doubled tree of a raw plain tree node: on the path to leaf k
     each superscript points toward it, off the path every superscript is
@@ -69,8 +62,8 @@ def _lift_node(node, k):
     sup = 1
     kids = []
     for i, c in enumerate(node[1:], 1):
-        leaves: set = set()
-        _leaf_set(c, leaves)
+        leaves: list = []
+        _scan(c, leaves)
         if k in leaves:
             sup = i
         kids.append(_lift_node(c, k))

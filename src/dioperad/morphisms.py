@@ -43,12 +43,11 @@ from .linalg import _Reducer, row_reduce
 from .terms import (
     Monomial,
     Polynomial,
-    apply_permutation,
     basis_layout,
-    compose,
     double_signature,
     doubled_name,
     format_polynomial,
+    graft,
 )
 from .young import ModuleRanks, dimensions
 
@@ -95,7 +94,9 @@ class OperadMorphism:
 
 
 def evaluate_morphism(mor: OperadMorphism, p, field=None):
-    """Image of a multilinear monomial or polynomial in the free target."""
+    """Image of a multilinear monomial or polynomial in the free target:
+    each operation's image grafted with the images of its arguments, the
+    leaves keeping their labels."""
     if isinstance(p, Monomial):
         p = Polynomial.monomial(p, QQ if field is None else field)
     if field is None:
@@ -105,15 +106,18 @@ def evaluate_morphism(mor: OperadMorphism, p, field=None):
 
     def eval_node(node):
         if isinstance(node, int):
-            return Polynomial.monomial(Monomial(1), field)
+            return Polynomial.monomial(Monomial(node), field)
         img = images.get(node[0])
         if img is None:
             raise ValueError(f"operation {node[0]!r} has no image")
-        return compose(img, [eval_node(c) for c in node[1:]])
+        return graft(img, [eval_node(c) for c in node[1:]])
 
     out = Polynomial(field, {}, degree=p.degree)
     for m, c in p.terms.items():
-        out = out + apply_permutation(m.leaf_word, eval_node(m.node)).scale(c)
+        image = eval_node(m.node)
+        if not m.is_multilinear():
+            raise ValueError(f"{m.leaf_word} is not a permutation of 1..{m.degree}")
+        out = out + image.scale(c)
     return out
 
 

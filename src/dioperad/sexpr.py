@@ -14,9 +14,11 @@ Grammar, after tokenizing parentheses, atoms, and ";" comments::
                  | (* COEFF expr)
 
 Leaves are positive integers naming variables; COEFF is an integer or a
-fraction like ``-3/2``.  A document of bare signature/identity forms is an
-anonymous presentation.  Over a doubled signature whose base has a single
-binary operation, ``dashv`` and ``vdash`` name the two emphasized products.
+fraction like ``-3/2``.  A morphism gives its source, its target and the
+image of each operation once.  A document of bare signature/identity
+forms is an anonymous presentation.  Over a doubled signature whose base
+has a single binary operation, ``dashv`` and ``vdash`` name the two
+emphasized products.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fields import QQ
 from .ideals import VarietyPresentation
 from .morphisms import OperadMorphism
 from .terms import (
@@ -34,6 +35,7 @@ from .terms import (
     Signature,
     doubled_name,
     format_polynomial,
+    graft,
     linearize,
 )
 
@@ -201,24 +203,8 @@ def parse_expression(node, sig: Signature) -> Polynomial:
                 nd.line,
                 nd.col,
             )
-        parts = [walk(a) for a in args]
-        out: dict = {}
-        for combo in _combinations(parts):
-            coeff = QQ.one
-            children = []
-            for m, c in combo:
-                coeff = coeff * c
-                children.append(m.node)
-            mono = Monomial((op,) + tuple(children))
-            acc = out.get(mono, QQ.zero) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        try:
-            return Polynomial(QQ, out, degree=sum(p.degree for p in parts))
-        except ValueError as exc:
-            raise ParseError(str(exc), nd.line, nd.col) from None
+        corolla = Monomial((op,) + tuple(range(1, arity + 1)))
+        return graft(Polynomial.monomial(corolla), [walk(a) for a in args])
 
     return walk(node)
 
@@ -231,15 +217,6 @@ def _combine(a, b, sign, nd):
             nd.col,
         )
     return a + b if sign > 0 else a - b
-
-
-def _combinations(parts):
-    if not parts:
-        yield ()
-        return
-    for m, c in parts[0].terms.items():
-        for rest in _combinations(parts[1:]):
-            yield ((m, c),) + rest
 
 
 def parse_identity_body(node, sig: Signature, ctx=None) -> Polynomial:
@@ -393,25 +370,35 @@ def parse_document(text, resolver=None, ctx=None) -> Document:
         name = _expect_atom(form.items[1], "a morphism name")
         source = target = None
         images = {}
+        clauses = set()
         for item in form.items[2:]:
             head = _head(item)
-            if head == "source" and len(item.items) == 2:
-                source = lookup(item.items[1])
-            elif head == "target" and len(item.items) == 2:
-                target = lookup(item.items[1])
+            if head in ("source", "target") and len(item.items) == 2:
+                clause = head
             elif head == "image" and len(item.items) == 3:
                 op = _expect_atom(item.items[1], "an operation name")
-                if target is None:
-                    raise ParseError(
-                        "target must come before images", item.line, item.col
-                    )
-                images[op] = parse_expression(item.items[2], target.signature)
+                clause = f"image {op}"
             else:
                 raise ParseError(
                     f"unknown morphism clause {head!r}",
                     getattr(item, "line", form.line),
                     getattr(item, "col", form.col),
                 )
+            if clause in clauses:
+                raise ParseError(
+                    f"repeated morphism clause ({clause} ...)", item.line, item.col
+                )
+            clauses.add(clause)
+            if head == "source":
+                source = lookup(item.items[1])
+            elif head == "target":
+                target = lookup(item.items[1])
+            elif target is None:
+                raise ParseError(
+                    "target must come before images", item.line, item.col
+                )
+            else:
+                images[op] = parse_expression(item.items[2], target.signature)
         if source is None or target is None:
             raise ParseError(
                 "a morphism needs a source and a target", form.line, form.col

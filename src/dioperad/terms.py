@@ -6,6 +6,11 @@ leaves carry positive integer variable labels.  The multilinear component of
 degree n is spanned by the trees whose leaves are labelled by 1..n, each
 exactly once.  Trees are stored as nested tuples ``(name, child, child, ...)``
 with bare ints for leaves.
+
+``graft`` is the one substitution routine on polynomials: composition,
+partial composition, relabelling, and elsewhere the parsing of an
+operation's arguments and the images of a morphism, all graft trees into
+the leaves of a multilinear polynomial.
 """
 
 from __future__ import annotations
@@ -141,10 +146,6 @@ class Monomial:
     def is_multilinear(self) -> bool:
         return sorted(self.leaf_word) == list(range(1, self.degree + 1))
 
-    def relabel(self, mapping) -> "Monomial":
-        """Replace each leaf label v by mapping[v]."""
-        return Monomial(relabel_node(self.node, mapping))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.node == other.node
 
@@ -156,13 +157,6 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({format_node(self.node)})"
-
-
-def relabel_node(node, mapping):
-    """Replace each leaf label v of a raw tree node by mapping[v]."""
-    if isinstance(node, int):
-        return mapping[node]
-    return (node[0],) + tuple(relabel_node(c, mapping) for c in node[1:])
 
 
 def check_in_signature(m: Monomial, sig: Signature) -> None:
@@ -266,11 +260,7 @@ class Polynomial:
         out = dict(self.terms)
         f = self.field
         for m, c in other.terms.items():
-            nv = f.add(out.get(m, f.zero), c if sign > 0 else f.neg(c))
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+            out[m] = f.add(out.get(m, f.zero), c if sign > 0 else f.neg(c))
         return Polynomial(self.field, out, degree=self.degree)
 
     def __add__(self, other):
@@ -650,11 +640,8 @@ def apply_permutation(perm, p):
         raise ValueError(f"{perm} is not a permutation of 1..{n}")
     if not poly.is_multilinear():
         raise ValueError("can only permute the variables of multilinear terms")
-    mapping = {i + 1: v for i, v in enumerate(perm)}
-    out = {m.relabel(mapping): c for m, c in poly.terms.items()}
-    if single:
-        return next(iter(out))
-    return Polynomial(poly.field, out, degree=n)
+    out = graft(poly, [Polynomial.monomial(Monomial(v), poly.field) for v in perm])
+    return next(iter(out.terms)) if single else out
 
 
 def _graft(node, replacements):
@@ -664,10 +651,22 @@ def _graft(node, replacements):
     return (node[0],) + tuple(_graft(c, replacements) for c in node[1:])
 
 
-def _shift(node, offset):
-    if isinstance(node, int):
-        return node + offset
-    return (node[0],) + tuple(_shift(c, offset) for c in node[1:])
+def graft(f: Polynomial, children) -> Polynomial:
+    """Replace the leaf v of each term of the multilinear f by each term of
+    the polynomial children[v-1], multiplying coefficients and adding like
+    terms.  The children keep their own leaf labels, so the result's degree
+    is the sum of theirs."""
+    fld = f.field
+    out: dict[Monomial, object] = {}
+    for mf, cf in f.terms.items():
+        for combo in itertools.product(*(g.terms.items() for g in children)):
+            coeff = cf
+            for _, c in combo:
+                coeff = fld.mul(coeff, c)
+            repl = {v: t.node for v, (t, _) in enumerate(combo, 1)}
+            m = Monomial(_graft(mf.node, repl))
+            out[m] = fld.add(out.get(m, fld.zero), coeff)
+    return Polynomial(fld, out, degree=sum(g.degree for g in children))
 
 
 def compose(f, gs):
@@ -688,27 +687,14 @@ def compose(f, gs):
     for g in gs:
         if g.field != f.field:
             raise ValueError("mixed fields in composition")
-    offsets = [0]
+    shifted, offset = [], 0
     for g in gs:
-        offsets.append(offsets[-1] + g.degree)
-    fld = f.field
-    out: dict[Monomial, object] = {}
-    for mf, cf in f.terms.items():
-        for combo in itertools.product(*(g.terms.items() for g in gs)):
-            coeff = cf
-            for _, c in combo:
-                coeff = fld.mul(coeff, c)
-            repl = {
-                i + 1: _shift(combo[i][0].node, offsets[i])
-                for i in range(len(gs))
-            }
-            m = Monomial(_graft(mf.node, repl))
-            nv = fld.add(out.get(m, fld.zero), coeff)
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
-    return Polynomial(fld, out, degree=offsets[-1])
+        shifted.append(Polynomial(f.field, {
+            Monomial(_graft(m.node, {v: v + offset for v in m.leaf_word})): c
+            for m, c in g.terms.items()
+        }, degree=g.degree))
+        offset += g.degree
+    return graft(f, shifted)
 
 
 def substitute_at(w, i, u):
@@ -721,24 +707,8 @@ def substitute_at(w, i, u):
         raise ValueError(f"slot {i} out of range for degree {w.degree}")
     if not w.is_multilinear():
         raise ValueError("the outer factor must be multilinear")
-    m = u.degree
-    mapping = {
-        j: (j if j < i else j + m - 1) for j in range(1, w.degree + 1) if j != i
-    }
-    fld = w.field
-    out: dict[Monomial, object] = {}
-    for mw, cw in w.terms.items():
-        for mu, cu in u.terms.items():
-            repl = dict(mapping)
-            repl[i] = _shift(mu.node, i - 1)
-            mono = Monomial(_graft(mw.node, repl))
-            coeff = fld.mul(cw, cu)
-            nv = fld.add(out.get(mono, fld.zero), coeff)
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
-    return Polynomial(fld, out, degree=w.degree + m - 1)
+    one = Polynomial.monomial(Monomial(1), w.field)
+    return compose(w, [one] * (i - 1) + [u] + [one] * (w.degree - i))
 
 
 def linearize(f: Polynomial) -> Polynomial:
@@ -780,9 +750,5 @@ def linearize(f: Polynomial) -> Polynomial:
                 return (node[0],) + tuple(rebuild(ch) for ch in node[1:])
 
             mono = Monomial(rebuild(m.node))
-            nv = fld.add(out.get(mono, fld.zero), c)
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
+            out[mono] = fld.add(out.get(mono, fld.zero), c)
     return Polynomial(fld, out, degree=n)

@@ -36,15 +36,18 @@ from dioperad.morphisms import (
     OperadMorphism,
     evaluate_morphism,
 )
+from dioperad.fields import QQ
 from dioperad.terms import (
     DoubledSignature,
     Monomial,
     Polynomial,
     Signature,
+    _graft,
+    apply_permutation,
     basis_layout,
+    compose,
     double_signature,
     enumerate_monomials,
-    relabel_node,
     substitute_at,
 )
 
@@ -259,7 +262,7 @@ def tree_candidates(sig: Signature, generators, n: int, field, lower):
 def tree_ideal_component(sig: Signature, generators, n: int, field):
     """The degree-n ideal component built on trees: the ``tree_candidates``
     of every lower row, closed under a transposition and an n-cycle with
-    ``relabel_node``."""
+    ``_graft``."""
     basis = enumerate_monomials(sig, n)
     index = monomial_index(sig, n)
     reducer = _Reducer(field)
@@ -278,7 +281,7 @@ def tree_ideal_component(sig: Signature, generators, n: int, field):
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
     colmaps = [
-        [index[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
+        [index[_graft(m.node, dict(enumerate(perm, 1)))] for m in basis]
         for perm in perms
     ]
     while queue:
@@ -376,6 +379,32 @@ def stacked_di_special_identities(mor: OperadMorphism, source, d: int, ctx=None)
         matches_lifted=extend(ideal, stacked(special.rows)).dim
         == extend(ideal, block_kernel.rows).dim,
     )
+
+
+def tree_evaluate_morphism(mor: OperadMorphism, p, field=None):
+    """``morphisms.evaluate_morphism`` by composition: each operation's
+    image composed with the images of its arguments, every leaf read as 1
+    and the variables shifted into blocks, then each term relabelled by its
+    leaf word."""
+    if isinstance(p, Monomial):
+        p = Polynomial.monomial(p, QQ if field is None else field)
+    if field is None:
+        field = p.field
+    p = p.convert(field)
+    images = {op: img.convert(field) for op, img in mor.images.items()}
+
+    def eval_node(node):
+        if isinstance(node, int):
+            return Polynomial.monomial(Monomial(1), field)
+        img = images.get(node[0])
+        if img is None:
+            raise ValueError(f"operation {node[0]!r} has no image")
+        return compose(img, [eval_node(c) for c in node[1:]])
+
+    out = Polynomial(field, {}, degree=p.degree)
+    for m, c in p.terms.items():
+        out = out + apply_permutation(m.leaf_word, eval_node(m.node)).scale(c)
+    return out
 
 
 def morphism_kernel_at_degree(

@@ -835,6 +835,22 @@ def test_file_spec_errors_exit_2(capsys, tmp_path):
         assert captured.err == f"error: {message}\n"
 
 
+def test_repeated_morphism_image_exits_2(capsys, tmp_path):
+    source = tmp_path / "twice.sexp"
+    source.write_text(
+        "(morphism m (source free-binary) (target com-assoc)\n"
+        "  (image mul (mul 1 2))\n"
+        "  (image mul (mul 2 1)))\n",
+        encoding="utf-8",
+    )
+    assert main(["special", "--morphism", str(source), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 3, column 3: repeated morphism clause (image mul ...)\n"
+    )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dioperad", "catalog"],

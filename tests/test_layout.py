@@ -30,10 +30,10 @@ from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
+    _graft,
     basis_layout,
     double_signature,
     enumerate_monomials,
-    relabel_node,
     substitute_at,
     substitution_column_maps,
 )
@@ -94,7 +94,7 @@ def test_relabel_maps_match_relabel_node(sig, n):
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
     assert maps == [
-        [layout[relabel_node(m.node, dict(enumerate(perm, 1)))] for m in basis]
+        [layout[_graft(m.node, dict(enumerate(perm, 1)))] for m in basis]
         for perm in perms
     ]
 
@@ -212,6 +212,32 @@ def test_only_partition_ranks_touches_the_disk_cache():
                         name = getattr(defn, "name", "<module>")
                         callers.add(f"{path.stem}:{name}")
     assert callers == {"ideals:partition_ranks"}
+
+
+def test_only_graft_and_linearize_take_products_of_terms():
+    """Tree substitution has one owner: the only package functions that
+    call ``itertools.product`` (or a bare ``product``) are ``terms.graft``
+    and ``terms.linearize``, which relabels each occurrence of a variable
+    on its own.  A call in a nested function counts for the function or
+    method around it."""
+    package = pathlib.Path(dioperad.__file__).parent
+
+    def is_product(func):
+        return (isinstance(func, ast.Name) and func.id == "product"
+                or isinstance(func, ast.Attribute) and func.attr == "product"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "itertools")
+
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for defn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                for sub in ast.walk(defn):
+                    if isinstance(sub, ast.Call) and is_product(sub.func):
+                        name = getattr(defn, "name", "<module>")
+                        callers.add(f"{path.stem}:{name}")
+    assert callers == {"terms:graft", "terms:linearize"}
 
 
 def test_every_top_level_definition_is_used_or_exported():

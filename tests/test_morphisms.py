@@ -43,6 +43,7 @@ from oracles import (
     row_bso_theorem,
     same_subspace,
     stacked_di_special_identities,
+    tree_evaluate_morphism,
     unsuperscript,
 )
 
@@ -179,6 +180,35 @@ def test_evaluation_respects_substitution():
                     evaluate_morphism(LIE_TO_ASSOC, u),
                 )
                 assert lhs == rhs
+
+
+def _oracle_cases():
+    cases = [
+        pytest.param(name, d, field, id=f"{name}-d{d}-{field!r}")
+        for name in catalog.morphism_names()
+        for d in (2, 3, 4)
+        for field in (QQ, PrimeField(1000003))
+    ]
+    cases.append(pytest.param("lie-to-assoc", 5, PrimeField(1000003),
+                              id="lie-to-assoc-d5-p"))
+    return cases
+
+
+@pytest.mark.parametrize("name, d, field", _oracle_cases())
+def test_evaluation_matches_the_composition_oracle(name, d, field):
+    mor = catalog.morphism(name).morphism
+    for m in enumerate_monomials(mor.source_signature, d):
+        assert evaluate_morphism(mor, m, field) == tree_evaluate_morphism(
+            mor, m, field
+        )
+
+
+def test_evaluation_refuses_a_non_multilinear_monomial():
+    for m in (Monomial(("b", 1, 1)), Monomial(("b", 1, 3))):
+        with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+            evaluate_morphism(LIE_TO_ASSOC, m)
+        with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+            tree_evaluate_morphism(LIE_TO_ASSOC, m)
 
 
 def test_lie_to_assoc_kernel_dimensions():

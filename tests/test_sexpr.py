@@ -160,6 +160,25 @@ def test_document_errors():
         parse_document("(frobnicate 1)")
 
 
+@pytest.mark.parametrize("clause, again", [
+    ("source", "(source free-binary)"),
+    ("target", "(target assoc)"),
+    ("image mul", "(image mul (mul 2 1))"),
+])
+def test_repeated_morphism_clause_is_refused(clause, again):
+    text = (
+        "(morphism m (source free-binary) (target com-assoc)\n"
+        "  (image mul (mul 1 2))\n"
+        f"  {again})"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_document(text, resolver=catalog.presentation)
+    assert (info.value.line, info.value.col) == (3, 3)
+    assert str(info.value) == (
+        f"line 3, column 3: repeated morphism clause ({clause} ...)"
+    )
+
+
 def test_dashv_vdash_aliases_on_doubled_signature():
     dsig = double_signature(BIN)
     p = expr("(- (vdash 1 (vdash 2 3)) (vdash (vdash 1 2) 3))", dsig)

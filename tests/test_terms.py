@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from dioperad.terms import (
     double_signature,
     enumerate_monomials,
     format_polynomial,
+    graft,
     linearize,
     substitute_at,
 )
@@ -185,6 +187,56 @@ def test_substitute_at_shifts_other_labels():
     assert out == Polynomial.monomial(
         mono(("mul", ("mul", 1, 2), ("mul", 3, 4)))
     )
+
+
+def test_compose_keeps_inner_labels_beyond_the_inner_degree():
+    # the inner factor (mul 1 3) has degree 2; each label moves by the
+    # block offset, so the second leaf's block lands on 3 as well
+    out = compose(mono(("mul", 1, 2)), [mono(("mul", 1, 3)), mono(1)])
+    assert out == Polynomial.monomial(mono(("mul", ("mul", 1, 3), 3)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_zero_factors_compose_to_zero_of_the_total_degree(field):
+    f = poly({("mul", 1, 2): 1, ("mul", 2, 1): -1}, field)
+    g = poly({("mul", 1, 2): 1}, field)
+    x = Polynomial.monomial(mono(1), field)
+    zero_outer = Polynomial(field, {}, degree=2)
+    zero_inner = Polynomial(field, {}, degree=2)
+    assert compose(zero_outer, [g, x]) == Polynomial(field, {}, degree=3)
+    assert compose(f, [zero_inner, x]) == Polynomial(field, {}, degree=3)
+    assert compose(f, [x, zero_inner]) == Polynomial(field, {}, degree=3)
+    assert substitute_at(f, 2, zero_inner) == Polynomial(field, {}, degree=3)
+
+
+def test_graft_keeps_the_children_labels_and_drops_cancelled_terms():
+    f = poly({("mul", 1, 2): 1, ("mul", 2, 1): -1})
+    x = Polynomial.monomial(mono(1))
+    assert graft(f, [x, x]) == Polynomial(QQ, {}, degree=2)
+    y = Polynomial.monomial(mono(5))
+    assert graft(f, [y, x]) == poly({("mul", 5, 1): 1, ("mul", 1, 5): -1})
+
+
+def test_substitute_at_refuses_a_non_multilinear_outer_factor():
+    with pytest.raises(ValueError, match="^the outer factor must be multilinear$"):
+        substitute_at(mono(("mul", 1, 1)), 1, mono(("mul", 1, 2)))
+
+
+def test_substitute_at_refuses_mixed_fields():
+    w = poly({("mul", 1, 2): Fraction(1, 2)})
+    u = poly({("mul", 1, 2): 3}, PrimeField(7))
+    with pytest.raises(ValueError, match="^mixed fields in composition$"):
+        substitute_at(w, 1, u)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_apply_permutation_keeps_the_input_kind(field):
+    m = mono(("mul", ("mul", 1, 2), 3))
+    moved = apply_permutation((3, 1, 2), m)
+    assert type(moved) is Monomial
+    assert moved == mono(("mul", ("mul", 3, 1), 2))
+    zero = Polynomial(field, {}, degree=3)
+    assert apply_permutation((3, 1, 2), zero) == zero
 
 
 def test_linearize_square_gives_two_terms():
