@@ -9,10 +9,11 @@ any unreadable or mismatched file counts as a miss.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
+
+from .context import sha256
 
 
 class DiskCache:
@@ -24,7 +25,7 @@ class DiskCache:
         self.root = str(root)
 
     def _path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode()).hexdigest()
+        digest = sha256(key.encode()).hexdigest()
         return os.path.join(self.root, digest[:2], digest + ".json")
 
     def get(self, key: str):

@@ -15,12 +15,15 @@ under --timings.
 
 Exit codes: 0 success, 1 false verdict, 2 usage or input errors, 3 degree
 cap exceeded.
+
+Each command imports the engine it runs inside its handler (``ideals``,
+``dialgebra`` or ``morphisms``), so a run loads only the modules its
+command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -29,14 +32,7 @@ import time
 from . import catalog
 from .cache import DiskCache, default_cache_dir
 from .context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
-from .dialgebra import bso_presentation, verify_dialgebra_equivalence
 from .fields import DEFAULT_PRIME, parse_field
-from .ideals import degree_component, ideal_dimensions
-from .morphisms import (
-    di_special_identities,
-    special_identities,
-    verify_bso_theorem,
-)
 from .sexpr import (
     MorphismEntry,
     ParseError,
@@ -92,6 +88,8 @@ def _resolve(spec: str, kind: str, builtin, unresolved: str, ctx):
 
 def resolve_variety(spec: str, ctx=None):
     if spec.startswith("di:"):
+        from .dialgebra import bso_presentation
+
         return bso_presentation(resolve_variety(spec[3:], ctx))
     usage = "(use builtin:NAME, PATH, PATH:NAME, or di:SPEC)"
     return _resolve(spec, "presentation", catalog.presentation,
@@ -188,6 +186,8 @@ def _cmd_basis(args, ctx):
 
 
 def _cmd_dim(args, ctx):
+    from .ideals import ideal_dimensions
+
     variety = resolve_variety(args.variety, ctx)
     ambient, ideal = ideal_dimensions(variety, args.degree, ctx)
     return _report(args, ctx, {"variety": variety.name}, variety.digest,
@@ -195,6 +195,8 @@ def _cmd_dim(args, ctx):
 
 
 def _cmd_implies(args, ctx):
+    from .ideals import degree_component
+
     variety = resolve_variety(args.variety, ctx)
     p = _parse_identity_text(args.identity, variety.signature, ctx)
     comp = degree_component(variety, p.degree, ctx)
@@ -206,6 +208,8 @@ def _cmd_implies(args, ctx):
 
 def _di_equivalence(variety, degree, ctx):
     """The degree, dims, checks and verdict of a verify-di report."""
+    from .dialgebra import verify_dialgebra_equivalence
+
     rep = verify_dialgebra_equivalence(variety, degree, ctx)
     return {
         "degree": degree,
@@ -216,6 +220,8 @@ def _di_equivalence(variety, degree, ctx):
 
 
 def _cmd_dialgebrize(args, ctx):
+    from .dialgebra import bso_presentation
+
     variety = resolve_variety(args.variety, ctx)
     divar = bso_presentation(variety)
     checked = {"checks": {"expected_quotient": None}}
@@ -232,7 +238,7 @@ def _cmd_verify_di(args, ctx):
                    **_di_equivalence(variety, args.degree, ctx))
 
 
-def _cmd_special(identities, format_basis, args, ctx):
+def _special(identities, format_basis, args, ctx):
     """special and special-di, which differ in the library call, the basis
     formatter, and the lift-match verdict that only special-di has."""
     entry = resolve_morphism(args.morphism, ctx)
@@ -252,7 +258,21 @@ def _cmd_special(identities, format_basis, args, ctx):
     )
 
 
+def _cmd_special(args, ctx):
+    from .morphisms import special_identities
+
+    return _special(special_identities, format_polynomial, args, ctx)
+
+
+def _cmd_special_di(args, ctx):
+    from .morphisms import di_special_identities
+
+    return _special(di_special_identities, _format_dipolynomial, args, ctx)
+
+
 def _cmd_verify_bso(args, ctx):
+    from .morphisms import verify_bso_theorem
+
     entry = resolve_morphism(args.morphism, ctx)
     rep = verify_bso_theorem(entry.morphism, entry.source, args.degree, ctx)
     last = rep.comparisons[-1]
@@ -354,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         "are the collapse preimage of N copies of the plain ideal",
         "variety", degree=True)
 
-    for name, identities, format_basis, help_text in (
-        ("special", special_identities, format_polynomial,
+    for name, func, help_text in (
+        ("special", _cmd_special,
          "identities of the morphism image beyond the source presentation"),
-        ("special-di", di_special_identities, _format_dipolynomial,
+        ("special-di", _cmd_special_di,
          "emphasized special identities and the lift-match flag"),
     ):
-        func = functools.partial(_cmd_special, identities, format_basis)
         p = add(name, func, help_text, "morphism", degree=True)
         p.add_argument("--basis", action="store_true", help="list the basis")
 

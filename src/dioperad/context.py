@@ -5,9 +5,22 @@ ideal components, representation tables and S_n-modules.
 Every computation that enumerates a degree takes a context.  A context
 holds one field, so its memo keys carry no field name, and nothing is
 shared between contexts: a run builds its own and drops its memos with it.
+
+The module also holds the one SHA-256 constructor of the package, used for
+cache keys and presentation and morphism digests.
 """
 
 from __future__ import annotations
+
+# The interpreter's built-in SHA-256 gives the same digests as hashlib's,
+# without mapping OpenSSL's libcrypto into every process.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .fields import QQ
 

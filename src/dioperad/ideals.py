@@ -17,13 +17,15 @@ generators' span under S_n.  Only
 semisimple degree, and only the degree it is asked for.  The disk cache
 holds what ``dim`` prints: ``partition_ranks`` alone reads and writes it,
 one entry of ranks by partition for the degree it is asked for.
+
+The parser's two data types live here, ``VarietyPresentation`` and
+``OperadMorphism``, so that reading a document loads neither the morphism
+nor the dialgebra engine.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-from .context import as_context
+from .context import as_context, sha256
 from .fields import QQ
 from .linalg import Subspace, _Reducer, row_reduce
 from .terms import (
@@ -72,7 +74,7 @@ class VarietyPresentation:
         self.signature = signature
         self.generators = generators
         self.generator_names = generator_names
-        h = hashlib.sha256()
+        h = sha256()
         h.update(repr(signature.operations).encode())
         for gname, g in zip(generator_names, generators):
             h.update(b"\x00" + gname.encode())
@@ -93,6 +95,43 @@ class VarietyPresentation:
             f"VarietyPresentation({self.name!r}, "
             f"{len(self.generators)} identities)"
         )
+
+
+class OperadMorphism:
+    """Images for each source operation inside a target variety."""
+
+    __slots__ = ("name", "source_signature", "target", "images", "digest")
+
+    def __init__(self, name, source_signature, target, images):
+        images = dict(images)
+        for op, arity in source_signature.operations:
+            img = images.get(op)
+            if img is None:
+                raise ValueError(f"no image for operation {op!r}")
+            if not isinstance(img, Polynomial) or img.field != QQ:
+                raise ValueError(
+                    f"image of {op!r} must have rational coefficients"
+                )
+            if img.degree != arity or not img.is_multilinear():
+                raise ValueError(
+                    f"image of {op!r} must be multilinear of degree {arity}"
+                )
+        if set(images) != set(source_signature.names):
+            raise ValueError("images given for operations outside the signature")
+        self.name = str(name)
+        self.source_signature = source_signature
+        self.target = target
+        self.images = images
+        h = sha256()
+        h.update(repr(source_signature.operations).encode())
+        h.update(target.digest.encode())
+        for op in source_signature.names:
+            h.update(b"\x00" + op.encode())
+            h.update(b"\x00" + format_polynomial(images[op]).encode())
+        self.digest = h.hexdigest()
+
+    def __repr__(self):
+        return f"OperadMorphism({self.name!r})"
 
 
 def poly_to_vector(p: Polynomial, layout) -> dict:

@@ -9,12 +9,12 @@ the identities satisfied by the image algebras.  Identities in the kernel
 but outside the ideal of the source presentation are the special ones.
 When k[S_n] is semisimple the kernel is a module counted by partition
 from the images of the source's association types alone
-(``_kernel_dimension``).
+(``_kernel_dimension``).  The morphism type, ``OperadMorphism``, is
+defined in ``ideals`` beside the presentations it maps between.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple
 
 from .dialgebra import (
@@ -29,6 +29,7 @@ from .dialgebra import (
 from .context import as_context
 from .fields import QQ
 from .ideals import (
+    OperadMorphism,
     VarietyPresentation,
     _module_step,
     _seeds,
@@ -46,7 +47,6 @@ from .terms import (
     basis_layout,
     double_signature,
     doubled_name,
-    format_polynomial,
     graft,
 )
 from .young import ModuleRanks, dimensions
@@ -54,43 +54,6 @@ from .young import ModuleRanks, dimensions
 
 class CharacteristicGuardError(ValueError):
     """The field characteristic is too small for the requested degree."""
-
-
-class OperadMorphism:
-    """Images for each source operation inside a target variety."""
-
-    __slots__ = ("name", "source_signature", "target", "images", "digest")
-
-    def __init__(self, name, source_signature, target, images):
-        images = dict(images)
-        for op, arity in source_signature.operations:
-            img = images.get(op)
-            if img is None:
-                raise ValueError(f"no image for operation {op!r}")
-            if not isinstance(img, Polynomial) or img.field != QQ:
-                raise ValueError(
-                    f"image of {op!r} must have rational coefficients"
-                )
-            if img.degree != arity or not img.is_multilinear():
-                raise ValueError(
-                    f"image of {op!r} must be multilinear of degree {arity}"
-                )
-        if set(images) != set(source_signature.names):
-            raise ValueError("images given for operations outside the signature")
-        self.name = str(name)
-        self.source_signature = source_signature
-        self.target = target
-        self.images = images
-        h = hashlib.sha256()
-        h.update(repr(source_signature.operations).encode())
-        h.update(target.digest.encode())
-        for op in source_signature.names:
-            h.update(b"\x00" + op.encode())
-            h.update(b"\x00" + format_polynomial(images[op]).encode())
-        self.digest = h.hexdigest()
-
-    def __repr__(self):
-        return f"OperadMorphism({self.name!r})"
 
 
 def evaluate_morphism(mor: OperadMorphism, p, field=None):

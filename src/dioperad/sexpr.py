@@ -15,10 +15,10 @@ Grammar, after tokenizing parentheses, atoms, and ";" comments::
 
 Leaves are positive integers naming variables; COEFF is an integer or a
 fraction like ``-3/2``.  A morphism gives its source, its target and the
-image of each operation once.  A document of bare signature/identity
-forms is an anonymous presentation.  Over a doubled signature whose base
-has a single binary operation, ``dashv`` and ``vdash`` name the two
-emphasized products.
+image of each operation once, and a presentation names each identity
+once.  A document of bare signature/identity forms is an anonymous
+presentation.  Over a doubled signature whose base has a single binary
+operation, ``dashv`` and ``vdash`` name the two emphasized products.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ideals import VarietyPresentation
-from .morphisms import OperadMorphism
+from .ideals import OperadMorphism, VarietyPresentation
 from .terms import (
     DoubledSignature,
     Monomial,
@@ -277,6 +276,8 @@ def _parse_presentation_items(
                 getattr(form, "col", col),
             )
         iname = _expect_atom(form.items[1], "an identity name")
+        if iname in names:
+            raise ParseError(f"repeated identity {iname!r}", form.line, form.col)
         body = parse_identity_body(form.items[2], sig, ctx)
         names.append(iname)
         polys.append(body)

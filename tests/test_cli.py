@@ -851,6 +851,23 @@ def test_repeated_morphism_image_exits_2(capsys, tmp_path):
     )
 
 
+def test_repeated_identity_name_exits_2(capsys, tmp_path):
+    source = tmp_path / "twice.sexp"
+    source.write_text(
+        "(presentation a (signature (op m 2))\n"
+        "  (identity e (m 1 2))\n"
+        "  (identity e (m 2 1)))\n",
+        encoding="utf-8",
+    )
+    for command in ("dim", "verify-di"):
+        assert main([command, "--variety", str(source), "--degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 3, column 3: repeated identity 'e'\n"
+        )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dioperad", "catalog"],

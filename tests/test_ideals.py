@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
 from dioperad import Context, catalog, ideals
 from dioperad.cache import DiskCache
+from dioperad.context import sha256
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
@@ -262,6 +265,33 @@ def test_presentation_digest_distinguishes_content():
     assert a.digest != b.digest
     assert a == VarietyPresentation(
         "x", BIN, [poly({("mul", 1, 2): 1, ("mul", 2, 1): -1})]
+    )
+
+
+def test_sha256_is_hashlib_sha256():
+    """The package's SHA-256 constructor gives hashlib's digests, whole and
+    over incremental updates."""
+    for data in (b"", b"abc", bytes(i * 7 % 256 for i in range(1000))):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    ours, reference = sha256(), hashlib.sha256()
+    for chunk in (b"a", b"", b"bc" * 100, bytes(1000)):
+        ours.update(chunk)
+        reference.update(chunk)
+        assert ours.digest() == reference.digest()
+
+
+def test_cache_paths_and_digests_are_pinned():
+    """Cache entries, and the digests reports print, keep the values that
+    earlier versions wrote, so an existing cache still reads back."""
+    digest = "8254c329a92850f6d539dd376f4816ee2764517da5e0235514af433164480d7a"
+    assert DiskCache("root")._path("k") == os.path.join(
+        "root", digest[:2], digest + ".json"
+    )
+    assert catalog.presentation("assoc").digest == (
+        "496249b94fa5d983712ad130b169cf611134199dbe244e7c83421773b4bbdc57"
+    )
+    assert catalog.morphism("lie-to-assoc").morphism.digest == (
+        "1470af2fbbd319945b97a6cd042f9bc155e28ae6f0209f28cb5450fd7943346b"
     )
 
 

@@ -1,13 +1,18 @@
 """The skeleton-by-word basis layout against the tree constructions it
 replaced: enumeration order, relabelling, substitution, collapse, and the
 ideal components built on columns.  Also the layout of the package
-itself: every top-level definition is used by the package or exported."""
+itself: every top-level definition is used by the package or exported,
+exports load lazily, and each command imports only the modules it runs."""
 
 from __future__ import annotations
 
 import ast
 import collections
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -240,13 +245,18 @@ def test_only_graft_and_linearize_take_products_of_terms():
     assert callers == {"terms:graft", "terms:linearize"}
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_top_level_definition_is_used_or_exported():
     """A top-level function or class of ``src/dioperad`` that no other
     package code names (outside its own body) and that ``__all__`` does not
     export is a helper only tests use; it belongs in ``tests/``.  So is a
-    method or property of a package class, dunders aside, whose name no
-    package code mentions outside its own body, as a bare name or as an
-    attribute of anything."""
+    method or property of a package class whose name no package code
+    mentions outside its own body, as a bare name or as an attribute of
+    anything.  Dunders, which the interpreter calls (a module's
+    ``__getattr__``, a class's ``__init__``), are exempt at both levels."""
     package = pathlib.Path(dioperad.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -269,7 +279,7 @@ def test_every_top_level_definition_is_used_or_exported():
         for defn in tree.body:
             if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if defn.name in dioperad.__all__:
+            if defn.name in dioperad.__all__ or _is_dunder(defn.name):
                 continue
             used = any(
                 defn.name in names(node)
@@ -295,8 +305,75 @@ def test_every_top_level_definition_is_used_or_exported():
                 continue
             for defn in cls.body:
                 if (isinstance(defn, ast.FunctionDef)
-                        and not (defn.name.startswith("__")
-                                 and defn.name.endswith("__"))
+                        and not _is_dunder(defn.name)
                         and everywhere[defn.name] == mentions(defn)[defn.name]):
                     unused.append(f"{module}:{cls.name}.{defn.name}")
     assert unused == []
+
+
+def _python(*args):
+    """A fresh interpreter run on this package, which must exit 0 or 1;
+    returns the finished process."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(dioperad.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, check=False)
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc
+
+
+def test_lazy_exports_resolve():
+    """The export table covers ``__all__`` exactly, and each name resolves
+    to the object its module defines.  ``import dioperad`` loads no
+    submodule, and ``from dioperad import terms`` still imports one."""
+    assert sorted(dioperad._EXPORTS) == sorted(dioperad.__all__)
+    for name, module in dioperad._EXPORTS.items():
+        defined = getattr(importlib.import_module(f"dioperad.{module}"), name)
+        assert getattr(dioperad, name) is defined
+        assert defined.__module__ == f"dioperad.{module}"
+    with pytest.raises(AttributeError):
+        dioperad.no_such_export
+    proc = _python("-c", "import sys, dioperad\n"
+                   "print([m for m in sys.modules if m.startswith('dioperad.')])\n"
+                   "from dioperad import terms\n"
+                   "print(terms.__name__)")
+    assert proc.stdout == "[]\ndioperad.terms\n"
+
+
+DIALGEBRA, MORPHISMS = "dioperad.dialgebra", "dioperad.morphisms"
+# each command, the modules it must import and those it must not
+FOOTPRINTS = [
+    (["dim", "--variety", "builtin:lie", "--degree", "4"],
+     {"dioperad.ideals"}, {DIALGEBRA, MORPHISMS}),
+    (["basis", "--variety", "builtin:lie", "--degree", "3"],
+     set(), {DIALGEBRA, MORPHISMS}),
+    (["implies", "--variety", "builtin:lie", "--identity",
+      "(bracket (bracket 1 2) 3)"], set(), {DIALGEBRA, MORPHISMS}),
+    (["catalog"], set(), {DIALGEBRA, MORPHISMS}),
+    (["verify-di", "--variety", "builtin:lie", "--degree", "3"],
+     {DIALGEBRA}, {MORPHISMS}),
+    (["dim", "--variety", "di:builtin:lie", "--degree", "3"],
+     {DIALGEBRA}, {MORPHISMS}),
+    (["dialgebrize", "--variety", "builtin:lie"], {DIALGEBRA}, {MORPHISMS}),
+    (["special", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
+     {MORPHISMS}, set()),
+    (["special-di", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
+     {MORPHISMS}, set()),
+    (["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
+     {MORPHISMS}, set()),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    pytest.param(*case, id=" ".join(case[0][:3])) for case in FOOTPRINTS
+])
+def test_command_imports_only_its_engine(argv, loads, skips):
+    """Each command imports the engine it runs and no other, read from
+    ``-X importtime``; none maps OpenSSL through ``_hashlib``."""
+    proc = _python("-X", "importtime", "-m", "dioperad", *argv, "--no-cache")
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "dioperad.cli" in imported
+    assert loads <= imported
+    assert not (skips | {"_hashlib"}) & imported

@@ -179,6 +179,23 @@ def test_repeated_morphism_clause_is_refused(clause, again):
     )
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("(presentation a (signature (op m 2))\n"
+     "  (identity e (m 1 2))\n"
+     "  (identity e (m 2 1)))", 3, 3),
+    ("(signature (op m 2))\n"
+     "(identity e (m 1 2))\n"
+     "(identity e (m 2 1))", 3, 1),
+], ids=["named", "bare"])
+def test_repeated_identity_name_is_refused(text, line, col):
+    """Two identities of one presentation never share a name, so the
+    doubled presentation's names (``e.e1``) and its errors stay unique."""
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"line {line}, column {col}: repeated identity 'e'"
+
+
 def test_dashv_vdash_aliases_on_doubled_signature():
     dsig = double_signature(BIN)
     p = expr("(- (vdash 1 (vdash 2 3)) (vdash (vdash 1 2) 3))", dsig)
