@@ -49,7 +49,8 @@ def queries():
                                 "--degree", str(d), "--field", field, *extra])
     catalog_reports = [argv + ["--json", "--no-cache"] for argv in out]
     return (catalog_reports + surface_queries() + small_prime_queries()
-            + partition_queries() + special_di_queries())
+            + partition_queries() + special_di_queries()
+            + associative_queries())
 
 
 def surface_queries():
@@ -158,6 +159,26 @@ def special_di_queries():
     return [["special-di", "--morphism", f"builtin:{name}", "--degree", str(d),
              "--field", field, "--json", "--no-cache"]
             for name, field, d in reports]
+
+
+def associative_queries():
+    """``dim`` at degrees 5 and 6 for assoc and perm, and ``verify-di`` at
+    degree 5 for assoc, perm and com-assoc, over both fields: each has an
+    associative operation, which the modules count over its comb from
+    degree 4 on (``dim`` of com-assoc is pinned by ``partition_queries``).
+    Then ``dim`` of doubled assoc at degree 5, whose two operations are
+    each associative."""
+    reports = [["dim", f"builtin:{name}", d, field]
+               for name in ("assoc", "perm")
+               for field in FIELDS
+               for d in (5, 6)]
+    reports += [["verify-di", f"builtin:{name}", 5, field]
+                for name in ("assoc", "perm", "com-assoc")
+                for field in FIELDS]
+    reports += [["dim", "di:builtin:assoc", 5, field] for field in FIELDS]
+    return [[cmd, "--variety", variety, "--degree", str(d), "--field", field,
+             "--json", "--no-cache"]
+            for cmd, variety, d, field in reports]
 
 
 def run_query(argv):
