@@ -9,7 +9,9 @@ one-step substitutions of a single operation into (or around) the module
 generators of each lower degree.  ``_module_step`` builds it degree by
 degree in the run context's memo, over the association types of the
 binary operations that the degree-2 identities make commutative or
-anticommutative (``_symmetries``, ``terms.AssociationFold``): where
+anticommutative (``_symmetries``) and, from degree 4 on, that the
+degree-3 identities make associative (``_associative``;
+``terms.AssociationFold``): where
 k[S_n] is semisimple it counts the module by partition (a
 ``young.ModuleRanks``), never expanded, and elsewhere it closes the
 generators' span under S_n.  Only
@@ -273,8 +275,8 @@ def _close(field, layout, candidates):
 
 
 def _expand(fold, candidates):
-    """The span of the candidates and of the fold's symmetric ideal closed
-    under S_n, as a ``Subspace`` on the skeleton columns, and the
+    """The span of the candidates and of the ideal the fold stands for
+    closed under S_n, as a ``Subspace`` on the skeleton columns, and the
     candidates, folded and read back on the types' own skeletons, that
     raised its rank.  The candidates are folded and closed with the fold's
     relations on the type columns (``_close``); the closure is then lifted
@@ -348,14 +350,41 @@ def _symmetries(signature, seeds, ctx) -> dict:
     return found
 
 
+def _associative(signature, seeds, digest, symmetric, ctx) -> frozenset:
+    """The binary operations, none of them anticommutative, that the
+    degree-3 ideal makes associative: o(o(1, 2), 3) − o(1, o(2, 3)) lies in
+    the degree-3 module of ``_module_step``, which folds by ``symmetric``
+    alone.  Like ``_symmetries`` the test is one of membership, so it sees
+    through relabelled and scaled identities, and through associativity
+    that only follows from other identities."""
+    module = _module_step(signature, seeds, digest, 3, ctx)[0]
+    layout = basis_layout(signature, 3, ctx)
+    one, minus = ctx.field.one, ctx.field.coerce(-1)
+    return frozenset(
+        op for op, arity in signature.operations
+        if arity == 2 and symmetric.get(op) != -1 and module.contains({
+            layout[(op, (op, 1, 2), 3)]: one, layout[(op, 1, (op, 2, 3))]: minus
+        })
+    )
+
+
 def _folded_candidates(signature, seeds, digest, n, ctx):
     """The fold of the degree-n layout onto the association types of the
-    operations that ``_symmetries`` finds, and the degree's
-    ``_candidates``, made from the lower degrees' kept candidates."""
+    operations that ``_symmetries`` finds and, from degree 4 on, of those
+    that ``_associative`` finds, and the degree's ``_candidates``, made
+    from the lower degrees' kept candidates.  Each detection runs once per
+    presentation in the context's memo."""
+    symmetric, associative = {}, ()
+    if n >= 2:
+        symmetric = ctx.memo(
+            ("symmetries", digest), 2, lambda: _symmetries(signature, seeds, ctx)
+        )
+    if n >= 4:
+        associative = ctx.memo(("associative", digest), 3, lambda: _associative(
+            signature, seeds, digest, symmetric, ctx
+        ))
     fold = AssociationFold(
-        basis_layout(signature, n, ctx),
-        _symmetries(signature, seeds, ctx),
-        ctx.field,
+        basis_layout(signature, n, ctx), symmetric, ctx.field, associative
     )
 
     def lower(m):
@@ -368,11 +397,11 @@ def _module_step(signature, seeds, digest, n, ctx):
     """The degree-n ideal generated by the seed vectors (``_seeds``) as an
     S_n-module, memoised as (module, kept candidates, generators).  The
     degree is folded onto the association types of the operations that
-    ``_symmetries`` finds (``terms.AssociationFold``).  Where k[S_n] is
-    semisimple the module is a ``ModuleRanks`` over that fold; elsewhere
-    it is the ``Subspace`` of ``_expand``.  The generators are those of
-    the fold's symmetric ideal (``AssociationFold.generators``), then the
-    kept candidates.  The module stays in the memo, so it answers
+    ``_symmetries`` and ``_associative`` find (``terms.AssociationFold``).
+    Where k[S_n] is semisimple the module is a ``ModuleRanks`` over that
+    fold; elsewhere it is the ``Subspace`` of ``_expand``.  The generators
+    are those of the ideal J the fold stands for
+    (``AssociationFold.generators``), then the kept candidates.  The module stays in the memo, so it answers
     membership without its generators being inserted again.
 
     By equivariance a substitution of a relabelled element is a relabelling
@@ -381,8 +410,9 @@ def _module_step(signature, seeds, digest, n, ctx):
     that raises no rank already lies in the module of those before it, and
     so do its substitutions, so it is not kept.  The candidates substitute
     only the lower degrees' kept candidates: the other generators generate
-    the symmetric ideal, whose substitutions stay in it, and the fold holds
-    the symmetric ideal already."""
+    the lower degree's J, whose substitutions stay in this degree's, as J
+    is generated by the commutators and associators of degrees 2 and 3,
+    and the fold holds this degree's J already."""
 
     def build():
         fold, candidates = _folded_candidates(signature, seeds, digest, n, ctx)

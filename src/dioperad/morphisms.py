@@ -127,8 +127,9 @@ def _kernel_dimension(mor, fold, ctx) -> int:
     source skeletons: a monomial is its skeleton at the identity word
     relabelled by its leaf word, and φ commutes with relabelling.  Its
     image in the target quotient is generated by the s images of the
-    skeletons.  Modulo the source's symmetric ideal, which lies in ker(φ),
-    a skeleton that is not a type is ± a relabelling of its type, so its
+    skeletons.  Modulo the ideal the source's fold stands for, which lies
+    in the source ideal and so in ker(φ), a skeleton that is not a type is
+    ± a relabelling of its type, so its
     image is ± a relabelled image of its type's modulo the target ideal,
     and the t type images generate the image alone.  It has ranks q_λ,
     those images' ranks modulo the target ideal

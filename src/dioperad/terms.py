@@ -424,28 +424,51 @@ def _shape_key(skel):
     return (skel[0],) + tuple(_shape_key(c) for c in skel[1:])
 
 
-def _canonical(skel, symmetric, first=0):
+def _flatten(skel, op):
+    """The children of the maximal op-subtree at skel's root, left to
+    right: skel itself unless op sits at its root."""
+    if skel is _LEAF or skel[0] != op:
+        return (skel,)
+    return tuple(leaf for child in skel[1:] for leaf in _flatten(child, op))
+
+
+def _children(skel, associative):
+    """A node's children, those of its maximal subtree for an associative
+    operation (``_flatten``)."""
+    return _flatten(skel, skel[0]) if skel[0] in associative else skel[1:]
+
+
+def _canonical(skel, symmetric, associative=(), first=0):
     """(type, positions, sign) of a skeleton whose leftmost leaf sits at
-    position first: the type orders the two children of each symmetric
-    node by ``_shape_key``, innermost nodes first; positions lists, for
-    each leaf of the type in turn, the position in skel it came from; sign
-    is the product of ε over the nodes swapped."""
+    position first.  The type orders the two children of each symmetric
+    node by ``_shape_key``, innermost nodes first, and rebuilds each
+    maximal subtree of an associative operation as the left comb on its
+    children, each of them canonical and, for a commutative operation,
+    sorted by ``_shape_key``.  positions lists, for each leaf of the type in
+    turn, the position in skel it came from; sign is the product of ε over
+    the nodes swapped.  An anticommutative operation is never associative
+    here, so a comb never changes the sign."""
     if skel is _LEAF:
         return _LEAF, (first,), 1
+    op = skel[0]
     parts = []
-    for child in skel[1:]:
-        parts.append(_canonical(child, symmetric, first))
+    for child in _children(skel, associative):
+        parts.append(_canonical(child, symmetric, associative, first))
         first += len(parts[-1][1])
     sign = math.prod(s for _, _, s in parts)
-    eps = symmetric.get(skel[0])
-    if eps is not None and _shape_key(parts[1][0]) < _shape_key(parts[0][0]):
-        parts.reverse()
-        sign *= eps
-    return (
-        (skel[0],) + tuple(t for t, _, _ in parts),
-        tuple(p for _, pos, _ in parts for p in pos),
-        sign,
-    )
+    eps = symmetric.get(op)
+    if op in associative:
+        if eps is not None:
+            parts.sort(key=lambda part: _shape_key(part[0]))
+        node = parts[0][0]
+        for t, _, _ in parts[1:]:
+            node = (op, node, t)
+    else:
+        if eps is not None and _shape_key(parts[1][0]) < _shape_key(parts[0][0]):
+            parts.reverse()
+            sign *= eps
+        node = (op,) + tuple(t for t, _, _ in parts)
+    return node, tuple(p for _, pos, _ in parts for p in pos), sign
 
 
 def _size(skel) -> int:
@@ -453,26 +476,33 @@ def _size(skel) -> int:
     return 1 if skel is _LEAF else sum(map(_size, skel[1:]))
 
 
-def _equal_swaps(skel, symmetric, n, first=0):
-    """(ε, word) for each symmetric node of skel whose two children are
-    equal, skel's leftmost leaf sitting at position first of n: the word is
-    the identity with the leaf blocks of the two children exchanged."""
+def _equal_swaps(skel, symmetric, associative, n, first=0):
+    """(ε, word) for each pair of adjacent equal children of a symmetric
+    node of the type skel, skel's leftmost leaf sitting at position first
+    of n, the children of an associative node being those of its comb
+    (``_children``): the word is the identity with the leaf blocks of the
+    two children exchanged."""
     if skel is _LEAF:
         return
+    children = _children(skel, associative)
     starts = [first]
-    for child in skel[1:]:
-        yield from _equal_swaps(child, symmetric, n, starts[-1])
+    for child in children:
+        yield from _equal_swaps(child, symmetric, associative, n, starts[-1])
         starts.append(starts[-1] + _size(child))
-    if skel[0] in symmetric and skel[1] == skel[2]:
-        a, b, end = starts
-        order = (*range(a), *range(b, end), *range(a, b), *range(end, n))
-        yield symmetric[skel[0]], tuple(p + 1 for p in order)
+    if skel[0] in symmetric:
+        for i in range(len(children) - 1):
+            if children[i] == children[i + 1]:
+                a, b, end = starts[i:i + 3]
+                order = (*range(a), *range(b, end), *range(a, b), *range(end, n))
+                yield symmetric[skel[0]], tuple(p + 1 for p in order)
 
 
 class AssociationFold:
     """The degree-n basis folded onto association types, for binary
     operations that are commutative (ε = 1) or anticommutative (ε = -1)
-    modulo an ideal: o(x, y) ≡ ε·o(y, x).
+    modulo an ideal, o(x, y) ≡ ε·o(y, x), and for binary operations that
+    are associative modulo it, o(o(x, y), z) ≡ o(x, o(y, z)), none of them
+    anticommutative.
 
     Each skeleton T has a type T' (``_canonical``), itself a skeleton of
     the layout, and the monomial on T with leaf word w is ε^k times the
@@ -480,13 +510,16 @@ class AssociationFold:
     T.  ``fold`` maps a vector onto the t types, column = type · n! + rank
     of the word.  It is an onto map of S_n-modules, and each monomial is
     congruent to its image, read on the type's own skeleton, modulo the
-    symmetric ideal J that the o(1, 2) − ε·o(2, 1) generate; so the fold's
-    kernel lies in J.  Each symmetric node of a type whose children are
-    equal gives a relation (T', id) − ε·(T', swap) in type coordinates
-    (``relations``), and they generate the fold of J.  So J is generated
-    by the fold's ``generators`` on the skeleton columns: (T, id) −
-    ε^k·(T', π) for each skeleton that is not a type, then the relations.
-    With no symmetric operation the fold is the identity.
+    ideal J that the o(1, 2) − ε·o(2, 1) and the associators generate; so
+    the fold's kernel lies in J.  Two monomials that differ by one
+    reassociation fold to the same column.  Each pair of adjacent equal
+    children of a symmetric node of a type, the children of an associative
+    node being those of its comb, gives a relation (T', id) − ε·(T', swap)
+    in type coordinates (``relations``), and they generate the fold of J.
+    So J is generated by the fold's ``generators`` on the skeleton columns:
+    (T, id) − ε^k·(T', π) for each skeleton that is not a type, then the
+    relations.  With no symmetric or associative operation the fold is
+    the identity.
 
     The type columns form a layout of their own for ``ideals._close``:
     degree, words, rank and ncols, with ``types`` giving each type's
@@ -495,10 +528,12 @@ class AssociationFold:
     __slots__ = ("layout", "field", "nblocks", "ntypes", "types", "_moves",
                  "relations", "generators")
 
-    def __init__(self, layout, symmetric, field):
+    def __init__(self, layout, symmetric, field, associative=()):
         self.layout, self.field = layout, field
         n, width, rank = layout.degree, len(layout.words), layout.rank
-        canonical = [_canonical(s, symmetric) for s in layout.skeletons]
+        canonical = [
+            _canonical(s, symmetric, associative) for s in layout.skeletons
+        ]
         self.types = types = [
             b for b, s in enumerate(layout.skeletons) if canonical[b][0] == s
         ]
@@ -520,7 +555,9 @@ class AssociationFold:
                 })
         self.relations = []
         for t, b in enumerate(types):
-            for eps, word in _equal_swaps(layout.skeletons[b], symmetric, n):
+            for eps, word in _equal_swaps(
+                layout.skeletons[b], symmetric, associative, n
+            ):
                 r, x = rank[word], field.coerce(-eps)
                 self.relations.append({t * width: one, t * width + r: x})
                 self.generators.append({b * width: one, b * width + r: x})

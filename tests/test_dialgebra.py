@@ -405,16 +405,14 @@ def test_verify_di_expands_the_doubled_ideal_only_at_p_up_to_n(
     monkeypatch, field, expanded
 ):
     ctx = Context(field)
-    doubled = {
-        basis_layout(double_signature(ASSOC.signature), n, ctx).ncols: n
-        for n in range(2, 5)
-    }
+    dsig = double_signature(ASSOC.signature)
     close = ideals._close
     seen = []
 
     def counted(field, layout, candidates):
-        if layout.ncols in doubled:
-            seen.append(doubled[layout.ncols])
+        # a closure runs on the type columns of a fold of the degree's layout
+        if layout.layout is basis_layout(dsig, layout.degree, ctx):
+            seen.append(layout.degree)
         return close(field, layout, candidates)
 
     monkeypatch.setattr(ideals, "_close", counted)

@@ -1,7 +1,8 @@
 """The association-type fold of the partition path: detection of
-(anti)commutative operations from the degree-2 ideal, the fold against the
-symmetric ideal it stands for, the module generators it adds, and the
-ranks and morphism kernels with and without it."""
+(anti)commutative operations from the degree-2 ideal and of associative
+ones from the degree-3 ideal, the fold against the ideal it stands for,
+the module generators it adds, and the ranks and morphism kernels with and
+without it."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dioperad.dialgebra import bso_presentation
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
+    _associative,
     _seeds,
     _symmetries,
     _variety_module,
@@ -20,12 +22,14 @@ from dioperad.ideals import (
     partition_ranks,
 )
 from dioperad.morphisms import special_identities, verify_bso_theorem
+from dioperad.sexpr import parse_document
 from dioperad.terms import (
     AssociationFold,
     Monomial,
     Polynomial,
     Signature,
     basis_layout,
+    double_signature,
 )
 from dioperad.young import ModuleRanks, WordTable
 
@@ -36,6 +40,8 @@ FIELDS = [QQ, P]
 FIELD_IDS = ["q", "p"]
 BUILTINS = ("assoc", "com-assoc", "perm", "free-binary", "lie", "jordan", "jts")
 SYMMETRIC = ("lie", "jordan", "com-assoc")
+ASSOCIATIVE = ("assoc", "com-assoc", "perm")
+ASSOCIATOR = {("mul", ("mul", 1, 2), 3): 1, ("mul", 1, ("mul", 2, 3)): -1}
 
 
 def poly(terms):
@@ -84,29 +90,126 @@ def test_detection_finds_nothing_across_two_operations():
         assert detect(bso_presentation(catalog.presentation(name))) == {}
 
 
-def _symmetric_ideal(sig, symmetric, n, ctx):
-    """The degree-n ideal of o(1, 2) − ε·o(2, 1), expanded row by row."""
-    gens = tuple(
-        poly({(op, 1, 2): 1, (op, 2, 1): -eps}).convert(ctx.field)
-        for op, eps in symmetric.items()
+def detect_associative(variety, field=P):
+    ctx = Context(field)
+    sig = variety.signature
+    seeds = _seeds(sig, variety.generators, 3, ctx)
+    return _associative(
+        sig, seeds, variety.digest, _symmetries(sig, seeds, ctx), ctx
     )
-    return row_ideal_component(sig, gens, repr(symmetric), n, ctx)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("symmetric", [
-    {"br": -1}, {"br": 1}, {"br": -1, "m": 1}, {"m": 1},
+def test_associative_builtins_are_detected(field):
+    found = {name: detect_associative(catalog.presentation(name), field)
+             for name in BUILTINS}
+    assert found == {
+        "assoc": {"mul"}, "com-assoc": {"mul"}, "perm": {"mul"},
+        "free-binary": set(), "lie": set(), "jordan": set(), "jts": set(),
+    }
+    assert detect_associative(bso_presentation(catalog.presentation("assoc")),
+                              field) == {"mul^1", "mul^2"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_associativity_is_seen_through_scaled_relabelled_and_split_seeds(field):
+    sig = Signature([("br", 2), ("mul", 2)])
+    # 3·((2·1)·3 − 2·(1·3)), beside a bracket that is not associative
+    scaled = VarietyPresentation("scaled", sig, [
+        poly({("mul", ("mul", 2, 1), 3): 3, ("mul", 2, ("mul", 1, 3)): -3}),
+        poly({("br", 1, 2): 1, ("br", 2, 1): 1}),
+    ])
+    assert detect_associative(scaled, field) == {"mul"}
+    # (1·2)·3 − 2·(1·3) minus 1·(2·3) − 2·(1·3): neither identity is an
+    # associator, their difference is
+    split = VarietyPresentation("split", sig, [
+        poly({("mul", ("mul", 1, 2), 3): 1, ("mul", 2, ("mul", 1, 3)): -1}),
+        poly({("mul", 1, ("mul", 2, 3)): 1, ("mul", 2, ("mul", 1, 3)): -1}),
+    ])
+    assert detect_associative(split, field) == {"mul"}
+
+
+# flexibility, (x, y, x) = 0 linearized: its degree-3 ideal holds no associator
+FLEXIBLE = VarietyPresentation("flexible", Signature([("mul", 2)]), [poly({
+    **ASSOCIATOR, ("mul", ("mul", 3, 2), 1): 1, ("mul", 3, ("mul", 2, 1)): -1,
+})])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_variety_without_associativity_does_not_fold(monkeypatch, field):
+    for variety in (catalog.presentation("free-binary"), FLEXIBLE):
+        assert detect_associative(variety, field) == set()
+        module = _variety_module(variety, 4, Context(field))[0]
+        assert module.fold.ntypes == module.fold.nblocks
+    gens = tuple(g.convert(field) for g in FLEXIBLE.generators)
+    oracle = row_ideal_component(
+        FLEXIBLE.signature, gens, FLEXIBLE.digest, 4, Context(field)
+    )
+    assert ideal_dimensions(FLEXIBLE, 4, Context(field)) == (
+        oracle.ncols, oracle.dim
+    )
+    # a fold that takes flexibility for associativity shows
+    monkeypatch.setattr(ideals, "_associative", lambda *args: {"mul"})
+    assert ideal_dimensions(FLEXIBLE, 4, Context(field)) != (
+        oracle.ncols, oracle.dim
+    )
+    rows = consequences_at_degree(FLEXIBLE, 4, Context(field)).ideal
+    assert rows.dim != oracle.dim
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_commutative_comb_keeps_a_special_dimension(field):
+    """Jordan into com-assoc, mul to 2xy, has special identities in every
+    degree from 3; com-assoc folds onto one comb whose children commute."""
+    doc = parse_document("""
+        (morphism jordan-to-com-assoc (source jordan) (target com-assoc)
+          (image mul (+ (mul 1 2) (mul 2 1))))
+    """, resolver=catalog.presentation)
+    into_com_assoc = doc.morphisms["jordan-to-com-assoc"]
+    into_assoc = catalog.morphism("jordan-to-assoc")
+    for basis in (False, True):
+        ctx = Context(field)
+        assert [
+            special_identities(entry.morphism, entry.source, d, ctx, basis)
+            .special_dimension
+            for entry in (into_com_assoc, into_assoc)
+            for d in (3, 4, 5)
+        ] == [2, 10, 54, 0, 0, 0]
+
+
+def _ideal(sig, symmetric, associative, n, ctx):
+    """The degree-n ideal of o(1, 2) − ε·o(2, 1) and of the associators of
+    the associative operations, expanded row by row."""
+    gens = tuple(
+        poly({(op, 1, 2): 1, (op, 2, 1): -eps}).convert(ctx.field)
+        for op, eps in symmetric.items()
+    ) + tuple(
+        poly({(op, (op, 1, 2), 3): 1, (op, 1, (op, 2, 3)): -1})
+        .convert(ctx.field)
+        for op in sorted(associative)
+    )
+    return row_ideal_component(
+        sig, gens, repr((symmetric, sorted(associative))), n, ctx
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("symmetric, associative", [
+    ({"br": -1}, ()), ({"br": 1}, ()), ({"br": -1, "m": 1}, ()),
+    ({"m": 1}, ()), ({}, {"m"}), ({"m": 1}, {"m"}), ({"br": -1}, {"m"}),
+    ({"br": 1, "m": 1}, {"br", "m"}), ({}, {"br", "m"}),
 ], ids=repr)
-def test_fold_holds_the_symmetric_ideal(symmetric, field):
-    """An empty module over the fold is the symmetric ideal J, and the
-    fold's generators lie in J and generate it on their own."""
+def test_fold_holds_its_ideal(symmetric, associative, field):
+    """An empty module over the fold is the ideal J of its symmetric and
+    associative operations, and the fold's generators lie in J and
+    generate it on their own."""
     sig = Signature([("br", 2), ("m", 2)])
     ctx = Context(field)
     for n in range(2, 5):
         layout = basis_layout(sig, n, ctx)
         table = WordTable(layout, field)
-        fold = AssociationFold(layout, symmetric, field)
-        oracle = _symmetric_ideal(sig, symmetric, n, ctx)
+        fold = AssociationFold(layout, symmetric, field, associative)
+        oracle = _ideal(sig, symmetric, associative, n, ctx)
         assert ModuleRanks(table, fold).dim == oracle.dim
         assert all(oracle.contains(g) for g in fold.generators)
         plain = ModuleRanks(table, AssociationFold(layout, {}, field))
@@ -122,6 +225,42 @@ def test_fold_counts_association_types():
     types = [AssociationFold(basis_layout(sig, n, ctx), {"mul": 1}, P).ntypes
              for n in range(2, 8)]
     assert types == [1, 1, 2, 3, 6, 11]
+    # an associative operation, commutative or not, has the one comb
+    for symmetric in ({}, {"mul": 1}):
+        fold = AssociationFold(basis_layout(sig, 7, ctx), symmetric, P, {"mul"})
+        assert fold.ntypes == 1
+        assert len(fold.relations) == (6 if symmetric else 0)
+    # large Schröder numbers: the two associative operations of diassoc
+    dsig = double_signature(sig)
+    types = [
+        AssociationFold(basis_layout(dsig, n, ctx), {}, P, {"mul^1", "mul^2"})
+        .ntypes for n in range(2, 7)
+    ]
+    assert types == [2, 6, 22, 90, 394]
+
+
+def test_comb_keeps_the_leaf_order_and_sorts_commuting_children():
+    sig = Signature([("br", 2), ("mul", 2)])
+    layout = basis_layout(sig, 4)
+    comb = ("mul", ("mul", ("mul", 1, 2), 3), 4)
+    right = layout[("mul", 1, ("mul", ("mul", 2, 3), 4))]
+    fold = AssociationFold(layout, {}, P, {"mul"})
+    assert fold.lift(fold.fold({right: 1})) == {layout[comb]: 1}
+    # commuting children: sorted by shape, leaves before the bracket's node
+    # and each kept in its order, the bracket's own children unswapped
+    fold = AssociationFold(layout, {"mul": 1, "br": -1}, P, {"mul"})
+    col = layout[("mul", 1, ("mul", ("br", 4, 2), 3))]
+    skel = ("mul", ("mul", None, None), ("br", None, None))
+    assert fold.lift(fold.fold({col: 1})) == {
+        layout[("mul", ("mul", 1, 3), ("br", 4, 2))]: P.one
+    }
+    # its relations: the bracket's leaves anticommute, the two leaves of
+    # the comb commute
+    t, width = fold.types.index(layout.position[skel]), len(layout.words)
+    assert [r for r in fold.relations if min(r) == t * width] == [
+        {t * width: P.one, t * width + layout.rank[(1, 2, 4, 3)]: P.one},
+        {t * width: P.one, t * width + layout.rank[(2, 1, 3, 4)]: P.coerce(-1)},
+    ]
 
 
 def test_fold_moves_a_monomial_with_its_sign():
@@ -152,7 +291,7 @@ def test_a_wrong_sign_changes_the_ideal(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("name", SYMMETRIC)
+@pytest.mark.parametrize("name", SYMMETRIC + ("assoc", "perm"))
 def test_module_generators_generate_the_ideal_on_their_own(name, field):
     """Each degree's kept generators, inserted into a module that folds
     nothing, give the folded module's ranks."""
@@ -175,6 +314,29 @@ def _ranks(variety, degrees, field):
 
 def _unfolded(monkeypatch):
     monkeypatch.setattr(ideals, "_symmetries", lambda *args: {})
+    monkeypatch.setattr(ideals, "_associative", lambda *args: frozenset())
+
+
+def _dimensions(variety, degrees, field):
+    ctx = Context(field)
+    return [
+        (partition_ranks(variety, n, ctx), _variety_module(variety, n, ctx)[0].dim)
+        for n in degrees
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", BUILTINS)
+def test_associative_fold_keeps_ranks_and_dimensions(monkeypatch, name, field):
+    """Each built-in at degrees 2-6, and its doubled presentation at 2-5,
+    counts the same with associativity detected as without."""
+    variety = catalog.presentation(name)
+    doubled = bso_presentation(variety)
+    folded = _dimensions(variety, range(2, 7), field)
+    folded_doubled = _dimensions(doubled, range(2, 6), field)
+    monkeypatch.setattr(ideals, "_associative", lambda *args: frozenset())
+    assert _dimensions(variety, range(2, 7), field) == folded
+    assert _dimensions(doubled, range(2, 6), field) == folded_doubled
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

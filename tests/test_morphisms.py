@@ -466,9 +466,12 @@ def test_memos_hold_layouts_and_ideal_components_only():
     special_identities(entry.morphism, entry.source, 4, ctx)
     di_special_identities(entry.morphism, entry.source, 4, ctx)
     verify_bso_theorem(entry.morphism, entry.source, 4, ctx)
-    # verify-bso counts its doubled ideals by partition: modules and the
-    # representation tables they are read through
-    assert {key[0] for key in ctx._memo} == {"layout", "ideal", "module", "young"}
+    # verify-bso counts its doubled ideals by partition: modules, the
+    # representation tables they are read through, and the operations each
+    # presentation's folds find symmetric and associative
+    assert {key[0] for key in ctx._memo} == {
+        "layout", "ideal", "module", "young", "symmetries", "associative"
+    }
 
 
 def _special_via_full_kernel(mor, source, d, ctx):
