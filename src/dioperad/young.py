@@ -19,6 +19,7 @@ relabelling by σ is left multiplication, the word (σ(w_1), ..., σ(w_n)).
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 
 from .fields import QQ
@@ -119,11 +120,14 @@ class WordTable:
     (``terms.BasisLayout``), so column c of the layout holds the word of
     rank c mod n!.  ``matrix(k, r)`` is the flat row-major integer matrix
     N_w for the k-th partition and the word of rank r.  Over a prime
-    field N_w is ρ(w) mod p.  Over the rationals each seminormal generator
-    is scaled by L = lcm(1..n-1)² to integers, so ρ(w) = N_w / L^ℓ(w),
-    where ℓ(w) = ``length(r)`` counts the inversions of w."""
+    field N_w is ρ(w) mod p, held as an array of machine integers when p
+    is below 2^63: at degree 8 the tuples of Python ints took most of a
+    run's memory.  Over the rationals each seminormal generator is scaled
+    by L = lcm(1..n-1)² to integers, so ρ(w) = N_w / L^ℓ(w), where
+    ℓ(w) = ``length(r)`` counts the inversions of w, and N_w is a tuple."""
 
-    __slots__ = ("degree", "field", "dims", "words", "rank", "scale", "_gens", "_mats")
+    __slots__ = ("degree", "field", "dims", "words", "rank", "scale", "_gens",
+                 "_store", "_mats")
 
     def __init__(self, layout, field):
         self.degree = n = layout.degree
@@ -135,6 +139,8 @@ class WordTable:
         else:
             self.scale = None
             coerce = field.coerce
+        fits = self.scale is None and field.p < 1 << 63
+        self._store = (lambda xs: array("q", xs)) if fits else tuple
         self.dims = dimensions(n)
         self._gens = [
             [
@@ -145,7 +151,9 @@ class WordTable:
         ]
         identity = self.rank[tuple(range(1, n + 1))]
         self._mats = [
-            {identity: tuple(int(t == u) for t in range(d) for u in range(d))}
+            {identity: self._store(
+                int(t == u) for t in range(d) for u in range(d)
+            )}
             for d in self.dims
         ]
 
@@ -173,7 +181,7 @@ class WordTable:
                 out.extend(acc)
             if self.scale is None:
                 out = [x % self.field.p for x in out]
-            mats[r] = out = tuple(out)
+            mats[r] = out = self._store(out)
         return out
 
 
