@@ -252,7 +252,25 @@ def test_criterion_5_speciality_baselines():
         ok,
         "no special identities for lie-to-assoc or jordan-to-assoc through "
         "degree 5; commutativity is the lone degree-2 special identity of "
-        "free-to-com-assoc (degree-8 territory excluded)",
+        "free-to-com-assoc (Glennie's degree 8 is stretch check 5)",
+    )
+
+
+@stretch
+@needs_stretch
+def test_criterion_5_stretch_glennie_degree_eight(capsys):
+    start = time.monotonic()
+    code = main(["special", "--morphism", "builtin:jordan-to-assoc",
+                 "--degree", "8", "--max-degree", "8", "--field", "p:1000003",
+                 "--json", "--no-cache"])
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)
+    ok = code == 0 and report["special"] == 42
+    announce(
+        "5 (stretch)",
+        ok,
+        f"jordan-to-assoc has {report['special']} special dimensions at "
+        f"degree 8 over p:1000003, Glennie's identities, in {elapsed:.1f}s",
     )
 
 

@@ -158,6 +158,27 @@ def test_a_variety_without_associativity_does_not_fold(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_anticommutative_associativity_keeps_the_two_child_fold(field):
+    """An anticommutative associative operation is not taken as
+    associative: sorting a comb's children would lose the signs.  (Its
+    ideal holds 2·xyz, so over these fields every fold counts it
+    right.)"""
+    variety = VarietyPresentation("anti-assoc", Signature([("br", 2)]), [
+        poly({("br", 1, 2): 1, ("br", 2, 1): 1}),
+        poly({("br", ("br", 1, 2), 3): 1, ("br", 1, ("br", 2, 3)): -1}),
+    ])
+    assert detect_associative(variety, field) == set()
+    gens = tuple(g.convert(field) for g in variety.generators)
+    for n in (4, 5):
+        oracle = row_ideal_component(
+            variety.signature, gens, variety.digest, n, Context(field)
+        )
+        assert ideal_dimensions(variety, n, Context(field)) == (
+            oracle.ncols, oracle.dim
+        )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_commutative_comb_keeps_a_special_dimension(field):
     """Jordan into com-assoc, mul to 2xy, has special identities in every
     degree from 3; com-assoc folds onto one comb whose children commute."""
