@@ -401,8 +401,9 @@ def _module_step(signature, seeds, digest, n, ctx):
     Where k[S_n] is semisimple the module is a ``ModuleRanks`` over that
     fold; elsewhere it is the ``Subspace`` of ``_expand``.  The generators
     are those of the ideal J the fold stands for
-    (``AssociationFold.generators``), then the kept candidates.  The module stays in the memo, so it answers
-    membership without its generators being inserted again.
+    (``AssociationFold.generators``), then the kept candidates.  The
+    module stays in the memo, so it answers membership without its
+    generators being inserted again.
 
     By equivariance a substitution of a relabelled element is a relabelling
     of a substitution at another slot, so the candidates made from each

@@ -438,7 +438,7 @@ def _children(skel, associative):
     return _flatten(skel, skel[0]) if skel[0] in associative else skel[1:]
 
 
-def _canonical(skel, symmetric, associative=(), first=0):
+def _canonical(skel, symmetric, associative, first=0):
     """(type, positions, sign) of a skeleton whose leftmost leaf sits at
     position first.  The type orders the two children of each symmetric
     node by ``_shape_key``, innermost nodes first, and rebuilds each

@@ -121,8 +121,8 @@ class WordTable:
     rank c mod n!.  ``matrix(k, r)`` is the flat row-major integer matrix
     N_w for the k-th partition and the word of rank r.  Over a prime
     field N_w is ρ(w) mod p, held as an array of machine integers when p
-    is below 2^63: at degree 8 the tuples of Python ints took most of a
-    run's memory.  Over the rationals each seminormal generator is scaled
+    is below 2^63, 8 bytes an entry: a tuple of Python ints takes some 36,
+    and at degree 8 the tables held most of a run's memory.  Over the rationals each seminormal generator is scaled
     by L = lcm(1..n-1)² to integers, so ρ(w) = N_w / L^ℓ(w), where
     ℓ(w) = ``length(r)`` counts the inversions of w, and N_w is a tuple."""
 
