@@ -207,20 +207,12 @@ def _ideal(sig, symmetric, associative, n, ctx):
     ) + tuple(
         poly({(op, (op, 1, 2), 3): 1, (op, 1, (op, 2, 3)): -1})
         .convert(ctx.field)
-        for op in sorted(associative)
+        for op in associative
     )
-    return row_ideal_component(
-        sig, gens, repr((symmetric, sorted(associative))), n, ctx
-    )
+    return row_ideal_component(sig, gens, repr((symmetric, associative)), n, ctx)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("symmetric, associative", [
-    ({"br": -1}, ()), ({"br": 1}, ()), ({"br": -1, "m": 1}, ()),
-    ({"m": 1}, ()), ({}, {"m"}), ({"m": 1}, {"m"}), ({"br": -1}, {"m"}),
-    ({"br": 1, "m": 1}, {"br", "m"}), ({}, {"br", "m"}),
-], ids=repr)
-def test_fold_holds_its_ideal(symmetric, associative, field):
+def _check_fold_holds_its_ideal(symmetric, associative, field):
     """An empty module over the fold is the ideal J of its symmetric and
     associative operations, and the fold's generators lie in J and
     generate it on their own."""
@@ -237,6 +229,23 @@ def test_fold_holds_its_ideal(symmetric, associative, field):
         for g in fold.generators:
             plain.insert(g)
         assert plain.dim == oracle.dim
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("symmetric", [
+    {"br": -1}, {"br": 1}, {"br": -1, "m": 1}, {"m": 1},
+], ids=repr)
+def test_fold_holds_the_symmetric_ideal(symmetric, field):
+    _check_fold_holds_its_ideal(symmetric, (), field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("symmetric, associative", [
+    ({}, ("m",)), ({"m": 1}, ("m",)), ({"br": -1}, ("m",)),
+    ({"br": 1, "m": 1}, ("br", "m")), ({}, ("br", "m")),
+], ids=repr)
+def test_fold_holds_the_associative_ideal(symmetric, associative, field):
+    _check_fold_holds_its_ideal(symmetric, associative, field)
 
 
 def test_fold_counts_association_types():
