@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from importlib import import_module
 
-# The module that defines each name of ``__all__``.  A name's module is
-# imported on first access (PEP 562), so a command loads only the engine
-# it runs.
+# The module that defines each name of ``__all__``, which lists them in
+# sorted order.  A name's module is imported on first access (PEP 562), so
+# a command loads only the engine it runs.
 _EXPORTS = {
     name: module
     for module, names in {
@@ -64,47 +64,7 @@ _EXPORTS = {
     for name in names
 }
 
-__all__ = [
-    "CharacteristicGuardError",
-    "Context",
-    "DegreeCapError",
-    "DiPolynomial",
-    "DiskCache",
-    "DoubledSignature",
-    "Monomial",
-    "OperadMorphism",
-    "Polynomial",
-    "PrimeField",
-    "QQ",
-    "Signature",
-    "VarietyPresentation",
-    "apply_permutation",
-    "bso_presentation",
-    "compose",
-    "consequences_at_degree",
-    "default_cache_dir",
-    "degree_component",
-    "di_morphism",
-    "di_special_identities",
-    "double_signature",
-    "enumerate_monomials",
-    "evaluate_morphism",
-    "format_polynomial",
-    "ideal_dimensions",
-    "identity_implies",
-    "is_collapse_preimage",
-    "linearize",
-    "parse_field",
-    "partition_ranks",
-    "quotient_dimension",
-    "special_identities",
-    "substitute_at",
-    "superscript",
-    "superscript_poly",
-    "verify_bso_theorem",
-    "verify_dialgebra_equivalence",
-    "zero_identities",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

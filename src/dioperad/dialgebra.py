@@ -17,7 +17,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .context import as_context
-from .ideals import VarietyPresentation, _variety_module, degree_component
+from .ideals import (
+    VarietyPresentation,
+    _module_step,
+    _seeds,
+    degree_component,
+)
 from .terms import (
     DoubledSignature,
     Monomial,
@@ -271,6 +276,23 @@ def is_collapse_preimage(
     ) and collapses_into(dsig, n, generators, base, ctx)
 
 
+def _collapse_comparison(dsig, seeds, digest, n, base, ctx):
+    """The degree-n doubled S_n-module that ``ideals._module_step`` builds
+    from the seed vectors, against the collapse preimage P_n of n copies of
+    the plain ideal ``base``: (ambient dimension, dim P_n, the module's
+    dimension, whether the module is P_n).  The comparison is
+    ``is_collapse_preimage`` of the module's generators; neither the module
+    nor the preimage is expanded."""
+    module, _, generators = _module_step(dsig, seeds, digest, n, ctx)
+    ambient = basis_layout(dsig, n, ctx).ncols
+    return (
+        ambient,
+        collapse_preimage_dimension(n, ambient, base),
+        module.dim,
+        is_collapse_preimage(dsig, n, module.dim, generators, base, ctx),
+    )
+
+
 class DialgebraEquivalenceReport(NamedTuple):
     variety: str
     degree: int
@@ -291,16 +313,18 @@ def verify_dialgebra_equivalence(
 
     The plain ideal is S_n-stable, so P_n is too (``is_collapse_preimage``),
     and I_n = P_n exactly when dim I_n = dim P_n and every S_n-module
-    generator of I_n collapses into the plain ideal.  Both sides are the
-    S_n-modules of ``ideals._variety_module``, the doubled one with its
-    generators: over the rationals or a prime above n neither ideal is
-    expanded, and over a smaller prime each is a ``Subspace``."""
+    generator of I_n collapses into the plain ideal
+    (``_collapse_comparison``).  Both sides are S_n-modules of
+    ``ideals._module_step``: over the rationals or a prime above n neither
+    ideal is expanded, and over a smaller prime each is a ``Subspace``."""
     ctx = as_context(ctx)
     base = degree_component(variety, n, ctx)
     divar = bso_presentation(variety)
-    module, _, generators = _variety_module(divar, n, ctx)
-    dim = module.dim
-    ambient = basis_layout(divar.signature, n, ctx).ncols
+    dsig = divar.signature
+    ambient, preimage, dim, equal = _collapse_comparison(
+        dsig, _seeds(dsig, divar.generators, n, ctx), divar.digest, n,
+        base.ideal, ctx,
+    )
     return DialgebraEquivalenceReport(
         variety=variety.name,
         degree=n,
@@ -308,8 +332,6 @@ def verify_dialgebra_equivalence(
         ambient_dimension=ambient,
         ideal_dimension=dim,
         quotient_dimension=ambient - dim,
-        expected_quotient_dimension=n * base.quotient_dimension,
-        equal=is_collapse_preimage(
-            divar.signature, n, dim, generators, base.ideal, ctx
-        ),
+        expected_quotient_dimension=ambient - preimage,
+        equal=equal,
     )

@@ -6,15 +6,14 @@ n-th component of the smallest ideal containing them that is closed under
 composition on either side and relabelling of variables.  Each component
 is an S_n-module, generated by the given identities of degree n and the
 one-step substitutions of a single operation into (or around) the module
-generators of each lower degree.  ``_module_step`` builds it degree by
-degree in the run context's memo, over the association types of the
-binary operations that the degree-2 identities make commutative or
-anticommutative (``_symmetries``) and, from degree 4 on, that the
-degree-3 identities make associative (``_associative``;
-``terms.AssociationFold``): where
-k[S_n] is semisimple it counts the module by partition (a
-``young.ModuleRanks``), never expanded, and elsewhere it closes the
-generators' span under S_n.  Only
+generators of each lower degree.  ``_module_step``, the one builder of
+every S_n-module of the package, builds it degree by degree in the run
+context's memo.  From degree 4 on it works over the association types
+(``terms.AssociationFold``) of the binary operations that its own
+modules of degrees 2 and 3 make commutative or anticommutative, and
+associative (``_laws``).  Where k[S_n] is semisimple it counts the module
+by partition (a ``young.ModuleRanks``), never expanded, and elsewhere it
+closes the generators' span under S_n.  Only
 ``consequences_at_degree``, for the commands that need rows, expands a
 semisimple degree, and only the degree it is asked for.  The disk cache
 holds what ``dim`` prints: ``partition_ranks`` alone reads and writes it,
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from .context import as_context, sha256
 from .fields import QQ
-from .linalg import Subspace, _Reducer, row_reduce
+from .linalg import Subspace, _Reducer
 from .terms import (
     AssociationFold,
     Monomial,
@@ -321,48 +320,34 @@ def _ideal_dim(n, ranks) -> int:
     return sum(map(int.__mul__, dimensions(n), ranks))
 
 
-def _symmetries(signature, seeds, ctx) -> dict:
-    """The binary operations that the degree-2 ideal makes commutative or
-    anticommutative, each with its sign: o -> ε when o(1, 2) − ε·o(2, 1)
-    lies in the span of the degree-2 seed vectors closed under S_2, which
-    is the whole degree-2 ideal, as no lower degree composes into it.  The
-    test is one of membership, so it sees through relabelled and scaled
-    identities.  In characteristic 2 the two signs agree, and ε = 1 is
-    found."""
-    found: dict = {}
-    if not seeds.get(2):
-        return found
+def _laws(signature, seeds, digest, ctx):
+    """(symmetric, associative): the binary operations that the degree-2
+    ideal makes commutative or anticommutative, each with its sign, o -> ε
+    when o(1, 2) − ε·o(2, 1) lies in the degree-2 module of
+    ``_module_step``; and those, none of them anticommutative, that the
+    degree-3 ideal makes associative, o(o(1, 2), 3) − o(1, o(2, 3)) lying
+    in the degree-3 module.  Neither module folds anything.  The tests are
+    of membership, so they see through relabelled and scaled identities,
+    and through laws that only follow from other identities.  In
+    characteristic 2 the two signs agree, and ε = 1 is found."""
+    binary = [op for op, arity in signature.operations if arity == 2]
     field = ctx.field
+    one, minus = field.one, field.coerce(-1)
+    pairs = _module_step(signature, seeds, digest, 2, ctx)[0]
     layout = basis_layout(signature, 2, ctx)
-    # S_2 is generated by its transposition
-    (swap,) = _perm_column_maps(layout)
-    ideal = row_reduce(field, layout.ncols, [
-        *seeds[2], *({swap[c]: v for c, v in vec.items()} for vec in seeds[2])
-    ])
-    for op, arity in signature.operations:
-        if arity == 2:
-            # o(2, 1) has the word of rank 1, next to o(1, 2)
-            col = layout[(op, 1, 2)]
-            for eps in (1, -1):
-                if ideal.contains({col: field.one, col + 1: field.coerce(-eps)}):
-                    found[op] = eps
-                    break
-    return found
-
-
-def _associative(signature, seeds, digest, symmetric, ctx) -> frozenset:
-    """The binary operations, none of them anticommutative, that the
-    degree-3 ideal makes associative: o(o(1, 2), 3) − o(1, o(2, 3)) lies in
-    the degree-3 module of ``_module_step``, which folds by ``symmetric``
-    alone.  Like ``_symmetries`` the test is one of membership, so it sees
-    through relabelled and scaled identities, and through associativity
-    that only follows from other identities."""
-    module = _module_step(signature, seeds, digest, 3, ctx)[0]
+    symmetric = {}
+    for op in binary:
+        # o(2, 1) has the word of rank 1, next to o(1, 2)
+        col = layout[(op, 1, 2)]
+        for eps in (1, -1):
+            if pairs.contains({col: one, col + 1: field.coerce(-eps)}):
+                symmetric[op] = eps
+                break
+    triples = _module_step(signature, seeds, digest, 3, ctx)[0]
     layout = basis_layout(signature, 3, ctx)
-    one, minus = ctx.field.one, ctx.field.coerce(-1)
-    return frozenset(
-        op for op, arity in signature.operations
-        if arity == 2 and symmetric.get(op) != -1 and module.contains({
+    return symmetric, frozenset(
+        op for op in binary
+        if symmetric.get(op) != -1 and triples.contains({
             layout[(op, (op, 1, 2), 3)]: one, layout[(op, 1, (op, 2, 3))]: minus
         })
     )
@@ -370,19 +355,15 @@ def _associative(signature, seeds, digest, symmetric, ctx) -> frozenset:
 
 def _folded_candidates(signature, seeds, digest, n, ctx):
     """The fold of the degree-n layout onto the association types of the
-    operations that ``_symmetries`` finds and, from degree 4 on, of those
-    that ``_associative`` finds, and the degree's ``_candidates``, made
-    from the lower degrees' kept candidates.  Each detection runs once per
-    presentation in the context's memo."""
+    operations that ``_laws`` finds, from degree 4 on, and the degree's
+    ``_candidates``, made from the lower degrees' kept candidates.  The
+    laws are read from the modules of degrees 2 and 3, which fold nothing,
+    once per presentation in the context's memo."""
     symmetric, associative = {}, ()
-    if n >= 2:
-        symmetric = ctx.memo(
-            ("symmetries", digest), 2, lambda: _symmetries(signature, seeds, ctx)
-        )
     if n >= 4:
-        associative = ctx.memo(("associative", digest), 3, lambda: _associative(
-            signature, seeds, digest, symmetric, ctx
-        ))
+        symmetric, associative = ctx.memo(
+            ("laws", digest), 3, lambda: _laws(signature, seeds, digest, ctx)
+        )
     fold = AssociationFold(
         basis_layout(signature, n, ctx), symmetric, ctx.field, associative
     )
@@ -395,11 +376,14 @@ def _folded_candidates(signature, seeds, digest, n, ctx):
 
 def _module_step(signature, seeds, digest, n, ctx):
     """The degree-n ideal generated by the seed vectors (``_seeds``) as an
-    S_n-module, memoised as (module, kept candidates, generators).  The
-    degree is folded onto the association types of the operations that
-    ``_symmetries`` and ``_associative`` find (``terms.AssociationFold``).
-    Where k[S_n] is semisimple the module is a ``ModuleRanks`` over that
-    fold; elsewhere it is the ``Subspace`` of ``_expand``.  The generators
+    S_n-module, memoised as (module, kept candidates, generators).  This is
+    the one builder of S_n-modules: of a variety's ideal, of its doubled
+    presentation's, and of a morphism's kernel (``verify_bso_theorem``).
+    From degree 4 on the degree is folded onto the association types of
+    the operations that ``_laws`` finds in degrees 2 and 3
+    (``terms.AssociationFold``); those degrees fold nothing.  Where k[S_n]
+    is semisimple the module is a ``ModuleRanks`` over that fold;
+    elsewhere it is the ``Subspace`` of ``_expand``.  The generators
     are those of the ideal J the fold stands for
     (``AssociationFold.generators``), then the kept candidates.  The
     module stays in the memo, so it answers membership without its

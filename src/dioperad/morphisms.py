@@ -19,10 +19,9 @@ from typing import NamedTuple
 
 from .dialgebra import (
     DiPolynomial,
+    _collapse_comparison,
     _lift_columns,
     bso_presentation,
-    collapse_preimage_dimension,
-    is_collapse_preimage,
     superscript_poly,
     zero_identities,
 )
@@ -44,12 +43,11 @@ from .linalg import _Reducer, row_reduce
 from .terms import (
     Monomial,
     Polynomial,
-    basis_layout,
     double_signature,
     doubled_name,
     graft,
 )
-from .young import ModuleRanks, dimensions
+from .young import dimensions
 
 
 class CharacteristicGuardError(ValueError):
@@ -308,29 +306,6 @@ def di_special_identities(
     )
 
 
-def _kernel_module(mor, source, d, ctx):
-    """The plain kernel K_d = I_d ⊕ S_d as an S_d-module (a
-    ``ModuleRanks``), with module generators of it; k[S_d] must be
-    semisimple and the caller must have run ``_check_source_vanishes``.
-
-    The generators are the source's module generators of I_d
-    (``ideals._variety_module``).  When the kernel counted by partition
-    (``_kernel_dimension``) is larger than I_d, the rows of S_d from
-    ``_morphism_kernel`` join them in a module of their own, over I_d's
-    fold, each kept only if it raises a rank: one that does not lies in the
-    module of those before it.  The fold's generators, which raise none,
-    lead them, so that they generate K_d on their own.  Otherwise K_d = I_d
-    and the source's module is returned as it is."""
-    ideal, _, generators = _variety_module(source, d, ctx)
-    if _kernel_dimension(mor, ideal.fold, ctx) == ideal.dim:
-        return ideal, generators
-    # K_d contains I_d, and so the kernel of I_d's fold
-    kernel = ModuleRanks(ideal.table, ideal.fold)
-    special = _morphism_kernel(mor, source, d, ctx)[1].rows
-    generators = [vec for vec in (*generators, *special) if kernel.insert(vec)]
-    return kernel, kernel.fold.generators + generators
-
-
 class DegreeComparison(NamedTuple):
     degree: int
     ambient_dimension: int
@@ -354,24 +329,28 @@ def verify_bso_theorem(
     generated, as an operad ideal, by the zero identities together with the
     emphasized lifts of the plain kernel.
 
-    The plain kernel K_m = I_m ⊕ S_m is counted by partition and held as
-    an S_m-module (``_kernel_module``), so every source identity must die
-    in the target; the guard d < p makes every k[S_m] semisimple.  The
-    doubled kernel in degree m is taken as the collapse preimage of m
-    copies of K_m; it is not computed from the doubled morphism.  Its
-    dimension is reported from ``collapse_preimage_dimension`` and the
-    comparison is ``is_collapse_preimage`` of the generated ideal over
+    The plain kernel K_m = I_m ⊕ S_m is the S_m-module that
+    ``ideals._module_step`` builds from the kernel presentation: the
+    source's identities and, at each degree where the kernel counted by
+    partition (``_kernel_dimension``) is larger than I_m, the rows of S_m
+    from ``_morphism_kernel``.  As ker(φ) is an operad ideal that holds
+    them, their consequences of degree m are K_m.  Where S is zero at every
+    degree the kernel presentation is the source's, and so are its
+    modules.  Every source identity must die in the target; the guard
+    d < p makes every k[S_m] semisimple.  The doubled kernel in degree m is
+    taken as the collapse preimage of m copies of K_m; it is not computed
+    from the doubled morphism.  Each degree is the comparison of
+    ``dialgebra._collapse_comparison``, as for ``verify-di``: the preimage's
+    dimension, and ``is_collapse_preimage`` of the generated ideal over
     K_m's module; the preimage is never built.  The comparisons start at
     degree 2, so d must too.
 
-    Only S_m-module generators of K_m are lifted: the source's kept module
-    generators of I_m and, when S_m is not zero, the rows of S_m that raise
-    a rank of K_m's module.  Lifting
-    is equivariant, σ·lift_k(x) = lift_σ(k)(σ·x), so their lifts to every
-    emphasis generate the same operad ideal as the lifts of all of K_m.
-    The generated ideal is itself counted by partition
-    (``ideals._module_step``), never expanded, and its kept generators go
-    to ``is_collapse_preimage``."""
+    Only the S_m-module generators of K_m that ``_module_step`` keeps are
+    lifted.  Lifting is equivariant, σ·lift_k(x) = lift_σ(k)(σ·x), so
+    their lifts to every emphasis generate the same operad ideal as the
+    lifts of all of K_m.  The generated ideal is itself counted by
+    partition, never expanded, and its generators go to
+    ``is_collapse_preimage``."""
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
     ctx = as_context(ctx)
@@ -383,38 +362,33 @@ def verify_bso_theorem(
         )
     ctx.check_degree(d)
     _check_source_vanishes(mor, source, d, ctx)
-    dsig = double_signature(mor.source_signature)
-    seeds = _seeds(dsig, zero_identities(mor.source_signature)[1], d, ctx)
+    signature, digest = source.signature, source.digest
+    seeds = _seeds(signature, source.generators, d, ctx)
+    for m in range(2, d + 1):
+        ideal = _variety_module(source, m, ctx)[0]
+        if _kernel_dimension(mor, ideal.fold, ctx) > ideal.dim:
+            special = _morphism_kernel(mor, source, m, ctx)[1].rows
+            seeds.setdefault(m, []).extend(special)
+            digest = f"kernel:{mor.digest}:{source.digest}"
+    dsig = double_signature(signature)
+    dseeds = _seeds(dsig, zero_identities(signature)[1], d, ctx)
     kernels = {}
     for m in range(2, d + 1):
-        kernels[m], plain = _kernel_module(mor, source, m, ctx)
-        lifts = seeds.setdefault(m, [])
+        kernels[m], _, generators = _module_step(signature, seeds, digest, m, ctx)
+        lifts = dseeds.setdefault(m, [])
         for cols in _lift_columns(dsig, m, ctx):
-            lifts.extend({cols[c]: v for c, v in r.items()} for r in plain)
-    digest = f"bso-kernel:{mor.digest}"
-
-    comparisons = []
-    for m, base_kernel in kernels.items():
-        module, _, generators = _module_step(dsig, seeds, digest, m, ctx)
-        ncols = basis_layout(dsig, m, ctx).ncols
-        dim = module.dim
-        comparisons.append(
-            DegreeComparison(
-                degree=m,
-                ambient_dimension=ncols,
-                kernel_dimension=collapse_preimage_dimension(
-                    m, ncols, base_kernel
-                ),
-                consequence_dimension=dim,
-                equal=is_collapse_preimage(
-                    dsig, m, dim, generators, base_kernel, ctx
-                ),
-            )
+            lifts.extend({cols[c]: v for c, v in r.items()} for r in generators)
+    ddigest = f"bso-kernel:{mor.digest}"
+    comparisons = tuple(
+        DegreeComparison(
+            m, *_collapse_comparison(dsig, dseeds, ddigest, m, kernel, ctx)
         )
+        for m, kernel in kernels.items()
+    )
     return BsoKernelReport(
         morphism=mor.name,
         degree=d,
         field=field.name,
-        comparisons=tuple(comparisons),
+        comparisons=comparisons,
         verdict=all(c.equal for c in comparisons),
     )

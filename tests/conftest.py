@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from dioperad import morphisms
+from dioperad import ideals, morphisms
+from dioperad.terms import DoubledSignature
 
 import oracles
 
@@ -30,10 +31,12 @@ def pytest_terminal_summary(terminalreporter) -> None:
 def drop_last_kernel_row(monkeypatch):
     """Call with a degree to make the plain kernel K = I ⊕ S at that degree
     lose the last row of its basis: in ``oracles.morphism_kernel``, which
-    expands it, and in ``morphisms._kernel_module``, which holds it as a
-    module and then hands out that short expanded kernel instead."""
+    expands it, and in ``morphisms._module_step``, which builds the
+    kernel's module in ``verify_bso_theorem``: at that degree the module
+    of a plain signature is expanded and handed out short, beside the same
+    generators."""
     full = oracles.morphism_kernel
-    full_module = morphisms._kernel_module
+    full_module = morphisms._module_step
 
     def drop(degree):
         def patched(mor, source, d, *args, **kwargs):
@@ -44,13 +47,18 @@ def drop_last_kernel_row(monkeypatch):
                 )
             return comp, kernel
 
-        def patched_module(mor, source, d, *args, **kwargs):
-            kernel, generators = full_module(mor, source, d, *args, **kwargs)
-            if d == degree:
-                kernel = patched(mor, source, d, *args, **kwargs)[1]
-            return kernel, generators
+        def patched_module(signature, seeds, digest, n, ctx):
+            module, kept, generators = full_module(
+                signature, seeds, digest, n, ctx
+            )
+            if n == degree and not isinstance(signature, DoubledSignature):
+                rows = ideals._expand(module.fold, kept)[0].rows
+                module = oracles.trusted_subspace(
+                    module.field, module.ncols, rows[:-1]
+                )
+            return module, kept, generators
 
         monkeypatch.setattr(oracles, "morphism_kernel", patched)
-        monkeypatch.setattr(morphisms, "_kernel_module", patched_module)
+        monkeypatch.setattr(morphisms, "_module_step", patched_module)
 
     return drop

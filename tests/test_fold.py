@@ -13,9 +13,8 @@ from dioperad.dialgebra import bso_presentation
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
-    _associative,
+    _laws,
     _seeds,
-    _symmetries,
     _variety_module,
     consequences_at_degree,
     ideal_dimensions,
@@ -48,11 +47,15 @@ def poly(terms):
     return Polynomial(QQ, {Monomial(k): v for k, v in terms.items()})
 
 
-def detect(variety, field=P):
+def _detect_laws(variety, field):
     ctx = Context(field)
-    return _symmetries(
-        variety.signature, _seeds(variety.signature, variety.generators, 2, ctx), ctx
-    )
+    sig = variety.signature
+    seeds = _seeds(sig, variety.generators, 3, ctx)
+    return _laws(sig, seeds, variety.digest, ctx)
+
+
+def detect(variety, field=P):
+    return _detect_laws(variety, field)[0]
 
 
 def test_builtins_are_detected():
@@ -91,12 +94,29 @@ def test_detection_finds_nothing_across_two_operations():
 
 
 def detect_associative(variety, field=P):
+    return _detect_laws(variety, field)[1]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", ("lie", "jordan", "assoc"))
+def test_laws_are_read_once_from_degrees_that_fold_nothing(name, field):
+    """``dim`` at degree 5 memoises the laws once per presentation; they
+    come from the modules of degrees 2 and 3, which fold nothing, and the
+    fold starts at degree 4."""
+    variety = catalog.presentation(name)
     ctx = Context(field)
-    sig = variety.signature
-    seeds = _seeds(sig, variety.generators, 3, ctx)
-    return _associative(
-        sig, seeds, variety.digest, _symmetries(sig, seeds, ctx), ctx
-    )
+    ideal_dimensions(variety, 5, ctx)
+    assert [key for key in ctx._memo if key[0] == "laws"] == [
+        ("laws", variety.digest)
+    ]
+    folds = {
+        key[2]: value[0].fold
+        for key, value in ctx._memo.items() if key[0] == "module"
+    }
+    assert sorted(folds) == [2, 3, 4, 5]
+    assert [folds[n].ntypes == folds[n].nblocks for n in (2, 3, 4)] == [
+        True, True, False
+    ]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -149,7 +169,10 @@ def test_a_variety_without_associativity_does_not_fold(monkeypatch, field):
         oracle.ncols, oracle.dim
     )
     # a fold that takes flexibility for associativity shows
-    monkeypatch.setattr(ideals, "_associative", lambda *args: {"mul"})
+    laws = ideals._laws
+    monkeypatch.setattr(
+        ideals, "_laws", lambda *args: (laws(*args)[0], {"mul"})
+    )
     assert ideal_dimensions(FLEXIBLE, 4, Context(field)) != (
         oracle.ncols, oracle.dim
     )
@@ -313,7 +336,10 @@ def test_a_wrong_sign_changes_the_ideal(monkeypatch, field):
     gens = tuple(g.convert(field) for g in lie.generators)
     oracle = row_ideal_component(lie.signature, gens, lie.digest, 4, Context(field))
     assert ideal_dimensions(lie, 4, Context(field)) == (oracle.ncols, oracle.dim)
-    monkeypatch.setattr(ideals, "_symmetries", lambda *args: {"bracket": 1})
+    laws = ideals._laws
+    monkeypatch.setattr(
+        ideals, "_laws", lambda *args: ({"bracket": 1}, laws(*args)[1])
+    )
     assert ideal_dimensions(lie, 4, Context(field)) != (oracle.ncols, oracle.dim)
     # the row path folds too
     rows = consequences_at_degree(lie, 4, Context(field)).ideal
@@ -343,8 +369,16 @@ def _ranks(variety, degrees, field):
 
 
 def _unfolded(monkeypatch):
-    monkeypatch.setattr(ideals, "_symmetries", lambda *args: {})
-    monkeypatch.setattr(ideals, "_associative", lambda *args: frozenset())
+    monkeypatch.setattr(ideals, "_laws", lambda *args: ({}, frozenset()))
+
+
+def _not_associative(monkeypatch):
+    """Detection that keeps its real symmetric half and finds no
+    associative operation."""
+    laws = ideals._laws
+    monkeypatch.setattr(
+        ideals, "_laws", lambda *args: (laws(*args)[0], frozenset())
+    )
 
 
 def _dimensions(variety, degrees, field):
@@ -364,7 +398,7 @@ def test_associative_fold_keeps_ranks_and_dimensions(monkeypatch, name, field):
     doubled = bso_presentation(variety)
     folded = _dimensions(variety, range(2, 7), field)
     folded_doubled = _dimensions(doubled, range(2, 6), field)
-    monkeypatch.setattr(ideals, "_associative", lambda *args: frozenset())
+    _not_associative(monkeypatch)
     assert _dimensions(variety, range(2, 7), field) == folded
     assert _dimensions(doubled, range(2, 6), field) == folded_doubled
 

@@ -193,30 +193,56 @@ def test_dim_builds_no_monomials(monkeypatch, tmp_path, capsys):
         assert '"quotient": 24' in capsys.readouterr().out
 
 
-def test_only_partition_ranks_touches_the_disk_cache():
-    """The disk cache holds what ``dim`` prints: the only package function
-    that calls ``get`` or ``put`` on a cache (``cache`` or ``ctx.cache``)
-    is ``ideals.partition_ranks``.  A call in a nested function counts
-    for the function or method around it."""
+def _callers(is_callee):
+    """The package functions and methods, as ``module:name``, with a call
+    whose callee expression ``is_callee`` accepts.  A call in a nested
+    function counts for the function or method around it."""
     package = pathlib.Path(dioperad.__file__).parent
-
-    def is_cache(node):
-        return (isinstance(node, ast.Name) and node.id == "cache"
-                or isinstance(node, ast.Attribute) and node.attr == "cache")
-
     callers = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             for defn in node.body if isinstance(node, ast.ClassDef) else [node]:
                 for sub in ast.walk(defn):
-                    if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in ("get", "put")
-                            and is_cache(sub.func.value)):
+                    if isinstance(sub, ast.Call) and is_callee(sub.func):
                         name = getattr(defn, "name", "<module>")
                         callers.add(f"{path.stem}:{name}")
-    assert callers == {"ideals:partition_ranks"}
+    return callers
+
+
+def _names(func, *names):
+    """Whether a callee is one of the names, bare or as an attribute."""
+    return (isinstance(func, ast.Name) and func.id in names
+            or isinstance(func, ast.Attribute) and func.attr in names)
+
+
+def test_only_partition_ranks_touches_the_disk_cache():
+    """The disk cache holds what ``dim`` prints: the only package function
+    that calls ``get`` or ``put`` on a cache (``cache`` or ``ctx.cache``)
+    is ``ideals.partition_ranks``.  A call in a nested function counts
+    for the function or method around it."""
+
+    def is_cache_access(func):
+        return (isinstance(func, ast.Attribute)
+                and func.attr in ("get", "put")
+                and _names(func.value, "cache"))
+
+    assert _callers(is_cache_access) == {"ideals:partition_ranks"}
+
+
+def test_only_module_step_builds_modules():
+    """Every S_n-module comes from one builder: the only package function
+    that constructs a ``young.ModuleRanks`` is ``ideals._module_step``,
+    and ``ideals``, which detects the laws of a presentation in the
+    modules of degrees 2 and 3, never calls ``row_reduce``.  A call in a
+    nested function counts for the function or method around it."""
+    assert _callers(lambda func: _names(func, "ModuleRanks")) == {
+        "ideals:_module_step"
+    }
+    assert not any(
+        caller.startswith("ideals:")
+        for caller in _callers(lambda func: _names(func, "row_reduce"))
+    )
 
 
 def test_only_graft_and_linearize_take_products_of_terms():
@@ -225,7 +251,6 @@ def test_only_graft_and_linearize_take_products_of_terms():
     and ``terms.linearize``, which relabels each occurrence of a variable
     on its own.  A call in a nested function counts for the function or
     method around it."""
-    package = pathlib.Path(dioperad.__file__).parent
 
     def is_product(func):
         return (isinstance(func, ast.Name) and func.id == "product"
@@ -233,16 +258,7 @@ def test_only_graft_and_linearize_take_products_of_terms():
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "itertools")
 
-    callers = set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            for defn in node.body if isinstance(node, ast.ClassDef) else [node]:
-                for sub in ast.walk(defn):
-                    if isinstance(sub, ast.Call) and is_product(sub.func):
-                        name = getattr(defn, "name", "<module>")
-                        callers.add(f"{path.stem}:{name}")
-    assert callers == {"terms:graft", "terms:linearize"}
+    assert _callers(is_product) == {"terms:graft", "terms:linearize"}
 
 
 def _is_dunder(name):

@@ -367,6 +367,39 @@ def test_verify_bso_theorem_fails_without_a_kernel_row(
     assert (last.kernel_dimension, last.consequence_dimension) == (932, 936)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["q", "p"])
+def test_verify_bso_kernel_is_a_module_of_the_kernel_presentation(
+    monkeypatch, field
+):
+    """free-to-com-assoc has special identities from degree 2 on, so each
+    K_m is the module that ``_module_step`` builds of the kernel
+    presentation, under a digest of its own, and not the source's.  The
+    kernel is com-assoc's ideal, so from degree 4 on it folds onto the one
+    comb."""
+    entry = catalog.morphism("free-to-com-assoc")
+    ctx = Context(field)
+    bases = {}
+    compare = morphisms._collapse_comparison
+
+    def spy(dsig, seeds, digest, m, base, ctx):
+        bases[m] = base
+        return compare(dsig, seeds, digest, m, base, ctx)
+
+    monkeypatch.setattr(morphisms, "_collapse_comparison", spy)
+    rep = verify_bso_theorem(entry.morphism, entry.source, 5, ctx)
+    assert rep == row_bso_theorem(entry.morphism, entry.source, 5, Context(field))
+    assert rep.verdict
+    keys = {
+        m: [key for key, value in ctx._memo.items()
+            if key[0] == "module" and value[0] is base]
+        for m, base in bases.items()
+    }
+    digests = {key[1] for (key,) in keys.values()}
+    assert [key[2] for (key,) in keys.values()] == [2, 3, 4, 5]
+    assert len(digests) == 1 and entry.source.digest not in digests
+    assert [bases[m].fold.ntypes for m in (4, 5)] == [1, 1]
+
+
 def test_verify_bso_theorem_needs_degree_2():
     for d in (1, 0):
         with pytest.raises(ValueError, match=f"at least 2, got {d}"):
@@ -467,10 +500,10 @@ def test_memos_hold_layouts_and_ideal_components_only():
     di_special_identities(entry.morphism, entry.source, 4, ctx)
     verify_bso_theorem(entry.morphism, entry.source, 4, ctx)
     # verify-bso counts its doubled ideals by partition: modules, the
-    # representation tables they are read through, and the operations each
-    # presentation's folds find symmetric and associative
+    # representation tables they are read through, and the laws that each
+    # presentation's folds find
     assert {key[0] for key in ctx._memo} == {
-        "layout", "ideal", "module", "young", "symmetries", "associative"
+        "layout", "ideal", "module", "young", "laws"
     }
 
 
