@@ -404,9 +404,7 @@ def _module_step(signature, seeds, digest, n, ctx):
         if not _semisimple(ctx.field, n):
             module, kept = _expand(fold, candidates)
             return module, kept, fold.generators + kept
-        table = ctx.memo(
-            ("young", n), n, lambda: WordTable(fold.layout, ctx.field)
-        )
+        table = ctx.memo(("young", n), n, lambda: WordTable(fold.layout))
         module = ModuleRanks(table, fold)
         kept = [vec for vec in candidates if module.insert(vec)]
         module.release_indices()

@@ -22,7 +22,6 @@ import math
 from array import array
 from fractions import Fraction
 
-from .fields import QQ
 from .linalg import _Reducer
 
 
@@ -108,61 +107,51 @@ def seminormal_matrices(shape):
 
 
 class WordTable:
-    """ρ_λ(w) for the leaf words w of degree n and the partitions λ of n, in
-    Python ints.  A word other than the identity puts some label i+1 before
-    i; swapping the first such pair gives its parent, one inversion
-    shorter, with w = s_i ∘ parent and so ρ(w) = ρ(s_i)·ρ(parent).  A
-    word's matrices are built from its parent's on first use: a module
-    generator, brought to the identity word by ``ModuleRanks``, meets few
-    of the n! words.
+    """ρ_λ(w) for the leaf words w of degree n and the partitions λ of n,
+    exact and over no field: every field reads the same table.  A word
+    other than the identity puts some label i+1 before i; swapping the
+    first such pair gives its parent, one inversion shorter, with
+    w = s_i ∘ parent and so ρ(w) = ρ(s_i)·ρ(parent).  A word's matrices
+    are built from its parent's on first use: a module generator, brought
+    to the identity word by ``ModuleRanks``, meets few of the n! words.
 
     The words and their ranks are those of a basis layout of degree n
     (``terms.BasisLayout``), so column c of the layout holds the word of
-    rank c mod n!.  ``matrix(k, r)`` is the flat row-major integer matrix
-    N_w for the k-th partition and the word of rank r.  Over a prime
-    field N_w is ρ(w) mod p, held as an array of machine integers when p
-    is below 2^63, 8 bytes an entry: a tuple of Python ints takes some 36,
-    and at degree 8 the tables held most of a run's memory.  Over the rationals each seminormal generator is scaled
-    by L = lcm(1..n-1)² to integers, so ρ(w) = N_w / L^ℓ(w), where
-    ℓ(w) = ``length(r)`` counts the inversions of w, and N_w is a tuple."""
+    rank c mod n!.  ``matrix(k, r)`` is the pair (D, N) for the k-th
+    partition and the word of rank r, with ρ_λ(w) = N / D: D is the least
+    common denominator of ρ_λ(w)'s entries, and N its numerators in a flat
+    row-major array of machine integers, 8 bytes an entry.  Every entry
+    of ρ_λ(w) is at most 1 in absolute value, so |N| ≤ D, and D has no
+    prime factor above n − 1: 576 at n = 5, 14,400 at n = 6, 2,073,600 at
+    n = 7 and 671,846,400 over Glennie's degree-8 run."""
 
-    __slots__ = ("degree", "field", "dims", "words", "rank", "scale", "_gens",
-                 "_store", "_mats")
+    __slots__ = ("degree", "dims", "words", "rank", "_scale", "_gens",
+                 "_mats")
 
-    def __init__(self, layout, field):
+    def __init__(self, layout):
         self.degree = n = layout.degree
-        self.field = field
         self.words, self.rank = layout.words, layout.rank
-        if field == QQ:
-            self.scale = math.lcm(*range(1, n)) ** 2
-            coerce = lambda x: int(x * self.scale)  # noqa: E731
-        else:
-            self.scale = None
-            coerce = field.coerce
-        fits = self.scale is None and field.p < 1 << 63
-        self._store = (lambda xs: array("q", xs)) if fits else tuple
         self.dims = dimensions(n)
+        # L·ρ(s_i) is an integer matrix, L = lcm(1..n-1)²
+        self._scale = scale = math.lcm(*range(1, n)) ** 2
         self._gens = [
             [
-                [[(u, coerce(x)) for u, x in enumerate(row) if x] for row in m]
+                [[(u, int(x * scale)) for u, x in enumerate(row) if x]
+                 for row in m]
                 for m in seminormal_matrices(shape)
             ]
             for shape in partitions(n)
         ]
         identity = self.rank[tuple(range(1, n + 1))]
         self._mats = [
-            {identity: self._store(
-                int(t == u) for t in range(d) for u in range(d)
-            )}
+            {identity: (1, array(
+                "q", (int(t == u) for t in range(d) for u in range(d))
+            ))}
             for d in self.dims
         ]
 
-    def length(self, r: int) -> int:
-        word = self.words[r]
-        return sum(a > b for j, a in enumerate(word) for b in word[j + 1:])
-
     def matrix(self, k: int, r: int):
-        """N_w for the k-th partition and the word of rank r."""
+        """(D, N) for the k-th partition and the word of rank r."""
         mats = self._mats[k]
         out = mats.get(r)
         if out is None:
@@ -171,17 +160,18 @@ class WordTable:
             i = next(i for i in range(1, self.degree) if at[i + 1] < at[i])
             swap = {i: i + 1, i + 1: i}
             parent = self.rank[tuple(swap.get(v, v) for v in word)]
-            prev, d = self.matrix(k, parent), self.dims[k]
-            out = []
+            (den, prev), d = self.matrix(k, parent), self.dims[k]
+            # ρ(w) = (L·ρ(s_i))·N_parent / (L·D_parent), then in lowest terms
+            num = []
             for entries in self._gens[k][i - 1]:
                 (u, c), *rest = entries
                 acc = [c * x for x in prev[u * d:(u + 1) * d]]
                 for u, c in rest:
                     acc = [a + c * x for a, x in zip(acc, prev[u * d:(u + 1) * d])]
-                out.extend(acc)
-            if self.scale is None:
-                out = [x % self.field.p for x in out]
-            mats[r] = out = self._store(out)
+                num.extend(acc)
+            den *= self._scale
+            g = math.gcd(den, *num)
+            mats[r] = out = (den // g, array("q", [x // g for x in num]))
         return out
 
 
@@ -189,7 +179,7 @@ class ModuleRanks:
     """The ranks r_λ of the stacked matrices ρ_λ(g) over the elements g of
     k[S_n]^s inserted so far: a left submodule of dimension Σ d_λ·r_λ, and
     a membership test for it.  An element is a dict column -> scalar over
-    the table's field, column = block · n! + rank of the leaf word.
+    the fold's field, column = block · n! + rank of the leaf word.
 
     The module is held through a ``terms.AssociationFold`` f of the s
     skeleton blocks onto t type blocks, whose kernel lies in the module:
@@ -205,7 +195,7 @@ class ModuleRanks:
         self.table = table
         self.fold = fold
         self.width = len(table.words)
-        self.reducers = [_Reducer(table.field) for _ in table.dims]
+        self.reducers = [_Reducer(fold.field) for _ in table.dims]
         # the number of columns of each stack, the largest rank it can have
         self._sizes = [fold.ntypes * d for d in table.dims]
         for vec in fold.relations:
@@ -213,7 +203,7 @@ class ModuleRanks:
 
     @property
     def field(self):
-        return self.table.field
+        return self.fold.field
 
     @property
     def ncols(self) -> int:
@@ -232,51 +222,50 @@ class ModuleRanks:
         return sum(map(int.__mul__, self.table.dims, self.ranks))
 
     def _coefficients(self, vec):
-        """Per block, the (word rank, integer coefficient) pairs of vec.
-        Over the rationals vec is scaled by a common denominator and by the
-        powers of L that bring each N_w to ρ(w)·L^E; this scales each
-        ρ_λ(vec) as a whole, which leaves its row space alone."""
+        """Per block, the (word rank, integer coefficient) pairs of vec,
+        scaled by the common denominator of its coefficients over the
+        rationals; over a prime field that denominator is 1.  Scaling
+        ρ_λ(vec) as a whole leaves its row space alone."""
         table, width = self.table, self.width
         # ρ(σ·vec) = ρ(σ)ρ(vec) has the same row space as ρ(vec); taking σ
         # to bring the first column's word to the identity makes it sparser
         first = table.words[min(vec) % width]
         inverse = {v: j for j, v in enumerate(first, 1)}
         rank, words = table.rank, table.words
-        vec = {
-            c - r + rank[tuple(inverse[x] for x in words[r])]: v
-            for c, v in vec.items()
-            for r in (c % width,)
-        }
-        if table.scale is not None:
-            den = math.lcm(*(v.denominator for v in vec.values()))
-            lengths = {c: table.length(c % width) for c in vec}
-            top = max(lengths.values())
-            vec = {
-                c: v.numerator * (den // v.denominator)
-                * table.scale ** (top - lengths[c])
-                for c, v in vec.items()
-            }
+        den = math.lcm(*(v.denominator for v in vec.values()))
         blocks: dict = {}
         for c, v in vec.items():
             b, r = divmod(c, width)
-            blocks.setdefault(b, []).append((r, v))
+            blocks.setdefault(b, []).append((
+                rank[tuple(inverse[x] for x in words[r])],
+                v.numerator * (den // v.denominator),
+            ))
         return blocks
 
     def _rows(self, blocks, k):
-        """The nonzero rows of ρ_λ(vec) for the k-th partition λ, from
-        vec's ``_coefficients``: row t holds, at block b's columns
-        b·d_λ .. b·d_λ + d_λ - 1, row t of that block's image."""
-        table = self.table
+        """The nonzero rows of D·ρ_λ(vec) for the k-th partition λ, from
+        vec's ``_coefficients``, with D the lcm of the table's denominators
+        D_w over vec's words: row t holds, at block b's columns
+        b·d_λ .. b·d_λ + d_λ - 1, row t of that block's image.  D has no
+        prime factor above n − 1, so over a prime field that has a
+        ``ModuleRanks`` it is a unit."""
+        table, p = self.table, self.fold.field.characteristic
         d = table.dims[k]
-        modulus = None if table.scale is not None else table.field.p
+        mats = {
+            b: [(c, *table.matrix(k, r)) for r, c in terms]
+            for b, terms in blocks.items()
+        }
+        den = math.lcm(*(dw for terms in mats.values() for _, dw, _ in terms))
         images = []
-        for b, terms in blocks.items():
-            (r, c), *rest = terms
-            acc = [c * x for x in table.matrix(k, r)]
-            for r, c in rest:
-                acc = [a + c * x for a, x in zip(acc, table.matrix(k, r))]
-            if modulus is not None:
-                acc = [x % modulus for x in acc]
+        for b, terms in mats.items():
+            (c, dw, mat), *rest = terms
+            c *= den // dw
+            acc = [c * x for x in mat]
+            for c, dw, mat in rest:
+                c *= den // dw
+                acc = [a + c * x for a, x in zip(acc, mat)]
+            if p:
+                acc = [x % p for x in acc]
             images.append((b * d, acc))
         for t in range(0, d * d, d):
             row = {

@@ -732,13 +732,20 @@ def test_large_primes_are_accepted_at_once(tag):
     assert time.monotonic() - start < 1
 
 
-def test_large_prime_field_runs(capsys):
+@pytest.mark.parametrize("variety, degree, tag, dims", [
+    ("assoc", "3", "p:1000000000000000003",
+     {"ambient": 12, "ideal": 6, "quotient": 6}),
+    # 2^64 - 59, above 2^63: counted by partition
+    ("jordan", "5", "p:18446744073709551557",
+     {"ambient": 1680, "ideal": 1625, "quotient": 55}),
+], ids=["below-2^63", "above-2^63"])
+def test_large_prime_field_runs(capsys, variety, degree, tag, dims):
     code, report = run_json(
-        capsys, "dim", "--variety", "builtin:assoc", "--degree", "3",
-        "--field", "p:1000000000000000003",
+        capsys, "dim", "--variety", f"builtin:{variety}", "--degree", degree,
+        "--field", tag,
     )
     assert code == 0
-    assert report["dims"] == {"ambient": 12, "ideal": 6, "quotient": 6}
+    assert report["dims"] == dims
 
 
 @pytest.mark.parametrize(

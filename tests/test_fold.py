@@ -243,7 +243,7 @@ def _check_fold_holds_its_ideal(symmetric, associative, field):
     ctx = Context(field)
     for n in range(2, 5):
         layout = basis_layout(sig, n, ctx)
-        table = WordTable(layout, field)
+        table = WordTable(layout)
         fold = AssociationFold(layout, symmetric, field, associative)
         oracle = _ideal(sig, symmetric, associative, n, ctx)
         assert ModuleRanks(table, fold).dim == oracle.dim

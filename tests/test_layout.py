@@ -245,6 +245,34 @@ def test_only_module_step_builds_modules():
     )
 
 
+def test_word_table_is_field_free():
+    """Every field reads one table of Young's matrices: ``dioperad.young``
+    imports nothing from ``dioperad.fields``, and ``WordTable`` is built
+    from a layout alone."""
+    path = pathlib.Path(dioperad.__file__).parent / "young.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # ``from .fields import x`` and ``from . import fields`` alike
+            imported.update((node.module or "").split("."))
+            if node.module in (None, "dioperad"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert "fields" not in imported
+    (init,) = (
+        defn
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "WordTable"
+        for defn in cls.body
+        if isinstance(defn, ast.FunctionDef) and defn.name == "__init__"
+    )
+    assert [a.arg for a in init.args.args] == ["self", "layout"]
+    assert not (init.args.vararg or init.args.kwarg or init.args.kwonlyargs)
+
+
 def test_only_graft_and_linearize_take_products_of_terms():
     """Tree substitution has one owner: the only package functions that
     call ``itertools.product`` (or a bare ``product``) are ``terms.graft``

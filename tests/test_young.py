@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -77,23 +78,36 @@ def test_seminormal_generators_satisfy_the_coxeter_relations(field, n):
 @pytest.mark.parametrize("field", [QQ, P7], ids=["q", "p7"])
 def test_word_table_is_a_homomorphism(field):
     n = 5
-    table = WordTable(basis_layout(Signature([("mul", 2)]), n), field)
+    table = WordTable(basis_layout(Signature([("mul", 2)]), n))
     rng = random.Random(5)
 
     def rho(k, word):
-        r = table.rank[word]
         d = table.dims[k]
-        flat = table.matrix(k, r)
-        if field == QQ:
-            den = table.scale ** table.length(r)
-            flat = [field.coerce(x) / den for x in flat]
-        return [list(flat[t * d:(t + 1) * d]) for t in range(d)]
+        den, flat = table.matrix(k, table.rank[word])
+        flat = [field.coerce(Fraction(x, den)) for x in flat]
+        return [flat[t * d:(t + 1) * d] for t in range(d)]
 
     for _ in range(10):
         u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
         uv = tuple(u[x - 1] for x in v)  # the map j -> u(v(j))
         for k in range(len(table.dims)):
             assert rho(k, uv) == _matmul(field, rho(k, u), rho(k, v))
+
+
+@pytest.mark.parametrize("n, largest", [(5, 576), (6, 14400)])
+def test_word_table_denominators_are_small(n, largest):
+    """Over all n! words, each D is the least common denominator of its
+    matrix, which has entries at most 1 in absolute value; the largest D
+    is the one the seminormal form gives."""
+    table = WordTable(basis_layout(Signature([("mul", 2)]), n))
+    seen = 0
+    for k in range(len(table.dims)):
+        for r in range(len(table.words)):
+            den, flat = table.matrix(k, r)
+            assert math.gcd(den, *flat) == 1
+            assert all(abs(x) <= den for x in flat)
+            seen = max(seen, den)
+    assert seen == largest
 
 
 def _multiplicities(variety, n, ctx):
