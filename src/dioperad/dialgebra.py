@@ -30,32 +30,21 @@ from .terms import (
     Signature,
     _scan,
     basis_layout,
+    collapse,
     double_signature,
     doubled_name,
-    format_node,
     split_doubled_name,
     substitute_at,
 )
 
 
 def _strip(node):
-    if isinstance(node, int):
+    """A doubled tree node, raw or a skeleton, with its superscripts
+    dropped."""
+    if not isinstance(node, tuple):
         return node
     base, _ = split_doubled_name(node[0])
     return (base,) + tuple(_strip(c) for c in node[1:])
-
-
-def _collapse_node(node):
-    """The plain tree and the emphasized leaf of a raw doubled tree node."""
-    top = node
-    while not isinstance(node, int):
-        _, k = split_doubled_name(node[0])
-        if not 1 <= k <= len(node) - 1:
-            raise ValueError(
-                f"superscript {k} out of range in {format_node(top)}"
-            )
-        node = node[k]
-    return _strip(top), node
 
 
 def _lift_node(node, k):
@@ -172,56 +161,55 @@ def bso_presentation(variety: VarietyPresentation) -> VarietyPresentation:
 
 
 def _collapse_columns(dsig: DoubledSignature, n: int, base, ctx):
-    """Column of the collapse image, inside n stacked copies of the plain
-    basis, of each degree-n doubled basis monomial, in basis order.  The
-    plain ideal ``base`` must live in the plain space.
+    """For each degree-n doubled skeleton, in basis order, the offset of
+    its plain skeleton in the plain basis and the position of its
+    emphasized leaf (``terms.collapse``).  The plain ideal ``base`` must
+    live in the plain space.
 
-    Collapse keeps the leaf word, so each doubled skeleton is stripped once:
-    filled with the word 1..n, it gives the plain skeleton's offset and the
-    position of the emphasized leaf; a word w then lands in emphasis
-    component w[position] at that offset plus the rank of w."""
+    Collapse keeps the leaf word, so the column of skeleton block b and
+    word w lands in emphasis component w[position], at the block's offset
+    plus the rank of w."""
     plain = basis_layout(dsig.base, n, ctx)
-    block = plain.ncols
-    if base.ncols != block:
+    if base.ncols != plain.ncols:
         raise ValueError(
-            f"plain ideal has {base.ncols} columns, expected {block}"
+            f"plain ideal has {base.ncols} columns, expected {plain.ncols}"
         )
-    doubled = basis_layout(dsig, n, ctx)
-    words = doubled.words
-    cols = []
-    for col in range(0, doubled.ncols, len(words)):
-        tree, leaf = _collapse_node(doubled.node(col))
-        offset = plain[tree]
-        cols.extend(
-            (w[leaf - 1] - 1) * block + offset + r for r, w in enumerate(words)
-        )
-    return cols
+    width = len(plain.words)
+    return [
+        (plain.position[_strip(skel)] * width, collapse(skel)[1])
+        for skel in basis_layout(dsig, n, ctx).skeletons
+    ]
 
 
 def collapses_into(dsig: DoubledSignature, n: int, rows, base, ctx=None) -> bool:
     """Whether every emphasis component of the collapse image of every
     given degree-n doubled vector lies in the plain ideal ``base``, anything
-    with ncols, field and contains(vec) on the plain columns: a
+    with ncols, field and contains_all(vecs) on the plain columns: a
     ``Subspace`` or a ``young.ModuleRanks``.  The arithmetic is over the
     base's field, and doubled terms that collapse onto one plain column add
-    up before any component is tested.  A column outside the doubled space
-    is refused with a ValueError naming it."""
-    cols = _collapse_columns(dsig, n, base, as_context(ctx))
-    field, block, width = base.field, base.ncols, len(cols)
+    up before any component is tested.  All the components of all the
+    vectors are tested in one ``contains_all``.  A column outside the
+    doubled space is refused with a ValueError naming it."""
+    ctx = as_context(ctx)
+    blocks = _collapse_columns(dsig, n, base, ctx)
+    words = basis_layout(dsig, n, ctx).words
+    field, width = base.field, len(words)
+    ncols = len(blocks) * width
+    tested = []
     for row in rows:
-        image: dict = {}
-        for c, v in row.items():
-            if not 0 <= c < width:
-                raise ValueError(f"column {c} outside 0..{width - 1}")
-            k = cols[c]
-            image[k] = field.add(image.get(k, field.zero), v)
         parts: list = [{} for _ in range(n)]
-        for c, v in image.items():
-            if v:
-                parts[c // block][c % block] = v
-        if not all(base.contains(part) for part in parts if part):
-            return False
-    return True
+        for c, v in row.items():
+            if not 0 <= c < ncols:
+                raise ValueError(f"column {c} outside 0..{ncols - 1}")
+            b, r = divmod(c, width)
+            offset, slot = blocks[b]
+            part, k = parts[words[r][slot] - 1], offset + r
+            part[k] = field.add(part.get(k, field.zero), v)
+        for part in parts:
+            part = {c: v for c, v in part.items() if v}
+            if part:
+                tested.append(part)
+    return base.contains_all(tested)
 
 
 def collapse_preimage_dimension(n: int, ncols: int, base) -> int:

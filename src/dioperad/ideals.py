@@ -11,11 +11,12 @@ every S_n-module of the package, builds it degree by degree in the run
 context's memo.  From degree 4 on it works over the association types
 (``terms.AssociationFold``) of the binary operations that its own
 modules of degrees 2 and 3 make commutative or anticommutative, and
-associative (``_laws``).  Where k[S_n] is semisimple it counts the module
-by partition (a ``young.ModuleRanks``), never expanded, and elsewhere it
-closes the generators' span under S_n.  Only
-``consequences_at_degree``, for the commands that need rows, expands a
-semisimple degree, and only the degree it is asked for.  The disk cache
+associative (``_laws``), and on a doubled signature whose zero identities
+lie in the ideal it collapses each doubled skeleton too.  Where k[S_n] is
+semisimple it counts the module by partition (a ``young.ModuleRanks``),
+never expanded, and elsewhere it closes the generators' span under S_n.
+Only ``consequences_at_degree``, for the commands that need rows, expands
+a semisimple degree, and only the degree it is asked for.  The disk cache
 holds what ``dim`` prints: ``partition_ranks`` alone reads and writes it,
 one entry of ranks by partition for the degree it is asked for.
 
@@ -31,12 +32,16 @@ from .fields import QQ
 from .linalg import Subspace, _Reducer
 from .terms import (
     AssociationFold,
+    DoubledSignature,
     Monomial,
     Polynomial,
     basis_layout,
     check_in_signature,
+    collapse,
+    doubled_name,
     format_node,
     format_polynomial,
+    split_doubled_name,
     substitution_column_maps,
 )
 from .young import ModuleRanks, WordTable, dimensions
@@ -320,16 +325,59 @@ def _ideal_dim(n, ranks) -> int:
     return sum(map(int.__mul__, dimensions(n), ranks))
 
 
+def _zero_laws(signature, n, ctx):
+    """The zero identities of degree n of a doubled signature, up to a
+    change of basis: T − collapse(T) on the degree-n layout, for each tree
+    T of two operations, of arities a and b with a + b − 1 = n, its leaves
+    in order, that ``terms.collapse`` moves.  Their ideal holds
+    T − collapse(T) for every doubled tree T."""
+    one, minus = ctx.field.one, ctx.field.coerce(-1)
+    for outer, a in signature.operations:
+        for inner, b in signature.operations:
+            if a + b - 1 != n:
+                continue
+            layout = basis_layout(signature, n, ctx)
+            for j in range(a):
+                node = (outer, *range(1, j + 1),
+                        (inner, *range(j + 1, j + b + 1)),
+                        *range(j + b + 1, n + 1))
+                moved = collapse(node)[0]
+                if moved != node:
+                    yield {layout[node]: one, layout[moved]: minus}
+
+
+def _seeded_zero_laws(signature, seeds, n, ctx) -> bool:
+    """Whether the zero identities of each degree 4..n lie in the span of
+    that degree's seed vectors.  These degrees' modules are not read: the
+    module being built must not be, and its fold rests on this answer."""
+    for d in range(4, n + 1):
+        laws = list(_zero_laws(signature, d, ctx))
+        if laws:
+            reducer = _Reducer(ctx.field)
+            for vec in seeds.get(d, ()):
+                reducer.insert(vec)
+            if any(reducer.reduce(vec) for vec in laws):
+                return False
+    return True
+
+
 def _laws(signature, seeds, digest, ctx):
-    """(symmetric, associative): the binary operations that the degree-2
-    ideal makes commutative or anticommutative, each with its sign, o -> ε
-    when o(1, 2) − ε·o(2, 1) lies in the degree-2 module of
-    ``_module_step``; and those, none of them anticommutative, that the
+    """(symmetric, associative, collapsing): the binary operations that the
+    degree-2 ideal makes commutative or anticommutative, each with its
+    sign, o -> ε when o(1, 2) − ε·o(2, 1) lies in the degree-2 module of
+    ``_module_step``; those, none of them anticommutative, that the
     degree-3 ideal makes associative, o(o(1, 2), 3) − o(1, o(2, 3)) lying
-    in the degree-3 module.  Neither module folds anything.  The tests are
-    of membership, so they see through relabelled and scaled identities,
-    and through laws that only follow from other identities.  In
-    characteristic 2 the two signs agree, and ε = 1 is found."""
+    in the degree-3 module; and, for a doubled signature, whether the zero
+    identities of degree 3 (``_zero_laws``) lie in the degree-3 module,
+    which is vacuous without binary operations.  Neither module folds
+    anything.  The tests are of membership, so they see through relabelled
+    and scaled identities, and through laws that only follow from other
+    identities.  In characteristic 2 the two signs agree, and ε = 1 is
+    found.  The collapse is not reported beside a symmetric operation, nor
+    beside an associative f^k unless f^1 and f^2 both are: off the path
+    every superscript is free, so there a law of one superscript holds for
+    all, and a fold that combs f^2 alone misses that (``AssociationFold``
+    then no longer holds its ideal, which the tests show)."""
     binary = [op for op, arity in signature.operations if arity == 2]
     field = ctx.field
     one, minus = field.one, field.coerce(-1)
@@ -345,12 +393,22 @@ def _laws(signature, seeds, digest, ctx):
                 break
     triples = _module_step(signature, seeds, digest, 3, ctx)[0]
     layout = basis_layout(signature, 3, ctx)
-    return symmetric, frozenset(
+    associative = frozenset(
         op for op in binary
         if symmetric.get(op) != -1 and triples.contains({
             layout[(op, (op, 1, 2), 3)]: one, layout[(op, 1, (op, 2, 3))]: minus
         })
     )
+    collapsing = (
+        isinstance(signature, DoubledSignature)
+        and not symmetric
+        and all(
+            doubled_name(split_doubled_name(op)[0], k) in associative
+            for op in associative for k in (1, 2)
+        )
+        and all(map(triples.contains, _zero_laws(signature, 3, ctx)))
+    )
+    return symmetric, associative, collapsing
 
 
 def _folded_candidates(signature, seeds, digest, n, ctx):
@@ -358,14 +416,19 @@ def _folded_candidates(signature, seeds, digest, n, ctx):
     operations that ``_laws`` finds, from degree 4 on, and the degree's
     ``_candidates``, made from the lower degrees' kept candidates.  The
     laws are read from the modules of degrees 2 and 3, which fold nothing,
-    once per presentation in the context's memo."""
-    symmetric, associative = {}, ()
+    once per presentation in the context's memo.  A doubled degree also
+    collapses when the zero identities of degree 3 lie in the degree-3
+    module and those of degrees 4..n in their seeds'
+    (``_seeded_zero_laws``)."""
+    symmetric, associative, collapsing = {}, (), False
     if n >= 4:
-        symmetric, associative = ctx.memo(
+        symmetric, associative, collapsing = ctx.memo(
             ("laws", digest), 3, lambda: _laws(signature, seeds, digest, ctx)
         )
+        collapsing = collapsing and _seeded_zero_laws(signature, seeds, n, ctx)
     fold = AssociationFold(
-        basis_layout(signature, n, ctx), symmetric, ctx.field, associative
+        basis_layout(signature, n, ctx), symmetric, ctx.field, associative,
+        collapsing,
     )
 
     def lower(m):
@@ -381,9 +444,13 @@ def _module_step(signature, seeds, digest, n, ctx):
     presentation's, and of a morphism's kernel (``verify_bso_theorem``).
     From degree 4 on the degree is folded onto the association types of
     the operations that ``_laws`` finds in degrees 2 and 3
-    (``terms.AssociationFold``); those degrees fold nothing.  Where k[S_n]
-    is semisimple the module is a ``ModuleRanks`` over that fold;
-    elsewhere it is the ``Subspace`` of ``_expand``.  The generators
+    (``terms.AssociationFold``); those degrees fold nothing.  A doubled
+    degree is also collapsed onto plain types with one emphasized leaf
+    when the zero identities lie in the ideal (``_folded_candidates``), so
+    it stacks about n blocks for each plain type instead of one for each
+    doubled skeleton.  Where k[S_n] is semisimple the module is a
+    ``ModuleRanks`` over that fold; elsewhere it is the ``Subspace`` of
+    ``_expand``.  The generators
     are those of the ideal J the fold stands for
     (``AssociationFold.generators``), then the kept candidates.  The
     module stays in the memo, so it answers membership without its
@@ -396,8 +463,9 @@ def _module_step(signature, seeds, digest, n, ctx):
     so do its substitutions, so it is not kept.  The candidates substitute
     only the lower degrees' kept candidates: the other generators generate
     the lower degree's J, whose substitutions stay in this degree's, as J
-    is generated by the commutators and associators of degrees 2 and 3,
-    and the fold holds this degree's J already."""
+    is generated by the commutators and associators of degrees 2 and 3
+    and by the zero identities, and the fold holds this degree's J
+    already."""
 
     def build():
         fold, candidates = _folded_candidates(signature, seeds, digest, n, ctx)

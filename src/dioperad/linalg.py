@@ -234,6 +234,10 @@ class Subspace:
         self._check_columns(vec)
         return not self.reducer.reduce(vec)
 
+    def contains_all(self, vecs) -> bool:
+        """Whether every given vector lies in the subspace."""
+        return all(map(self.contains, vecs))
+
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ncols={self.ncols})"
 

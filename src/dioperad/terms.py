@@ -106,6 +106,36 @@ def split_doubled_name(name: str) -> tuple[str, int]:
     return base, int(sup)
 
 
+def collapse(node):
+    """The doubled tree node with every superscript off the path to its
+    emphasized leaf set to 1, and the position of that leaf among the
+    node's leaves, counted from 0.  The path follows the superscripts down
+    from the root.  This is the collapse map: modulo the zero identities,
+    a doubled monomial is a plain monomial with one emphasized leaf.  The
+    leaves are kept as they are, so the node may be a raw tree or a
+    skeleton."""
+    slot, count = None, 0
+
+    def walk(sub, on_path):
+        nonlocal slot, count
+        if not isinstance(sub, tuple):
+            if on_path:
+                slot = count
+            count += 1
+            return sub
+        base, k = split_doubled_name(sub[0])
+        if on_path and not 1 <= k < len(sub):
+            raise ValueError(
+                f"superscript {k} out of range in {format_node(node)}"
+            )
+        name = sub[0] if on_path else doubled_name(base, 1)
+        return (name,) + tuple(
+            walk(c, on_path and i == k) for i, c in enumerate(sub[1:], 1)
+        )
+
+    return walk(node, True), slot
+
+
 def double_signature(sig: Signature) -> DoubledSignature:
     """Replace every operation f of arity a by a operations f^1..f^a."""
     if isinstance(sig, DoubledSignature):
@@ -471,6 +501,24 @@ def _canonical(skel, symmetric, associative, first=0):
     return node, tuple(p for _, pos, _ in parts for p in pos), sign
 
 
+def _type(skel, symmetric, associative, collapsing):
+    """``_canonical`` of a skeleton and, when collapsing, ``collapse``
+    after it, in turn until neither moves the skeleton: (type, positions,
+    sign), the positions composed and the signs multiplied along the way.
+    A collapse keeps the leaves where they are and changes no sign, and
+    the number of superscripts other than 1 falls with each collapse that
+    moves the skeleton, while ``_canonical`` keeps it, so the turns end."""
+    node, positions, sign = _canonical(skel, symmetric, associative)
+    while collapsing:
+        moved = collapse(node)[0]
+        if moved == node:
+            break
+        node, inner, step = _canonical(moved, symmetric, associative)
+        positions = tuple(positions[p] for p in inner)
+        sign *= step
+    return node, positions, sign
+
+
 def _size(skel) -> int:
     """The number of leaves of a skeleton."""
     return 1 if skel is _LEAF else sum(map(_size, skel[1:]))
@@ -521,6 +569,18 @@ class AssociationFold:
     relations.  With no symmetric or associative operation the fold is
     the identity.
 
+    On a doubled signature (``DoubledSignature``) whose zero identities
+    lie in the ideal, the fold also collapses (``collapsing``): T' is then
+    a fixed point of ``collapse`` as well as of ``_canonical`` (``_type``),
+    a plain skeleton with one emphasized leaf, reassociated as above.  A
+    collapse moves no leaf and changes no sign, and J then holds the zero
+    identities too, whose ideal in each degree is the kernel of the
+    collapse map; the relations are taken as above.  So a doubled degree
+    counts over at most n types for each plain skeleton, instead of one
+    skeleton for each choice of superscripts: bso(assoc) has 16 types at
+    degree 5 against 224 skeletons (90 with the comb alone), bso(lie) 20
+    against 40 at degree 4, bso(jts) 15 against 27 at degree 5.
+
     The type columns form a layout of their own for ``ideals._close``:
     degree, words, rank and ncols, with ``types`` giving each type's
     skeleton block."""
@@ -528,11 +588,13 @@ class AssociationFold:
     __slots__ = ("layout", "field", "nblocks", "ntypes", "types", "_moves",
                  "relations", "generators")
 
-    def __init__(self, layout, symmetric, field, associative=()):
+    def __init__(self, layout, symmetric, field, associative=(),
+                 collapsing=False):
         self.layout, self.field = layout, field
         n, width, rank = layout.degree, len(layout.words), layout.rank
         canonical = [
-            _canonical(s, symmetric, associative) for s in layout.skeletons
+            _type(s, symmetric, associative, collapsing)
+            for s in layout.skeletons
         ]
         self.types = types = [
             b for b, s in enumerate(layout.skeletons) if canonical[b][0] == s

@@ -302,14 +302,25 @@ class ModuleRanks:
     def contains(self, vec: dict) -> bool:
         """Whether vec lies in the module: whether inserting it would raise
         no rank.  The module is left as it is."""
-        vec = self.fold.fold(vec)
-        if not vec:
-            return True
-        blocks = self._coefficients(vec)
+        return self.contains_all([vec])
+
+    def contains_all(self, vecs) -> bool:
+        """Whether every given vector lies in the module.  Vectors whose
+        ``_coefficients`` agree, as copies of one vector or of one
+        relabelled vector often do, are tested once.  The module is left as
+        it is."""
+        each: dict = {}
+        for vec in map(self.fold.fold, vecs):
+            if vec:
+                blocks = self._coefficients(vec)
+                each[frozenset(
+                    (b, frozenset(terms)) for b, terms in blocks.items()
+                )] = blocks
         return not any(
             reducer.reduce(row)
             for k, (reducer, size) in enumerate(zip(self.reducers, self._sizes))
             if len(reducer.pivot_rows) < size
+            for blocks in each.values()
             for row in self._rows(blocks, k)
         )
 

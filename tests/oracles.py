@@ -15,7 +15,7 @@ from dioperad.context import as_context
 from dioperad.dialgebra import (
     DialgebraEquivalenceReport,
     DiPolynomial,
-    _collapse_node,
+    _strip,
     collapse_preimage_dimension,
     is_collapse_preimage,
     superscript_poly,
@@ -45,6 +45,7 @@ from dioperad.terms import (
     _graft,
     apply_permutation,
     basis_layout,
+    collapse,
     compose,
     double_signature,
     enumerate_monomials,
@@ -123,9 +124,9 @@ class EmphasizedMonomial(NamedTuple):
 
 def unsuperscript(m: Monomial) -> EmphasizedMonomial:
     """Drop all superscripts; the emphasized leaf is the one reached by
-    descending along the root superscripts."""
-    plain, leaf = _collapse_node(m.node)
-    return EmphasizedMonomial(Monomial(plain), leaf)
+    descending along the root superscripts (``terms.collapse``)."""
+    slot = collapse(m.node)[1]
+    return EmphasizedMonomial(Monomial(_strip(m.node)), m.leaf_word[slot])
 
 
 def from_doubled(p: Polynomial) -> DiPolynomial:

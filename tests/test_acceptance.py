@@ -232,6 +232,35 @@ def test_criterion_4_equivalence_theorem():
     )
 
 
+@stretch
+@needs_stretch
+def test_criterion_4_stretch_doubled_degree_seven(capsys):
+    """verify-di at degree 7, where the doubled presentations count over
+    their collapsed types: 42,577,920 doubled columns for assoc, 1,632,960
+    for jts."""
+    for name, ambient, quotient in (
+        ("assoc", 42577920, 35280), ("jts", 1632960, 13965),
+    ):
+        start = time.monotonic()
+        code = main(["verify-di", "--variety", f"builtin:{name}",
+                     "--degree", "7", "--max-degree", "7",
+                     "--field", "p:1000003", "--json", "--no-cache"])
+        elapsed = time.monotonic() - start
+        report = json.loads(capsys.readouterr().out)
+        ok = code == 0 and report["verdict"] is True and report["dims"] == {
+            "ambient": ambient,
+            "ideal": ambient - quotient,
+            "quotient": quotient,
+        }
+        announce(
+            "4 (stretch)",
+            ok,
+            f"doubled {name} matches the block ideal at degree 7 over "
+            f"p:1000003 (quotient {report['dims']['quotient']} of "
+            f"{report['dims']['ambient']} columns) in {elapsed:.1f}s",
+        )
+
+
 def test_criterion_5_speciality_baselines():
     ok = True
     for field in FIELDS:

@@ -1,18 +1,24 @@
 """The association-type fold of the partition path: detection of
-(anti)commutative operations from the degree-2 ideal and of associative
-ones from the degree-3 ideal, the fold against the ideal it stands for,
-the module generators it adds, and the ranks and morphism kernels with and
-without it."""
+(anti)commutative operations from the degree-2 ideal, of associative ones
+from the degree-3 ideal and of the zero identities of doubled signatures,
+the fold and its collapse against the ideal they stand for, the module
+generators the fold adds, and the ranks, morphism kernels and verdicts
+with and without it."""
 
 from __future__ import annotations
 
 import pytest
 
-from dioperad import Context, catalog, ideals
-from dioperad.dialgebra import bso_presentation
+from dioperad import Context, catalog, dialgebra, ideals
+from dioperad.dialgebra import (
+    bso_presentation,
+    verify_dialgebra_equivalence,
+    zero_identities,
+)
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
+    _folded_candidates,
     _laws,
     _seeds,
     _variety_module,
@@ -52,6 +58,22 @@ def _detect_laws(variety, field):
     sig = variety.signature
     seeds = _seeds(sig, variety.generators, 3, ctx)
     return _laws(sig, seeds, variety.digest, ctx)
+
+
+def _patch_laws(monkeypatch, symmetric=None, associative=None,
+                collapsing=None):
+    """Detection with the given parts of its answer replaced."""
+    laws = ideals._laws
+
+    def patched(*args):
+        return tuple(
+            found if part is None else part
+            for found, part in zip(
+                laws(*args), (symmetric, associative, collapsing)
+            )
+        )
+
+    monkeypatch.setattr(ideals, "_laws", patched)
 
 
 def detect(variety, field=P):
@@ -169,10 +191,7 @@ def test_a_variety_without_associativity_does_not_fold(monkeypatch, field):
         oracle.ncols, oracle.dim
     )
     # a fold that takes flexibility for associativity shows
-    laws = ideals._laws
-    monkeypatch.setattr(
-        ideals, "_laws", lambda *args: (laws(*args)[0], {"mul"})
-    )
+    _patch_laws(monkeypatch, associative={"mul"})
     assert ideal_dimensions(FLEXIBLE, 4, Context(field)) != (
         oracle.ncols, oracle.dim
     )
@@ -221,16 +240,22 @@ def test_commutative_comb_keeps_a_special_dimension(field):
         ] == [2, 10, 54, 0, 0, 0]
 
 
-def _ideal(sig, symmetric, associative, n, ctx):
-    """The degree-n ideal of o(1, 2) − ε·o(2, 1) and of the associators of
-    the associative operations, expanded row by row."""
-    gens = tuple(
-        poly({(op, 1, 2): 1, (op, 2, 1): -eps}).convert(ctx.field)
+def _law_generators(symmetric, associative):
+    """o(1, 2) − ε·o(2, 1) for each symmetric operation, then the
+    associators of the associative operations."""
+    return tuple(
+        poly({(op, 1, 2): 1, (op, 2, 1): -eps})
         for op, eps in symmetric.items()
     ) + tuple(
         poly({(op, (op, 1, 2), 3): 1, (op, 1, (op, 2, 3)): -1})
-        .convert(ctx.field)
         for op in associative
+    )
+
+
+def _ideal(sig, symmetric, associative, n, ctx):
+    """The degree-n ideal of ``_law_generators``, expanded row by row."""
+    gens = tuple(
+        g.convert(ctx.field) for g in _law_generators(symmetric, associative)
     )
     return row_ideal_component(sig, gens, repr((symmetric, associative)), n, ctx)
 
@@ -336,10 +361,7 @@ def test_a_wrong_sign_changes_the_ideal(monkeypatch, field):
     gens = tuple(g.convert(field) for g in lie.generators)
     oracle = row_ideal_component(lie.signature, gens, lie.digest, 4, Context(field))
     assert ideal_dimensions(lie, 4, Context(field)) == (oracle.ncols, oracle.dim)
-    laws = ideals._laws
-    monkeypatch.setattr(
-        ideals, "_laws", lambda *args: ({"bracket": 1}, laws(*args)[1])
-    )
+    _patch_laws(monkeypatch, symmetric={"bracket": 1})
     assert ideal_dimensions(lie, 4, Context(field)) != (oracle.ncols, oracle.dim)
     # the row path folds too
     rows = consequences_at_degree(lie, 4, Context(field)).ideal
@@ -369,16 +391,15 @@ def _ranks(variety, degrees, field):
 
 
 def _unfolded(monkeypatch):
-    monkeypatch.setattr(ideals, "_laws", lambda *args: ({}, frozenset()))
+    monkeypatch.setattr(
+        ideals, "_laws", lambda *args: ({}, frozenset(), False)
+    )
 
 
 def _not_associative(monkeypatch):
-    """Detection that keeps its real symmetric half and finds no
-    associative operation."""
-    laws = ideals._laws
-    monkeypatch.setattr(
-        ideals, "_laws", lambda *args: (laws(*args)[0], frozenset())
-    )
+    """Detection that keeps its real symmetric and collapse parts and
+    finds no associative operation."""
+    _patch_laws(monkeypatch, associative=frozenset())
 
 
 def _dimensions(variety, degrees, field):
@@ -438,3 +459,189 @@ def test_folded_kernels_equal_unfolded_ones(monkeypatch, name, field):
     folded = reports()
     _unfolded(monkeypatch)
     assert reports() == folded
+
+
+# The collapse: a doubled skeleton folds onto its plain skeleton with one
+# emphasized leaf, every superscript off the path to that leaf set to 1.
+
+MUL = Signature([("mul", 2)])
+
+
+def _bso(name):
+    return bso_presentation(catalog.presentation(name))
+
+
+def _no_collapse(monkeypatch):
+    _patch_laws(monkeypatch, collapsing=False)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_collapse_is_detected_on_doubled_presentations(field):
+    for name in BUILTINS:
+        assert _detect_laws(catalog.presentation(name), field)[2] is False
+        assert _detect_laws(_bso(name), field)[2] is True
+
+
+def _fold_at(variety, n, field=P):
+    """The fold of ``_module_step`` at degree n, its module not built."""
+    ctx = Context(field, max_degree=n)
+    seeds = _seeds(variety.signature, variety.generators, n, ctx)
+    return _folded_candidates(
+        variety.signature, seeds, variety.digest, n, ctx
+    )[0]
+
+
+def test_collapse_type_counts():
+    """About n types for each plain type: no more than 16 for bso(assoc)
+    at degree 5 (224 skeletons, 90 with the comb alone), 20 for bso(lie) at
+    degree 4 (40 skeletons); bso(jts), whose zero identities have degree 5
+    and are found among the seeds, folds at degree 7 too."""
+    fold = _fold_at(_bso("assoc"), 5)
+    assert (fold.nblocks, fold.ntypes <= 16) == (224, True)
+    fold = _fold_at(_bso("lie"), 4)
+    assert (fold.nblocks, fold.ntypes <= 20) == (40, True)
+    fold = _fold_at(_bso("jts"), 5)
+    assert (fold.nblocks, fold.ntypes <= 15) == (27, True)
+    fold = _fold_at(_bso("jts"), 7)
+    assert fold.ntypes < fold.nblocks == 324
+
+
+def _collapse_ideal(base, symmetric, associative, n, ctx):
+    """The degree-n ideal of base's zero identities and of the
+    ``_law_generators`` of the doubled operations, expanded row by row."""
+    gens = zero_identities(base)[1] + _law_generators(symmetric, associative)
+    return row_ideal_component(
+        double_signature(base), tuple(g.convert(ctx.field) for g in gens),
+        repr((base, symmetric, associative)), n, ctx,
+    )
+
+
+def _collapse_holds_its_ideal(base, symmetric, associative, n, field):
+    """Whether an empty module over the collapsing fold is the ideal its
+    laws generate, and the fold's generators lie in that ideal."""
+    ctx = Context(field)
+    layout = basis_layout(double_signature(base), n, ctx)
+    fold = AssociationFold(layout, symmetric, field, associative, True)
+    oracle = _collapse_ideal(base, symmetric, associative, n, ctx)
+    return (
+        ModuleRanks(WordTable(layout), fold).dim == oracle.dim
+        and all(oracle.contains(g) for g in fold.generators)
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("base, associative, degrees", [
+    (MUL, (), (2, 3, 4, 5)),
+    (MUL, ("mul^1", "mul^2"), (2, 3, 4, 5)),
+    (Signature([("br", 2), ("m", 2)]), ("m^1", "m^2"), (2, 3, 4)),
+    (Signature([("t", 3)]), (), (3, 5)),
+], ids=repr)
+def test_collapse_holds_its_ideal(base, associative, degrees, field):
+    for n in degrees:
+        assert _collapse_holds_its_ideal(base, {}, associative, n, field), n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_collapse_is_refused_where_the_fold_misses_its_ideal(field):
+    """Combing mul^2 alone, or sorting commuting children beside the comb,
+    the collapsing fold no longer holds its ideal at degree 4: off the
+    path mul^1 stands for mul^2 too.  Detection then reports no collapse,
+    and the counts are those of the rows."""
+    assert not _collapse_holds_its_ideal(MUL, {}, ("mul^2",), 4, field)
+    assert not _collapse_holds_its_ideal(
+        MUL, {"mul^2": 1}, ("mul^1",), 4, field
+    )
+    dsig = double_signature(MUL)
+    right = poly({("mul^2", ("mul^2", 1, 2), 3): 1,
+                  ("mul^2", 1, ("mul^2", 2, 3)): -1})
+    variety = VarietyPresentation(
+        "right-assoc", dsig, [*zero_identities(MUL)[1], right]
+    )
+    assert _detect_laws(variety, field) == ({}, {"mul^2"}, False)
+    gens = tuple(g.convert(field) for g in variety.generators)
+    for n in (4, 5):
+        oracle = row_ideal_component(
+            dsig, gens, variety.digest, n, Context(field)
+        )
+        assert ideal_dimensions(variety, n, Context(field)) == (
+            oracle.ncols, oracle.dim
+        )
+
+
+def _dropping(monkeypatch, names):
+    """``bso_presentation`` without the named generators."""
+    full = dialgebra.bso_presentation
+
+    def dropped(variety):
+        divar = full(variety)
+        kept = [
+            (name, g)
+            for name, g in zip(divar.generator_names, divar.generators)
+            if name not in names
+        ]
+        return VarietyPresentation(
+            divar.name, divar.signature,
+            [g for _, g in kept], [name for name, _ in kept],
+        )
+
+    monkeypatch.setattr(dialgebra, "bso_presentation", dropped)
+    return dropped
+
+
+def _verify_di(variety, n, field):
+    """verify-di's report, the collapse law found for the doubled
+    presentation, and whether its degree-n fold collapsed anything."""
+    ctx = Context(field)
+    report = verify_dialgebra_equivalence(variety, n, ctx)
+    divar = dialgebra.bso_presentation(variety)
+    module = ctx._memo[("module", divar.digest, n)][0]
+    found = ctx._memo[("laws", divar.digest)][2]
+    return report, found, module.fold.ntypes < module.fold.nblocks
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("name, dropped", [
+    # the lift at the middle leaf: mul^1 and mul^2 stay associative
+    ("assoc", {"assoc.e2"}),
+    # each lift of the Jacobi identity is a relabelling of the others
+    ("lie", {"jacobi.e1", "jacobi.e2", "jacobi.e3"}),
+])
+def test_a_dropped_lift_fails_with_the_collapse_found(
+    monkeypatch, name, dropped, n, field
+):
+    variety = catalog.presentation(name)
+    report, found, collapsed = _verify_di(variety, n, field)
+    assert (report.equal, found, collapsed) == (True, True, True)
+    _dropping(monkeypatch, dropped)
+    report, found, collapsed = _verify_di(variety, n, field)
+    assert (report.equal, found, collapsed) == (False, True, True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_dropped_zero_identity_keeps_the_collapse_off(monkeypatch, field):
+    assoc = catalog.presentation("assoc")
+    divar = _dropping(monkeypatch, {"zero-mul1-s2-mul12"})(assoc)
+    for n in (4, 5):
+        report, found, _ = _verify_di(assoc, n, field)
+        assert (report.equal, found) == (False, False)
+    ranks = _dimensions(divar, range(2, 6), field)
+    _unfolded(monkeypatch)
+    assert _dimensions(divar, range(2, 6), field) == ranks
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", BUILTINS)
+def test_collapsed_ranks_equal_uncollapsed_ones(monkeypatch, name, field):
+    doubled = _bso(name)
+    collapsed = _dimensions(doubled, range(2, 6), field)
+    _no_collapse(monkeypatch)
+    assert _dimensions(doubled, range(2, 6), field) == collapsed
+
+
+@pytest.mark.parametrize("name", ("assoc", "lie"))
+def test_collapsed_ranks_equal_uncollapsed_ones_at_degree_6(monkeypatch, name):
+    doubled = _bso(name)
+    collapsed = _dimensions(doubled, [6], P)
+    _no_collapse(monkeypatch)
+    assert _dimensions(doubled, [6], P) == collapsed

@@ -132,14 +132,22 @@ def _column(p: Polynomial, layout) -> int:
 
 @pytest.mark.parametrize("sig, n", _cases(doubled=True))
 def test_collapse_columns_match_unsuperscript(sig, n):
+    """Each doubled skeleton block's plain offset and emphasized slot give,
+    for every word, the plain column and the emphasized leaf that
+    ``unsuperscript`` gives its monomial."""
     plain_layout = basis_layout(sig.base, n, BASES)
-    block = plain_layout.ncols
-    expected = []
-    for m in enumerate_monomials(sig, n, BASES):
+    base = row_reduce(QQ, plain_layout.ncols, [])
+    blocks = _collapse_columns(sig, n, base, BASES)
+    doubled = basis_layout(sig, n, BASES)
+    assert len(blocks) == len(doubled.skeletons)
+    width = len(doubled.words)
+    for col, m in enumerate(enumerate_monomials(sig, n, BASES)):
+        b, r = divmod(col, width)
+        offset, slot = blocks[b]
         plain, leaf = unsuperscript(m)
-        expected.append((leaf - 1) * block + plain_layout[plain.node])
-    base = row_reduce(QQ, block, [])
-    assert _collapse_columns(sig, n, base, BASES) == expected
+        assert (offset + r, doubled.words[r][slot]) == (
+            plain_layout[plain.node], leaf
+        )
 
 
 @pytest.mark.parametrize("sig, n", _cases(doubled=True))
