@@ -23,13 +23,13 @@ from .ideals import (
     _seeds,
     degree_component,
 )
+from .layout import ColumnMap, basis_layout
 from .terms import (
     DoubledSignature,
     Monomial,
     Polynomial,
     Signature,
     _scan,
-    basis_layout,
     collapse,
     double_signature,
     doubled_name,
@@ -221,24 +221,24 @@ def collapse_preimage_dimension(n: int, ncols: int, base) -> int:
 
 
 def _lift_columns(dsig: DoubledSignature, n: int, ctx):
-    """For each emphasis k = 1..n, the doubled column of the lift
-    (``superscript``) toward leaf k of each degree-n plain basis monomial,
-    in basis order.
+    """For each emphasis k = 1..n, the ``layout.ColumnMap`` that sends each
+    degree-n plain basis monomial to the doubled column of its lift
+    (``superscript``) toward leaf k.
 
     Lifting keeps the leaf word, and the lifted skeleton depends only on
     the plain skeleton and on the slot that holds leaf k: each plain
-    skeleton, filled with the word 1..n, is lifted once per slot, giving the
-    doubled skeleton's offset; the plain word w at that offset then lands
-    at the offset for slot w.index(k) plus the rank of w."""
+    skeleton, filled with the word 1..n, is lifted once per slot, giving a
+    row of doubled offsets that every map shares; the plain word w picks
+    the offset for slot w.index(k) and keeps its rank."""
     plain = basis_layout(dsig.base, n, ctx)
     doubled = basis_layout(dsig, n, ctx)
     words = plain.words
     offsets = [
-        [doubled[_lift_node(plain.node(col), j)] for j in range(1, n + 1)]
+        tuple(doubled[_lift_node(plain.node(col), j)] for j in range(1, n + 1))
         for col in range(0, plain.ncols, len(words))
     ]
     return [
-        [row[w.index(k)] + r for row in offsets for r, w in enumerate(words)]
+        ColumnMap(offsets, bytes(w.index(k) for w in words), range(len(words)))
         for k in range(1, n + 1)
     ]
 

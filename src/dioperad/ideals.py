@@ -9,7 +9,7 @@ one-step substitutions of a single operation into (or around) the module
 generators of each lower degree.  ``_module_step``, the one builder of
 every S_n-module of the package, builds it degree by degree in the run
 context's memo.  From degree 4 on it works over the association types
-(``terms.AssociationFold``) of the binary operations that its own
+(``layout.AssociationFold``) of the binary operations that its own
 modules of degrees 2 and 3 make commutative or anticommutative, and
 associative (``_laws``), and on a doubled signature whose zero identities
 lie in the ideal it collapses each doubled skeleton too.  Where k[S_n] is
@@ -29,20 +29,23 @@ from __future__ import annotations
 
 from .context import as_context, sha256
 from .fields import QQ
+from .layout import (
+    AssociationFold,
+    _perm_column_maps,
+    basis_layout,
+    substitution_column_maps,
+)
 from .linalg import Subspace, _Reducer
 from .terms import (
-    AssociationFold,
     DoubledSignature,
     Monomial,
     Polynomial,
-    basis_layout,
     check_in_signature,
     collapse,
     doubled_name,
     format_node,
     format_polynomial,
     split_doubled_name,
-    substitution_column_maps,
 )
 from .young import ModuleRanks, WordTable, dimensions
 
@@ -196,25 +199,6 @@ class DegreeComponent:
         return self.ideal.contains(poly_to_vector(p, self.layout))
 
 
-def _perm_column_maps(layout):
-    """Column permutations for a generating set of leaf relabelings: each
-    relabels the leaf words once, and every skeleton keeps its offset."""
-    n = layout.degree
-    if n < 2:
-        return []
-    perms = [(2, 1) + tuple(range(3, n + 1))]
-    if n > 2:
-        perms.append(tuple(range(2, n + 1)) + (1,))
-    rank, words = layout.rank, layout.words
-    maps = []
-    for perm in perms:
-        ranks = [rank[tuple(perm[v - 1] for v in w)] for w in words]
-        maps.append(
-            [s + r for s in range(0, layout.ncols, len(words)) for r in ranks]
-        )
-    return maps
-
-
 def _seeds(signature, generators, n, ctx) -> dict:
     """The given polynomials of degree at most n, converted to the
     context's field, as vectors on their own degree's layout, keyed by
@@ -244,12 +228,12 @@ def _candidates(signature, seeds, n, ctx, lower):
         if not vectors:
             continue
         # every w o_i op, then every op o_i w, for each lower vector
-        colmaps = substitution_column_maps(
+        maps = substitution_column_maps(
             basis_layout(signature, m, ctx), layout, op
         )
         for vec in vectors:
-            for colmap in colmaps:
-                yield {colmap[c]: v for c, v in vec.items()}
+            for substitute in maps:
+                yield substitute(vec)
 
 
 def _close(field, layout, candidates):
@@ -267,11 +251,11 @@ def _close(field, layout, candidates):
     reducer = _Reducer(field)
     kept = [vec for vec in candidates if reducer.insert(vec)]
     queue = sorted(kept, key=min)
-    colmaps = _perm_column_maps(layout)
+    relabellings = _perm_column_maps(layout)
     while queue:
         vec = queue.pop()
-        for colmap in colmaps:
-            image = {colmap[c]: v for c, v in vec.items()}
+        for relabel in relabellings:
+            image = relabel(vec)
             if reducer.insert(image):
                 queue.append(image)
     reducer.release_index()
@@ -444,7 +428,7 @@ def _module_step(signature, seeds, digest, n, ctx):
     presentation's, and of a morphism's kernel (``verify_bso_theorem``).
     From degree 4 on the degree is folded onto the association types of
     the operations that ``_laws`` finds in degrees 2 and 3
-    (``terms.AssociationFold``); those degrees fold nothing.  A doubled
+    (``layout.AssociationFold``); those degrees fold nothing.  A doubled
     degree is also collapsed onto plain types with one emphasized leaf
     when the zero identities lie in the ideal (``_folded_candidates``), so
     it stacks about n blocks for each plain type instead of one for each

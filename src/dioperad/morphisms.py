@@ -118,7 +118,7 @@ def _check_source_vanishes(mor, source, d, ctx):
 
 def _kernel_dimension(mor, fold, ctx) -> int:
     """dim ker(φ) at the degree d of the source module's association fold
-    (``terms.AssociationFold``), counted by partition; k[S_d] must be
+    (``layout.AssociationFold``), counted by partition; k[S_d] must be
     semisimple and the caller must have run ``_check_source_vanishes``.
 
     φ is a map of left k[S_d]-modules out of the free module on the s
@@ -376,8 +376,8 @@ def verify_bso_theorem(
     for m in range(2, d + 1):
         kernels[m], _, generators = _module_step(signature, seeds, digest, m, ctx)
         lifts = dseeds.setdefault(m, [])
-        for cols in _lift_columns(dsig, m, ctx):
-            lifts.extend({cols[c]: v for c, v in r.items()} for r in generators)
+        for lift in _lift_columns(dsig, m, ctx):
+            lifts.extend(map(lift, generators))
     ddigest = f"bso-kernel:{mor.digest}"
     comparisons = tuple(
         DegreeComparison(

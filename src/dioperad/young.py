@@ -116,7 +116,7 @@ class WordTable:
     to the identity word by ``ModuleRanks``, meets few of the n! words.
 
     The words and their ranks are those of a basis layout of degree n
-    (``terms.BasisLayout``), so column c of the layout holds the word of
+    (``layout.BasisLayout``), so column c of the layout holds the word of
     rank c mod n!.  ``matrix(k, r)`` is the pair (D, N) for the k-th
     partition and the word of rank r, with ρ_λ(w) = N / D: D is the least
     common denominator of ρ_λ(w)'s entries, and N its numerators in a flat
@@ -181,7 +181,7 @@ class ModuleRanks:
     a membership test for it.  An element is a dict column -> scalar over
     the fold's field, column = block · n! + rank of the leaf word.
 
-    The module is held through a ``terms.AssociationFold`` f of the s
+    The module is held through a ``layout.AssociationFold`` f of the s
     skeleton blocks onto t type blocks, whose kernel lies in the module:
     the stacks have t blocks, start from the fold's relations, and every
     element is folded on its way in.  As f is onto and splits, the module

@@ -23,11 +23,11 @@ from dioperad.dialgebra import (
 )
 from dioperad.ideals import (
     _candidates,
-    _perm_column_maps,
     consequences_at_degree,
     poly_to_vector,
     vector_to_poly,
 )
+from dioperad.layout import _perm_column_maps, basis_layout
 from dioperad.linalg import Subspace, _Reducer, row_reduce
 from dioperad.morphisms import (
     BsoKernelReport,
@@ -44,7 +44,6 @@ from dioperad.terms import (
     Signature,
     _graft,
     apply_permutation,
-    basis_layout,
     collapse,
     compose,
     double_signature,
@@ -315,11 +314,11 @@ def row_ideal_component(signature, generators, digest, n, ctx=None) -> Subspace:
         seeds = [poly_to_vector(g, layout) for g in generators if g.degree == n]
         for vec in _candidates(signature, seeds, n, ctx, lower):
             feed(vec)
-        colmaps = _perm_column_maps(layout)
+        relabellings = _perm_column_maps(layout)
         while queue:
             vec = queue.pop()
-            for colmap in colmaps:
-                feed({colmap[c]: v for c, v in vec.items()})
+            for relabel in relabellings:
+                feed(relabel(vec))
         return Subspace(ctx.field, layout.ncols, reducer)
 
     return ctx.memo(("row-ideal", digest, n), n, build)

@@ -11,12 +11,16 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import conftest
 import pytest
 
+import dioperad
 from dioperad import Context, catalog
 from dioperad.cli import main
 from dioperad.dialgebra import (
@@ -259,6 +263,50 @@ def test_criterion_4_stretch_doubled_degree_seven(capsys):
             f"p:1000003 (quotient {report['dims']['quotient']} of "
             f"{report['dims']['ambient']} columns) in {elapsed:.1f}s",
         )
+
+
+# Runs argv[2:] with stdout to the file argv[1], and prints its exit code
+# and peak RSS in KiB from ``os.wait4``.  A child's peak RSS counts the
+# address space it was started from until its exec, so a query is started
+# from this small relay, not from the test process, which may be large.
+PEAK_RSS_RELAY = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@stretch
+@needs_stretch
+def test_criterion_4_stretch_doubled_degree_seven_peak_memory(tmp_path):
+    """verify-di assoc at degree 7, run in a child process, peaks below
+    128 MiB, read through ``os.wait4``.  Each of its 16 substitution maps
+    from degree 6 maps 967,680 doubled columns; kept as lists with one int
+    per column, they took the run to a peak of 627 MiB."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dioperad.__file__).parents[1]))
+    report_path = tmp_path / "report.json"
+    argv = [sys.executable, "-m", "dioperad", "verify-di",
+            "--variety", "builtin:assoc", "--degree", "7", "--max-degree", "7",
+            "--field", "p:1000003", "--json", "--no-cache"]
+    start = time.monotonic()
+    relay = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_RELAY, str(report_path), *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    elapsed = time.monotonic() - start
+    code, peak_kib = map(int, relay.stdout.split())
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    peak = peak_kib / 1024
+    ok = code == 0 and report["verdict"] is True and peak < 128
+    announce(
+        "4 (stretch)",
+        ok,
+        f"verify-di assoc at degree 7 over p:1000003 peaks at {peak:.0f} MiB "
+        f"(bound 128) in {elapsed:.1f}s",
+    )
 
 
 def test_criterion_5_speciality_baselines():

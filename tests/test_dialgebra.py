@@ -21,11 +21,11 @@ from dioperad.dialgebra import (
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     VarietyPresentation,
-    _perm_column_maps,
     consequences_at_degree,
     poly_to_vector,
     vector_to_poly,
 )
+from dioperad.layout import _perm_column_maps, basis_layout
 from dioperad.linalg import row_reduce
 from dioperad.morphisms import verify_bso_theorem
 from dioperad.terms import (
@@ -33,7 +33,6 @@ from dioperad.terms import (
     Polynomial,
     Signature,
     apply_permutation,
-    basis_layout,
     double_signature,
     enumerate_monomials,
     substitute_at,
@@ -443,15 +442,14 @@ def test_collapse_preimage_is_symmetric_group_stable(variety, n, field):
     dsig = double_signature(variety.signature)
     base = consequences_at_degree(variety, n, ctx).ideal
     preimage = zeta_preimage(dsig, n, di_ideal_at_degree(variety, n, ctx), ctx)
-    colmaps = _perm_column_maps(basis_layout(dsig, n, ctx))
+    relabellings = _perm_column_maps(basis_layout(dsig, n, ctx))
     rng = random.Random(f"{variety.name}-{n}-{field.name}")
     for _ in range(20):
         row = _random_combination(list(preimage.rows), field, rng)
         assert collapses_into(dsig, n, [row], base, ctx)
         # a random word in a transposition and an n-cycle
         for _ in range(rng.randrange(1, 2 * n)):
-            colmap = rng.choice(colmaps)
-            row = {colmap[c]: v for c, v in row.items()}
+            row = rng.choice(relabellings)(row)
             assert collapses_into(dsig, n, [row], base, ctx)
 
 

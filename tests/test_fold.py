@@ -26,14 +26,13 @@ from dioperad.ideals import (
     ideal_dimensions,
     partition_ranks,
 )
+from dioperad.layout import AssociationFold, basis_layout
 from dioperad.morphisms import special_identities, verify_bso_theorem
 from dioperad.sexpr import parse_document
 from dioperad.terms import (
-    AssociationFold,
     Monomial,
     Polynomial,
     Signature,
-    basis_layout,
     double_signature,
 )
 from dioperad.young import ModuleRanks, WordTable

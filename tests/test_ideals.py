@@ -21,13 +21,13 @@ from dioperad.ideals import (
     quotient_dimension,
     vector_to_poly,
 )
+from dioperad.layout import basis_layout
 from dioperad.linalg import row_reduce
 from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
     apply_permutation,
-    basis_layout,
     compose,
     enumerate_monomials,
     substitute_at,

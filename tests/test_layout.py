@@ -23,11 +23,15 @@ from dioperad.dialgebra import _collapse_columns, _lift_columns, superscript
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
     _candidates,
-    _perm_column_maps,
     _seeds,
     _variety_module,
     consequences_at_degree,
     poly_to_vector,
+)
+from dioperad.layout import (
+    _perm_column_maps,
+    basis_layout,
+    substitution_column_maps,
 )
 from dioperad.linalg import row_reduce
 from dioperad.terms import (
@@ -36,11 +40,9 @@ from dioperad.terms import (
     Polynomial,
     Signature,
     _graft,
-    basis_layout,
     double_signature,
     enumerate_monomials,
     substitute_at,
-    substitution_column_maps,
 )
 
 from oracles import (
@@ -90,6 +92,12 @@ def test_layout_columns_are_basis_positions(sig, n):
         layout[(sig.operations[0][0],) + (1,) * sig.operations[0][1]]
 
 
+def _images(colmap, ncols) -> list:
+    """The image column of each of the ncols source columns, each column's
+    unit vector mapped by the column map itself."""
+    return [col for c in range(ncols) for col in colmap({c: 1})]
+
+
 @pytest.mark.parametrize("sig, n", _cases())
 def test_relabel_maps_match_relabel_node(sig, n):
     basis = enumerate_monomials(sig, n, BASES)
@@ -98,7 +106,7 @@ def test_relabel_maps_match_relabel_node(sig, n):
     perms = [(2, 1) + tuple(range(3, n + 1))] if n > 1 else []
     if n > 2:
         perms.append(tuple(range(2, n + 1)) + (1,))
-    assert maps == [
+    assert [_images(relabel, len(basis)) for relabel in maps] == [
         [layout[_graft(m.node, dict(enumerate(perm, 1)))] for m in basis]
         for perm in perms
     ]
@@ -116,11 +124,11 @@ def test_substitution_maps_match_substitute_at(sig, n):
         assert len(maps) == m + arity
         corolla = Monomial((op,) + tuple(range(1, arity + 1)))
         for i in range(1, m + 1):
-            assert maps[i - 1] == [
+            assert _images(maps[i - 1], len(lower)) == [
                 _column(substitute_at(w, i, corolla), upper) for w in lower
             ]
         for i in range(1, arity + 1):
-            assert maps[m + i - 1] == [
+            assert _images(maps[m + i - 1], len(lower)) == [
                 _column(substitute_at(corolla, i, w), upper) for w in lower
             ]
 
@@ -154,9 +162,33 @@ def test_collapse_columns_match_unsuperscript(sig, n):
 def test_lift_columns_match_superscript(sig, n):
     doubled = basis_layout(sig, n, BASES)
     plain = enumerate_monomials(sig.base, n, BASES)
-    assert _lift_columns(sig, n, BASES) == [
+    assert [_images(lift, len(plain)) for lift in _lift_columns(sig, n, BASES)] == [
         [doubled[superscript(m, k).node] for m in plain] for k in range(1, n + 1)
     ]
+
+
+def _stored(colmap) -> int:
+    """The ints a column map keeps: its skeleton table and its word table."""
+    return sum(map(len, colmap.offsets)) + len(colmap.slots) + len(colmap.ranks)
+
+
+def test_column_maps_store_fewer_ints_than_they_map_columns():
+    """A column map is a table per skeleton and a table per word, not a
+    list with one int per column: for assoc, each substitution map from
+    degree 5 into degree 6 and each relabelling of degree 6, and each lift
+    map of bso(assoc) at degree 5, keeps fewer ints in all than the
+    columns of the layout it maps from."""
+    assoc = catalog.presentation("assoc").signature
+    lower, upper = basis_layout(assoc, 5, BASES), basis_layout(assoc, 6, BASES)
+    maps = substitution_column_maps(lower, upper, "mul")
+    assert len(maps) == 7
+    assert all(_stored(colmap) < lower.ncols for colmap in maps)
+    relabellings = _perm_column_maps(upper)
+    assert len(relabellings) == 2
+    assert all(_stored(colmap) < upper.ncols for colmap in relabellings)
+    lifts = _lift_columns(double_signature(assoc), 5, BASES)
+    assert len(lifts) == 5
+    assert all(_stored(lift) < lower.ncols for lift in lifts)
 
 
 def _variety_cases():
@@ -393,26 +425,28 @@ def test_lazy_exports_resolve():
 
 
 DIALGEBRA, MORPHISMS = "dioperad.dialgebra", "dioperad.morphisms"
+LAYOUT = "dioperad.layout"
 # each command, the modules it must import and those it must not
 FOOTPRINTS = [
     (["dim", "--variety", "builtin:lie", "--degree", "4"],
-     {"dioperad.ideals"}, {DIALGEBRA, MORPHISMS}),
+     {"dioperad.ideals", LAYOUT}, {DIALGEBRA, MORPHISMS}),
     (["basis", "--variety", "builtin:lie", "--degree", "3"],
-     set(), {DIALGEBRA, MORPHISMS}),
+     {LAYOUT}, {DIALGEBRA, MORPHISMS}),
     (["implies", "--variety", "builtin:lie", "--identity",
-      "(bracket (bracket 1 2) 3)"], set(), {DIALGEBRA, MORPHISMS}),
+      "(bracket (bracket 1 2) 3)"], {LAYOUT}, {DIALGEBRA, MORPHISMS}),
     (["catalog"], set(), {DIALGEBRA, MORPHISMS}),
     (["verify-di", "--variety", "builtin:lie", "--degree", "3"],
-     {DIALGEBRA}, {MORPHISMS}),
+     {DIALGEBRA, LAYOUT}, {MORPHISMS}),
     (["dim", "--variety", "di:builtin:lie", "--degree", "3"],
-     {DIALGEBRA}, {MORPHISMS}),
-    (["dialgebrize", "--variety", "builtin:lie"], {DIALGEBRA}, {MORPHISMS}),
+     {DIALGEBRA, LAYOUT}, {MORPHISMS}),
+    (["dialgebrize", "--variety", "builtin:lie"], {DIALGEBRA, LAYOUT},
+     {MORPHISMS}),
     (["special", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
-     {MORPHISMS}, set()),
+     {MORPHISMS, LAYOUT}, set()),
     (["special-di", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
-     {MORPHISMS}, set()),
+     {MORPHISMS, LAYOUT}, set()),
     (["verify-bso", "--morphism", "builtin:lie-to-assoc", "--degree", "3"],
-     {MORPHISMS}, set()),
+     {MORPHISMS, LAYOUT}, set()),
 ]
 
 

@@ -15,6 +15,7 @@ from dioperad.ideals import (
     degree_component,
     vector_to_poly,
 )
+from dioperad.layout import basis_layout
 from dioperad.linalg import row_reduce
 from dioperad.morphisms import (
     CharacteristicGuardError,
@@ -30,7 +31,6 @@ from dioperad.terms import (
     Monomial,
     Polynomial,
     Signature,
-    basis_layout,
     compose,
     enumerate_monomials,
     linearize,

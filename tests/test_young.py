@@ -21,7 +21,8 @@ from dioperad.ideals import (
     ideal_dimensions,
     partition_ranks,
 )
-from dioperad.terms import Polynomial, Signature, basis_layout
+from dioperad.layout import basis_layout
+from dioperad.terms import Polynomial, Signature
 from dioperad.young import (
     WordTable,
     dimensions,
