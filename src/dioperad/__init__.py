@@ -30,8 +30,6 @@ _EXPORTS = {
         ),
         "fields": ("QQ", "PrimeField", "parse_field"),
         "ideals": (
-            "OperadMorphism",
-            "VarietyPresentation",
             "consequences_at_degree",
             "degree_component",
             "ideal_dimensions",
@@ -47,6 +45,7 @@ _EXPORTS = {
             "special_identities",
             "verify_bso_theorem",
         ),
+        "presentations": ("OperadMorphism", "VarietyPresentation"),
         "terms": (
             "DoubledSignature",
             "Monomial",

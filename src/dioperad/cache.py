@@ -1,10 +1,12 @@
 """Content-addressed disk cache for computed results: the ranks by
-partition that ``dim`` writes and reads.
+partition of the ``dim`` command, its one caller, which also owns the
+entry format (``cli._ranks_key``, ``cli._decode_ranks``).
 
 Entries are JSON files under a two-level fan-out of the key hash.  Writes
 go to a temporary file in the same directory and are renamed into place,
 so concurrent runs never observe a partial entry.  Reads are tolerant:
-any unreadable or mismatched file counts as a miss.
+any unreadable, undecodable (even nested too deep for the JSON decoder)
+or mismatched file counts as a miss.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class DiskCache:
         try:
             with open(self._path(key), encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
             return None

@@ -18,7 +18,8 @@ cap exceeded.
 
 Each command imports the engine it runs inside its handler (``ideals``,
 ``dialgebra`` or ``morphisms``), so a run loads only the modules its
-command needs.
+command needs.  ``dim`` alone reads and writes the disk cache, and a hit
+loads no engine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import sys
 import time
 
 from . import catalog
-from .cache import DiskCache, default_cache_dir
 from .context import DEFAULT_DEGREE_CAP, Context, DegreeCapError
 from .fields import DEFAULT_PRIME, parse_field
 from .sexpr import (
@@ -185,13 +185,58 @@ def _cmd_basis(args, ctx):
                    basis=[format_node(m.node) for m in monomials])
 
 
-def _cmd_dim(args, ctx):
-    from .ideals import ideal_dimensions
+def _ranks_key(digest, field, n) -> str:
+    return f"young-ranks-v1:{digest}:{field.name}:{n}"
 
-    variety = resolve_variety(args.variety, ctx)
-    ambient, ideal = ideal_dimensions(variety, args.degree, ctx)
+
+def _decode_ranks(stored, n, nblocks):
+    """The stored ranks, or None unless they are one int per partition of
+    n, each between 0 and nblocks·d_λ, beside an int dimension equal to
+    their weighted sum Σ d_λ·r_λ."""
+    from .young import dimensions
+
+    try:
+        ranks, dim = stored["ranks"], stored["dim"]
+    except (LookupError, TypeError):
+        return None
+    dims = dimensions(n)
+    valid = (
+        type(ranks) is list
+        and len(ranks) == len(dims)
+        and all(type(r) is int for r in ranks + [dim])
+        and all(0 <= r <= nblocks * d for r, d in zip(ranks, dims))
+        and dim == sum(map(int.__mul__, dims, ranks))
+    )
+    return ranks if valid else None
+
+
+def _cmd_dim(args, ctx):
+    """The one reader and writer of the disk cache.  Where k[S_n] is
+    semisimple the ideal has dimension Σ d_λ·r_λ, and the ranks r_λ are
+    read from the degree's entry or, on a miss, computed
+    (``ideals.partition_ranks``) and written there.  The degree cap is
+    checked before the entry is read, and a hit loads no engine."""
+    from .cache import DiskCache, default_cache_dir
+    from .layout import basis_layout
+    from .young import _semisimple, dimensions
+
+    variety, n = resolve_variety(args.variety, ctx), args.degree
+    layout = basis_layout(variety.signature, n, ctx)
+    cache = ranks = None
+    if _semisimple(ctx.field, n) and not args.no_cache:
+        cache = DiskCache(default_cache_dir())
+        key = _ranks_key(variety.digest, ctx.field, n)
+        ranks = _decode_ranks(cache.get(key), n, len(layout.skeletons))
+    if ranks is None:
+        from .ideals import ideal_dimensions, partition_ranks
+
+        ideal = ideal_dimensions(variety, n, ctx)[1]
+        if cache is not None:
+            cache.put(key, {"ranks": partition_ranks(variety, n, ctx), "dim": ideal})
+    else:
+        ideal = sum(map(int.__mul__, dimensions(n), ranks))
     return _report(args, ctx, {"variety": variety.name}, variety.digest,
-                   args.degree, _dims(ambient, ideal))
+                   n, _dims(layout.ncols, ideal))
 
 
 def _cmd_implies(args, ctx):
@@ -401,8 +446,7 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        cache = None if args.no_cache else DiskCache(default_cache_dir())
-        ctx = Context(parse_field(args.field), args.max_degree, cache)
+        ctx = Context(parse_field(args.field), args.max_degree)
         report = args.func(args, ctx)
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""The settings and memos of one run: the scalar field, the degree cap, the
-optional disk cache of ranks by partition, and the memoised basis layouts,
-ideal components, representation tables and S_n-modules.
+"""The settings and memos of one run: the scalar field, the degree cap, and
+the memoised basis layouts, ideal components, representation tables and
+S_n-modules.  The disk cache is not part of a run's context: the ``dim``
+command alone reads and writes it.
 
 Every computation that enumerates a degree takes a context.  A context
 holds one field, so its memo keys carry no field name, and nothing is
@@ -32,18 +33,16 @@ class DegreeCapError(RuntimeError):
 
 
 class Context:
-    """The field, degree cap and optional disk cache of a run, with its
-    memos.  The defaults are the rationals, the default cap and no disk
-    cache."""
+    """The field and degree cap of a run, with its memos.  The defaults are
+    the rationals and the default cap."""
 
-    __slots__ = ("field", "max_degree", "cache", "_memo")
+    __slots__ = ("field", "max_degree", "_memo")
 
-    def __init__(self, field=QQ, max_degree=DEFAULT_DEGREE_CAP, cache=None):
+    def __init__(self, field=QQ, max_degree=DEFAULT_DEGREE_CAP):
         if max_degree < 1:
             raise ValueError(f"degree cap must be at least 1, got {max_degree}")
         self.field = field
         self.max_degree = max_degree
-        self.cache = cache
         self._memo: dict = {}
 
     def check_degree(self, n: int) -> None:

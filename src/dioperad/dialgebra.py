@@ -17,13 +17,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .context import as_context
-from .ideals import (
-    VarietyPresentation,
-    _module_step,
-    _seeds,
-    degree_component,
-)
+from .ideals import _module_step, _seeds, degree_component
 from .layout import ColumnMap, basis_layout
+from .presentations import VarietyPresentation
 from .terms import (
     DoubledSignature,
     Monomial,

@@ -1,5 +1,5 @@
-"""Varieties of algebras presented by multilinear identities, and the
-degree-by-degree construction of the operad ideal those identities generate.
+"""The degree-by-degree construction of the operad ideal that the
+multilinear identities of a variety (``presentations``) generate.
 
 The multilinear consequences of a set of identities in degree n form the
 n-th component of the smallest ideal containing them that is closed under
@@ -16,19 +16,14 @@ lie in the ideal it collapses each doubled skeleton too.  Where k[S_n] is
 semisimple it counts the module by partition (a ``young.ModuleRanks``),
 never expanded, and elsewhere it closes the generators' span under S_n.
 Only ``consequences_at_degree``, for the commands that need rows, expands
-a semisimple degree, and only the degree it is asked for.  The disk cache
-holds what ``dim`` prints: ``partition_ranks`` alone reads and writes it,
-one entry of ranks by partition for the degree it is asked for.
-
-The parser's two data types live here, ``VarietyPresentation`` and
-``OperadMorphism``, so that reading a document loads neither the morphism
-nor the dialgebra engine.
+a semisimple degree, and only the degree it is asked for.  Nothing here
+reads or writes the disk cache; the ``dim`` command does, around
+``partition_ranks``.
 """
 
 from __future__ import annotations
 
-from .context import as_context, sha256
-from .fields import QQ
+from .context import as_context
 from .layout import (
     AssociationFold,
     _perm_column_maps,
@@ -44,103 +39,9 @@ from .terms import (
     collapse,
     doubled_name,
     format_node,
-    format_polynomial,
     split_doubled_name,
 )
-from .young import ModuleRanks, WordTable, dimensions
-
-
-class VarietyPresentation:
-    """A named signature together with defining multilinear identities.
-
-    Generators are stored with rational coefficients and converted into a
-    working field on demand.
-    """
-
-    __slots__ = ("name", "signature", "generators", "generator_names", "digest")
-
-    def __init__(self, name, signature, generators, generator_names=None):
-        generators = tuple(generators)
-        if generator_names is None:
-            generator_names = tuple(f"id{i + 1}" for i in range(len(generators)))
-        generator_names = tuple(str(s) for s in generator_names)
-        if len(generator_names) != len(generators):
-            raise ValueError("one name per identity required")
-        for gname, g in zip(generator_names, generators):
-            if not isinstance(g, Polynomial) or g.field != QQ:
-                raise ValueError(
-                    f"identity {gname!r} must have rational coefficients"
-                )
-            if g.is_zero:
-                raise ValueError(f"identity {gname!r} is zero")
-            if g.degree < 2:
-                raise ValueError(f"identity {gname!r} has degree < 2")
-            if not g.is_multilinear():
-                raise ValueError(f"identity {gname!r} is not multilinear")
-            for m in g.terms:
-                check_in_signature(m, signature)
-        self.name = str(name)
-        self.signature = signature
-        self.generators = generators
-        self.generator_names = generator_names
-        h = sha256()
-        h.update(repr(signature.operations).encode())
-        for gname, g in zip(generator_names, generators):
-            h.update(b"\x00" + gname.encode())
-            h.update(b"\x00" + format_polynomial(g).encode())
-        self.digest = h.hexdigest()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VarietyPresentation)
-            and self.digest == other.digest
-        )
-
-    def __hash__(self):
-        return hash(self.digest)
-
-    def __repr__(self):
-        return (
-            f"VarietyPresentation({self.name!r}, "
-            f"{len(self.generators)} identities)"
-        )
-
-
-class OperadMorphism:
-    """Images for each source operation inside a target variety."""
-
-    __slots__ = ("name", "source_signature", "target", "images", "digest")
-
-    def __init__(self, name, source_signature, target, images):
-        images = dict(images)
-        for op, arity in source_signature.operations:
-            img = images.get(op)
-            if img is None:
-                raise ValueError(f"no image for operation {op!r}")
-            if not isinstance(img, Polynomial) or img.field != QQ:
-                raise ValueError(
-                    f"image of {op!r} must have rational coefficients"
-                )
-            if img.degree != arity or not img.is_multilinear():
-                raise ValueError(
-                    f"image of {op!r} must be multilinear of degree {arity}"
-                )
-        if set(images) != set(source_signature.names):
-            raise ValueError("images given for operations outside the signature")
-        self.name = str(name)
-        self.source_signature = source_signature
-        self.target = target
-        self.images = images
-        h = sha256()
-        h.update(repr(source_signature.operations).encode())
-        h.update(target.digest.encode())
-        for op in source_signature.names:
-            h.update(b"\x00" + op.encode())
-            h.update(b"\x00" + format_polynomial(images[op]).encode())
-        self.digest = h.hexdigest()
-
-    def __repr__(self):
-        return f"OperadMorphism({self.name!r})"
+from .young import ModuleRanks, WordTable, _semisimple
 
 
 def poly_to_vector(p: Polynomial, layout) -> dict:
@@ -291,22 +192,6 @@ def _expand(fold, candidates):
     for p in sorted(rows):
         reducer.insert(fold.lift(rows.pop(p)))
     return Subspace(field, fold.layout.ncols, reducer), kept
-
-
-_RANKS_TAG = "young-ranks-v1"
-
-
-def _ranks_key(digest, field, n) -> str:
-    return f"{_RANKS_TAG}:{digest}:{field.name}:{n}"
-
-
-def _semisimple(field, n) -> bool:
-    """Whether k[S_n] is semisimple: characteristic 0 or above n."""
-    return not field.characteristic or field.characteristic > n
-
-
-def _ideal_dim(n, ranks) -> int:
-    return sum(map(int.__mul__, dimensions(n), ranks))
 
 
 def _zero_laws(signature, n, ctx):
@@ -475,7 +360,7 @@ def degree_component(variety, n, ctx=None) -> DegreeComponent:
     """The degree-n component, for its dimensions and membership in its
     ideal, the module of ``_module_step``: where k[S_n] is semisimple a
     ``young.ModuleRanks`` that is never expanded, elsewhere the expanded
-    ``Subspace``.  Nothing is read from or written to the disk cache."""
+    ``Subspace``."""
     ctx = as_context(ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     module = _variety_module(variety, n, ctx)[0]
@@ -503,32 +388,11 @@ def consequences_at_degree(variety, n: int, ctx=None) -> DegreeComponent:
     )
 
 
-def _decode_ranks(stored, n, nblocks):
-    """The stored ranks, or None unless they are one int per partition of
-    n, each between 0 and nblocks·d_λ, beside an int dimension equal to
-    their weighted sum Σ d_λ·r_λ."""
-    try:
-        ranks, dim = stored["ranks"], stored["dim"]
-    except (LookupError, TypeError):
-        return None
-    dims = dimensions(n)
-    valid = (
-        type(ranks) is list
-        and len(ranks) == len(dims)
-        and all(type(r) is int for r in ranks + [dim])
-        and all(0 <= r <= nblocks * d for r, d in zip(ranks, dims))
-        and dim == _ideal_dim(n, ranks)
-    )
-    return ranks if valid else None
-
-
 def partition_ranks(variety, n, ctx=None) -> list:
     """The ranks r_λ of the degree-n ideal, one per partition of n in the
     order of ``young.partitions``.  The field's characteristic must be 0
     or above n.  The ideal has dimension Σ d_λ·r_λ, and λ has multiplicity
-    s·d_λ − r_λ in the quotient, s being the number of skeletons.  This is
-    the only reader and writer of the disk cache: it reads the entry for
-    degree n, and on a miss writes the memoised module's ranks there."""
+    s·d_λ − r_λ in the quotient, s being the number of skeletons."""
     ctx = as_context(ctx)
     ctx.check_degree(n)  # before converting, so the cap error comes first
     if not _semisimple(ctx.field, n):
@@ -536,33 +400,16 @@ def partition_ranks(variety, n, ctx=None) -> list:
             f"ranks by partition need characteristic 0 or above {n}, "
             f"got {ctx.field.characteristic}"
         )
-    key = _ranks_key(variety.digest, ctx.field, n)
-    if ctx.cache is not None:
-        ranks = _decode_ranks(
-            ctx.cache.get(key),
-            n,
-            len(basis_layout(variety.signature, n, ctx).skeletons),
-        )
-        if ranks is not None:
-            return ranks
-    module = _variety_module(variety, n, ctx)[0]
-    if ctx.cache is not None:
-        ctx.cache.put(key, {"ranks": module.ranks, "dim": module.dim})
-    return module.ranks
+    return _variety_module(variety, n, ctx)[0].ranks
 
 
 def ideal_dimensions(variety, n, ctx=None):
     """(ambient, ideal) dimensions of the degree-n component.  Over the
     rationals or a prime above n, where k[S_n] is semisimple, the ideal's
-    dimension comes from ``partition_ranks``; over a smaller prime it is
-    the rank of the expanded ideal."""
-    ctx = as_context(ctx)
-    ctx.check_degree(n)
-    if not _semisimple(ctx.field, n):
-        comp = degree_component(variety, n, ctx)
-        return comp.ambient_dimension, comp.ideal.dim
-    ranks = partition_ranks(variety, n, ctx)
-    return basis_layout(variety.signature, n, ctx).ncols, _ideal_dim(n, ranks)
+    dimension is Σ d_λ·r_λ over its ``partition_ranks``; over a smaller
+    prime it is the rank of the expanded ideal."""
+    comp = degree_component(variety, n, ctx)
+    return comp.ambient_dimension, comp.ideal.dim
 
 
 def quotient_dimension(variety, n, ctx=None):

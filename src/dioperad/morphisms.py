@@ -10,7 +10,7 @@ but outside the ideal of the source presentation are the special ones.
 When k[S_n] is semisimple the kernel is a module counted by partition
 from the images of the source's association types alone
 (``_kernel_dimension``).  The morphism type, ``OperadMorphism``, is
-defined in ``ideals`` beside the presentations it maps between.
+defined in ``presentations`` beside the presentations it maps between.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ from .dialgebra import (
 from .context import as_context
 from .fields import QQ
 from .ideals import (
-    OperadMorphism,
-    VarietyPresentation,
     _module_step,
     _seeds,
-    _semisimple,
     _variety_module,
     consequences_at_degree,
     degree_component,
@@ -40,6 +37,7 @@ from .ideals import (
     vector_to_poly,
 )
 from .linalg import _Reducer, row_reduce
+from .presentations import OperadMorphism, VarietyPresentation
 from .terms import (
     Monomial,
     Polynomial,
@@ -47,7 +45,7 @@ from .terms import (
     doubled_name,
     graft,
 )
-from .young import dimensions
+from .young import _semisimple, dimensions
 
 
 class CharacteristicGuardError(ValueError):

@@ -19,6 +19,8 @@ image of each operation once, and a presentation names each identity
 once.  A document of bare signature/identity forms is an anonymous
 presentation.  Over a doubled signature whose base has a single binary
 operation, ``dashv`` and ``vdash`` name the two emphasized products.
+
+The parser builds the types of ``presentations`` and imports no engine.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ideals import OperadMorphism, VarietyPresentation
+from .presentations import OperadMorphism, VarietyPresentation
 from .terms import (
     DoubledSignature,
     Monomial,

@@ -69,6 +69,11 @@ def dimensions(n: int):
     return [len(standard_tableaux(shape)) for shape in partitions(n)]
 
 
+def _semisimple(field, n) -> bool:
+    """Whether k[S_n] is semisimple: characteristic 0 or above n."""
+    return not field.characteristic or field.characteristic > n
+
+
 def _contents(word):
     """Column minus row of each entry of a tableau given by its row word."""
     filled: dict = {}

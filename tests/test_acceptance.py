@@ -31,7 +31,6 @@ from dioperad.dialgebra import (
 )
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     identity_implies,
     quotient_dimension,
 )
@@ -42,6 +41,7 @@ from dioperad.morphisms import (
     special_identities,
     verify_bso_theorem,
 )
+from dioperad.presentations import VarietyPresentation
 from dioperad.terms import (
     Monomial,
     Polynomial,

@@ -417,7 +417,7 @@ def test_verify_di_report(capsys):
 
 def test_verify_di_exits_1_without_a_zero_identity(capsys, monkeypatch):
     from dioperad import dialgebra
-    from dioperad.ideals import VarietyPresentation
+    from dioperad.presentations import VarietyPresentation
 
     full = dialgebra.bso_presentation
 
@@ -440,7 +440,7 @@ def test_verify_di_exits_1_without_a_zero_identity(capsys, monkeypatch):
 
 def test_verify_di_exits_1_with_a_misplaced_zero_identity(capsys, monkeypatch):
     from dioperad import dialgebra
-    from dioperad.ideals import VarietyPresentation
+    from dioperad.presentations import VarietyPresentation
     from dioperad.terms import Monomial, substitute_at
 
     full = dialgebra.bso_presentation
@@ -585,13 +585,20 @@ RANK_CASES = [
     "ranks: negative rank",
     "ranks: rank above s·d",
     "ranks: dim not the weighted sum",
+    "file: nested 200000 deep",
 ]
 
 
-def _corrupt_ranks(value, case):
-    """One defect in a stored rank entry of lie in degree 4 (5 skeletons;
-    the first partition, (4), has d = 1).  Apart from the defect named,
-    the stored dimension stays the weighted sum of the ranks."""
+def _corrupt_entry(text, case):
+    """The text of a stored rank entry of lie in degree 4 (5 skeletons;
+    the first partition, (4), has d = 1) with one defect.  Apart from the
+    defect named, the stored dimension stays the weighted sum of the
+    ranks.  An entry nested too deep makes the JSON decoder raise
+    ``RecursionError``."""
+    if case == "file: nested 200000 deep":
+        return "[" * 200000
+    entry = json.loads(text)
+    value = entry["value"]
     ranks = value["ranks"]
     if case == "ranks: wrong length":
         ranks.append(0)
@@ -605,26 +612,26 @@ def _corrupt_ranks(value, case):
         ranks[0] = 6
     elif case == "ranks: dim not the weighted sum":
         value["dim"] += 1
+    return json.dumps(entry)
 
 
 @pytest.mark.parametrize("case", RANK_CASES)
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, case):
-    from dioperad import catalog, ideals
+    from dioperad import catalog
     from dioperad.cache import DiskCache
 
     argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
     digest = catalog.presentation("lie").digest
-    key = f"{ideals._RANKS_TAG}:{digest}:q:4"
+    # the key spelled out, so that entries written earlier keep hitting
+    key = f"young-ranks-v1:{digest}:q:4"
     first = run(capsys, *argv)
     assert first[0] == 0
 
     path = DiskCache(tmp_path / "cache")._path(key)
     with open(path, encoding="utf-8") as fh:
         good = fh.read()
-    entry = json.loads(good)
-    _corrupt_ranks(entry["value"], case)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh)
+        fh.write(_corrupt_entry(good, case))
 
     assert run(capsys, *argv) == first
     with open(path, encoding="utf-8") as fh:
@@ -671,7 +678,7 @@ UNCACHED_COMMANDS = [
 
 
 def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
-    from dioperad import catalog, ideals
+    from dioperad import catalog, cli
     from dioperad.fields import QQ
 
     argv = ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
@@ -682,7 +689,7 @@ def test_each_run_writes_its_own_cache_entries(capsys, monkeypatch, tmp_path):
         written.append(_cache_files(tmp_path / name))
     # the rank entry of degree 4 alone, not those of the degrees below
     digest = catalog.presentation("lie").digest
-    assert _cache_keys(tmp_path / "first") == [ideals._ranks_key(digest, QQ, 4)]
+    assert _cache_keys(tmp_path / "first") == [cli._ranks_key(digest, QQ, 4)]
     assert written[1] == written[0]
     for i, other in enumerate(UNCACHED_COMMANDS):
         monkeypatch.setenv("CACHE_DIR", str(tmp_path / f"other{i}"))

@@ -20,7 +20,6 @@ from dioperad.dialgebra import (
 )
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     consequences_at_degree,
     poly_to_vector,
     vector_to_poly,
@@ -28,6 +27,7 @@ from dioperad.ideals import (
 from dioperad.layout import _perm_column_maps, basis_layout
 from dioperad.linalg import row_reduce
 from dioperad.morphisms import verify_bso_theorem
+from dioperad.presentations import VarietyPresentation
 from dioperad.terms import (
     Monomial,
     Polynomial,

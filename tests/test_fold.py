@@ -17,7 +17,6 @@ from dioperad.dialgebra import (
 )
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     _folded_candidates,
     _laws,
     _seeds,
@@ -28,6 +27,7 @@ from dioperad.ideals import (
 )
 from dioperad.layout import AssociationFold, basis_layout
 from dioperad.morphisms import special_identities, verify_bso_theorem
+from dioperad.presentations import VarietyPresentation
 from dioperad.sexpr import parse_document
 from dioperad.terms import (
     Monomial,

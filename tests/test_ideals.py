@@ -9,12 +9,11 @@ import os
 
 import pytest
 
-from dioperad import Context, catalog, ideals
+from dioperad import Context, catalog, cli, ideals
 from dioperad.cache import DiskCache
 from dioperad.context import sha256
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     consequences_at_degree,
     identity_implies,
     poly_to_vector,
@@ -23,6 +22,7 @@ from dioperad.ideals import (
 )
 from dioperad.layout import basis_layout
 from dioperad.linalg import row_reduce
+from dioperad.presentations import VarietyPresentation
 from dioperad.terms import (
     Monomial,
     Polynomial,
@@ -352,32 +352,46 @@ def _corrupted_ranks(stored, n, skeletons, case):
         "dim not the weighted sum",
     ],
 )
-def test_decode_ranks_rejects_each_malformed_entry(tmp_path, source, case):
+def test_decode_ranks_rejects_each_malformed_entry(
+    tmp_path, monkeypatch, capsys, source, case
+):
     name, n, field = source
     variety = catalog.presentation(name)
-    ctx = Context(field, cache=DiskCache(tmp_path))
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    argv = ["dim", "--variety", f"builtin:{name}", "--degree", str(n),
+            "--field", field.name]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    stored = DiskCache(tmp_path).get(cli._ranks_key(variety.digest, field, n))
+    ctx = Context(field)
     ranks = ideals.partition_ranks(variety, n, ctx)
-    stored = ctx.cache.get(ideals._ranks_key(variety.digest, field, n))
     skeletons = len(basis_layout(variety.signature, n, ctx).skeletons)
-    # the entry the run wrote reads back as the ranks it computed
-    assert ideals._decode_ranks(stored, n, skeletons) == ranks
+    # the entry the run wrote reads back as the ranks the engine computes
+    assert cli._decode_ranks(stored, n, skeletons) == ranks
     bad = _corrupted_ranks(stored, n, skeletons, case)
-    assert ideals._decode_ranks(bad, n, skeletons) is None
+    assert cli._decode_ranks(bad, n, skeletons) is None
 
 
-def test_partition_ranks_writes_its_entry_after_a_memo_hit(tmp_path):
-    """``partition_ranks`` writes the entry of its degree, and no other,
-    whether or not the context's memo already holds the module."""
+def test_dim_writes_its_entry_after_a_memo_hit(tmp_path, monkeypatch):
+    """The ``dim`` command writes the entry of its degree, and no other,
+    whether or not the context's memo already holds the module, and
+    ``partition_ranks`` writes nothing."""
     lie = catalog.presentation("lie")
+    args = cli.build_parser().parse_args(
+        ["dim", "--variety", "builtin:lie", "--degree", "4", "--field", "q"]
+    )
     entries = []
     for name in ("fresh", "memoised"):
-        ctx = Context(QQ, cache=DiskCache(tmp_path / name))
+        monkeypatch.setenv("CACHE_DIR", str(tmp_path / name))
+        ctx = Context(QQ)
         if name == "memoised":
             ideals.degree_component(lie, 4, ctx)
-        ideals.partition_ranks(lie, 4, ctx)
+            ideals.partition_ranks(lie, 4, ctx)
+            assert not (tmp_path / name).exists()
+        args.func(args, ctx)
         files = sorted((tmp_path / name).rglob("*.json"))
         entries.append([f.read_text(encoding="utf-8") for f in files])
     assert entries[1] == entries[0]
     assert [json.loads(e)["key"] for e in entries[0]] == [
-        ideals._ranks_key(lie.digest, QQ, 4)
+        cli._ranks_key(lie.digest, QQ, 4)
     ]

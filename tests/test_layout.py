@@ -256,18 +256,21 @@ def _names(func, *names):
             or isinstance(func, ast.Attribute) and func.attr in names)
 
 
-def test_only_partition_ranks_touches_the_disk_cache():
+def test_only_the_dim_command_touches_the_disk_cache():
     """The disk cache holds what ``dim`` prints: the only package function
-    that calls ``get`` or ``put`` on a cache (``cache`` or ``ctx.cache``)
-    is ``ideals.partition_ranks``.  A call in a nested function counts
-    for the function or method around it."""
+    that calls ``get`` or ``put`` on a cache is the ``dim`` command,
+    ``cli._cmd_dim``, and a run's ``Context`` holds no cache.  A call in a
+    nested function counts for the function or method around it."""
 
     def is_cache_access(func):
         return (isinstance(func, ast.Attribute)
                 and func.attr in ("get", "put")
                 and _names(func.value, "cache"))
 
-    assert _callers(is_cache_access) == {"ideals:partition_ranks"}
+    assert _callers(is_cache_access) == {"cli:_cmd_dim"}
+    assert not hasattr(Context(), "cache")
+    with pytest.raises(TypeError):
+        Context(QQ, cache=None)
 
 
 def test_only_module_step_builds_modules():
@@ -395,15 +398,23 @@ def test_every_top_level_definition_is_used_or_exported():
     assert unused == []
 
 
-def _python(*args):
-    """A fresh interpreter run on this package, which must exit 0 or 1;
-    returns the finished process."""
-    env = dict(os.environ,
+def _python(*args, env=()):
+    """A fresh interpreter run on this package, with the environment
+    variables ``env`` added, which must exit 0 or 1; returns the finished
+    process."""
+    env = dict(os.environ, **dict(env),
                PYTHONPATH=str(pathlib.Path(dioperad.__file__).parents[1]))
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, check=False)
     assert proc.returncode in (0, 1), proc.stderr
     return proc
+
+
+def _imported(proc) -> set:
+    """The modules a process run under ``-X importtime`` imported."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def test_lazy_exports_resolve():
@@ -425,16 +436,18 @@ def test_lazy_exports_resolve():
 
 
 DIALGEBRA, MORPHISMS = "dioperad.dialgebra", "dioperad.morphisms"
-LAYOUT = "dioperad.layout"
+IDEALS, LAYOUT = "dioperad.ideals", "dioperad.layout"
+# the parser and the catalog load no engine
+ENGINE = {IDEALS, "dioperad.linalg", "dioperad.young", DIALGEBRA, MORPHISMS}
 # each command, the modules it must import and those it must not
 FOOTPRINTS = [
     (["dim", "--variety", "builtin:lie", "--degree", "4"],
-     {"dioperad.ideals", LAYOUT}, {DIALGEBRA, MORPHISMS}),
+     {IDEALS, LAYOUT}, {DIALGEBRA, MORPHISMS}),
     (["basis", "--variety", "builtin:lie", "--degree", "3"],
-     {LAYOUT}, {DIALGEBRA, MORPHISMS}),
+     {LAYOUT}, ENGINE),
     (["implies", "--variety", "builtin:lie", "--identity",
       "(bracket (bracket 1 2) 3)"], {LAYOUT}, {DIALGEBRA, MORPHISMS}),
-    (["catalog"], set(), {DIALGEBRA, MORPHISMS}),
+    (["catalog"], set(), ENGINE | {LAYOUT}),
     (["verify-di", "--variety", "builtin:lie", "--degree", "3"],
      {DIALGEBRA, LAYOUT}, {MORPHISMS}),
     (["dim", "--variety", "di:builtin:lie", "--degree", "3"],
@@ -456,10 +469,21 @@ FOOTPRINTS = [
 def test_command_imports_only_its_engine(argv, loads, skips):
     """Each command imports the engine it runs and no other, read from
     ``-X importtime``; none maps OpenSSL through ``_hashlib``."""
-    proc = _python("-X", "importtime", "-m", "dioperad", *argv, "--no-cache")
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _imported(
+        _python("-X", "importtime", "-m", "dioperad", *argv, "--no-cache")
+    )
     assert "dioperad.cli" in imported
     assert loads <= imported
     assert not (skips | {"_hashlib"}) & imported
+
+
+def test_warm_dim_loads_no_ideals(tmp_path):
+    """A ``dim`` whose rank entry is on disk reads it without importing
+    ``dioperad.ideals``; the cold run that wrote it imported it."""
+    argv = ["-X", "importtime", "-m", "dioperad", "dim", "--variety",
+            "builtin:lie", "--degree", "4", "--field", "q"]
+    env = {"CACHE_DIR": str(tmp_path)}
+    cold, warm = (_python(*argv, env=env) for _ in range(2))
+    assert cold.stdout == warm.stdout
+    assert IDEALS in _imported(cold)
+    assert IDEALS not in _imported(warm)

@@ -10,7 +10,6 @@ from dioperad import Context, catalog, morphisms
 from dioperad.dialgebra import DiPolynomial
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     consequences_at_degree,
     degree_component,
     vector_to_poly,
@@ -26,6 +25,7 @@ from dioperad.morphisms import (
     special_identities,
     verify_bso_theorem,
 )
+from dioperad.presentations import VarietyPresentation
 from dioperad.context import DegreeCapError
 from dioperad.terms import (
     Monomial,

@@ -15,13 +15,13 @@ from dioperad import Context, catalog, ideals
 from dioperad.dialgebra import bso_presentation
 from dioperad.fields import QQ, PrimeField
 from dioperad.ideals import (
-    VarietyPresentation,
     consequences_at_degree,
     degree_component,
     ideal_dimensions,
     partition_ranks,
 )
 from dioperad.layout import basis_layout
+from dioperad.presentations import VarietyPresentation
 from dioperad.terms import Polynomial, Signature
 from dioperad.young import (
     WordTable,
